@@ -15,6 +15,7 @@ Symbols are integers: the digit of track t occupies bit t, so a column
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,12 +90,17 @@ def accepts(a: SyncDFA, values: tuple[int, ...] | list[int]) -> bool:
 def accepts_batch(a: SyncDFA, values: np.ndarray) -> np.ndarray:
     """Vectorized accepts over an (N, arity) array of naturals."""
     t, mask = a._arrays()
-    values = np.asarray(values, dtype=np.int64)
+    try:
+        values = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("values must be below 2**63") from None
     if values.ndim == 1:
         values = values.reshape(-1, 1)
     n, k = values.shape
     if k != a.arity:
         raise ValueError(f"expected arity {a.arity}, got {k}")
+    if values.min(initial=0) < 0:
+        raise ValueError("values must be naturals")
     top = int(values.max(initial=0))
     weights = []
     x, y = 1, 2
@@ -284,16 +290,20 @@ def moore_state_count(a: SyncDFA) -> int:
         n_blocks = count
 
 
-def live_state_count(a: SyncDFA) -> int:
-    """States from which acceptance is reachable; the dead sink is not counted."""
+def live_states(a: SyncDFA) -> np.ndarray:
+    """Mask of the states from which an accepting state is reachable."""
     t, mask = a._arrays()
     live = mask.copy()
     while True:
         grew = live[t].any(axis=1) | live
         if (grew == live).all():
-            break
+            return live
         live = grew
-    return int(live.sum())
+
+
+def live_state_count(a: SyncDFA) -> int:
+    """States from which acceptance is reachable; the dead sink is not counted."""
+    return int(live_states(a).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -618,137 +628,123 @@ def compile_regex(pattern: str, arity: int) -> SyncDFA:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic relation automata
+# linear constraints
 
 
-@lru_cache(maxsize=None)
-def adder(bound: int = 4) -> SyncDFA:
-    """The 3-track relation x + y = z on canonical padded triples.
+_RELATIONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
-    Reachability over carry states (u, v): with s digits remaining the
-    suffix must still contribute u*F_{s+2} + v*F_{s+1} toward z - x - y.
-    Reading digits (a, b, c) of weight F_{s+1} updates
-    (u, v) -> (u + v + a + b - c, u); the empty suffix contributes
-    u*F_2 + v*F_1 = u + v, so acceptance is u + v = 0.  States beyond the
-    pruning bound cannot recover and go dead; the bound is certified by
-    exhaustive oracle tests and by bound-independence.
+
+def constrain(a: SyncDFA, coeffs: tuple[int, ...], rel: str, c: int,
+              bound: int | None = None) -> SyncDFA:
+    """The tuples `a` accepts that also satisfy sum(coeffs[i]*x_i) rel c.
+
+    Precondition: `a` is canonical (no adjacent 1 digits) on every track
+    with a nonzero coefficient.
+
+    Only reachable pairs (state of `a`, carry (u, v)) are built.  With s
+    digits left, the digits read so far are worth u*F_{s+2} + v*F_{s+1},
+    so a column whose digits weigh d = sum(coeffs[i]*digit_i) steps
+    (u, v) -> (u + v + d, u), and the sum is u + v at the end.  Pairs
+    whose state of `a` is not live share one dead state.
+
+    With s digits left the sum is u*F_{s+2} + v*F_{s+1} + R, where
+    R in [-N(F_{s+2}-1), P(F_{s+2}-1)] and P, N are the sums of the
+    positive and negative coefficients.  So carries with u, v >= B =
+    max(P, N) + |c| + 1 end above c whatever follows, and those with
+    u, v <= -B end below it; they collapse to (B, B) and (-B, -B), which
+    step to themselves.  And u*phi + v grows by a factor phi each step
+    while u*psi + v shrinks, so only finitely many carries stay
+    undecided.  Any bound >= B gives the same language.
     """
-    states: dict[tuple[int, int] | None, int] = {(0, 0): 0, None: 1}
-    order: list[tuple[int, int] | None] = [(0, 0), None]
+    if len(coeffs) != a.arity:
+        raise ValueError(f"expected {a.arity} coefficients, got {len(coeffs)}")
+    holds = _RELATIONS.get(rel)
+    if holds is None:
+        raise ValueError(f"unknown relation {rel!r}")
+    least = max(sum(x for x in coeffs if x > 0),
+                -sum(x for x in coeffs if x < 0)) + abs(c) + 1
+    if bound is None:
+        bound = least
+    elif bound < least:
+        raise ValueError(f"bound {bound} is below the sound bound {least}")
+    weight = [sum(x for i, x in enumerate(coeffs) if s >> i & 1)
+              for s in range(a.n_symbols)]
+    live = live_states(a).tolist()
+    start = (a.initial, 0, 0) if live[a.initial] else None
+    index: dict[tuple[int, int, int] | None, int] = {start: 0}
+    order = [start]
     rows: list[tuple[int, ...]] = []
     i = 0
     while i < len(order):
-        st = order[i]
+        key = order[i]
         row = []
-        for sym in range(8):
-            a, b, c = sym & 1, (sym >> 1) & 1, (sym >> 2) & 1
-            if st is None:
-                nxt = None
-            else:
-                u, v = st
-                nu, nv = u + v + a + b - c, u
-                nxt = None if abs(nu) > bound or abs(nv) > bound else (nu, nv)
-            j = states.get(nxt)
+        for s in range(a.n_symbols):
+            nxt = None
+            if key is not None:
+                q, u, v = key
+                q2 = a.transitions[q][s]
+                if live[q2]:
+                    u, v = u + v + weight[s], u
+                    if u >= bound and v >= bound:
+                        u = v = bound
+                    elif u <= -bound and v <= -bound:
+                        u = v = -bound
+                    nxt = (q2, u, v)
+            j = index.get(nxt)
             if j is None:
                 j = len(order)
-                states[nxt] = j
+                index[nxt] = j
                 order.append(nxt)
             row.append(j)
         rows.append(tuple(row))
         i += 1
-    accepting = frozenset(i for i, st in enumerate(order)
-                          if st is not None and st[0] + st[1] == 0)
-    raw = SyncDFA(3, tuple(rows), 0, accepting)
-    return product(raw, validity_automaton(3), "and")
+    accepting = frozenset(j for j, key in enumerate(order)
+                          if key is not None and key[0] in a.accepting
+                          and holds(key[1] + key[2], c))
+    return minimize(SyncDFA(a.arity, tuple(rows), 0, accepting))
 
 
-_COMPARATOR_ACCEPT = {
-    "=": ("eq",),
-    "<": ("lt",),
-    "<=": ("eq", "lt"),
-    ">": ("gt",),
-    ">=": ("eq", "gt"),
-}
+@lru_cache(maxsize=None)
+def linear(coeffs: tuple[int, ...], rel: str, c: int) -> SyncDFA:
+    """Canonical tuples with sum(coeffs[i]*x_i) rel c."""
+    return constrain(validity_automaton(len(coeffs)), coeffs, rel, c)
+
+
+@lru_cache(maxsize=None)
+def adder() -> SyncDFA:
+    """The 3-track relation x + y = z."""
+    return linear((1, 1, -1), "=", 0)
 
 
 @lru_cache(maxsize=None)
 def comparator(rel: str) -> SyncDFA:
-    """Two-track order relation; numeric order equals padded msd-lex order."""
-    if rel not in _COMPARATOR_ACCEPT:
-        raise ValueError(f"unknown comparator {rel!r}")
-    names = ["eq", "lt", "gt"]
-    idx = {n: i for i, n in enumerate(names)}
-    rows = []
-    for st in names:
-        row = []
-        for sym in range(4):
-            a, b = sym & 1, (sym >> 1) & 1
-            if st == "eq":
-                nxt = "eq" if a == b else ("lt" if a < b else "gt")
-            else:
-                nxt = st
-            row.append(idx[nxt])
-        rows.append(tuple(row))
-    accepting = frozenset(idx[n] for n in _COMPARATOR_ACCEPT[rel])
-    raw = SyncDFA(2, tuple(rows), idx["eq"], accepting)
-    return product(raw, validity_automaton(2), "and")
+    """Two-track order relation x rel y."""
+    return linear((1, -1), rel, 0)
 
 
 @lru_cache(maxsize=None)
 def const_equal(c: int) -> SyncDFA:
-    """One-track relation {x = c}: the padded representations of c."""
-    if c < 0:
-        raise ValueError("constant must be a natural")
-    digits = zeck_encode(c).digits
-    # state i = matched the first i digits after the leading-zero block
-    n = len(digits)
-    dead = n + 1
-    rows = []
-    for i in range(n):
-        want = 1 if digits[i] == "1" else 0
-        row = []
-        for sym in (0, 1):
-            if sym == want:
-                row.append(i + 1)
-            elif i == 0 and sym == 0:
-                row.append(0)  # still inside the leading-zero padding
-            else:
-                row.append(dead)
-        rows.append(tuple(row))
-    # state n: all digits matched, nothing more may follow
-    rows.append((dead if n else 0, dead))
-    if n == 0:
-        rows[-1] = (0, dead)  # c = 0 accepts 0*
-    rows.append((dead, dead))
-    raw = SyncDFA(1, tuple(rows), 0, frozenset([n]))
-    return minimize(raw)
+    """One-track relation {x = c} for a natural c."""
+    return linear((1,), "=", _natural(c))
 
 
 @lru_cache(maxsize=None)
 def const_add(c: int) -> SyncDFA:
-    """Two-track relation y = x + c, folded from the adder."""
-    if c == 0:
-        return comparator("=")
-    # tracks: 0 = x, 1 = c-holder, 2 = y, then drop the middle track
-    three = expand_insert(const_equal(c), 3, (1,))
-    relation = product(adder(), three, "and")
-    return project(relation, 1)
+    """Two-track relation y = x + c for a natural c."""
+    return linear((1, -1), "=", -_natural(c))
 
 
 @lru_cache(maxsize=None)
 def const_multiple(c: int) -> SyncDFA:
-    """Two-track relation y = c*x for 0 <= c <= 64, by chained addition."""
-    if not 0 <= c <= 64:
-        raise ValueError("constant multiplier limited to 0..64")
-    if c == 0:
-        zero = expand_insert(const_equal(0), 2, (1,))
-        return zero
-    if c == 1:
-        return comparator("=")
-    prev = const_multiple(c - 1)            # (x, t): t = (c-1)x
-    lifted = expand_insert(prev, 3, (0, 1))  # (x, t, y)
-    add = remap_tracks(adder(), 3, (1, 0, 2))  # t + x = y
-    return project(product(lifted, add, "and"), 1)
+    """Two-track relation y = c*x for a natural c."""
+    return linear((_natural(c), -1), "=", 0)
+
+
+def _natural(c: int) -> int:
+    if c < 0:
+        raise ValueError(f"constant must be a natural, got {c}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -800,12 +796,7 @@ def first_accepted_words(a: SyncDFA, k: int, max_len: int = 4000) -> list[list[i
     found: list[list[int]] = []
     if a.initial in a.accepting:
         found.append([])
-    live = mask.copy()
-    while True:
-        grew = live[t].any(axis=1) | live
-        if (grew == live).all():
-            break
-        live = grew
+    live = live_states(a)
     exact = [mask]  # exact[r][q]: accepting reachable in exactly r steps
     frontier = {int(t[a.initial, s]) for s in range(1, a.n_symbols)}
     length = 1
@@ -848,13 +839,7 @@ def word_to_track_strings(word: list[int], arity: int) -> tuple[str, ...]:
 
 def to_dot(a: SyncDFA) -> str:
     """DOT drawing of the live part (dead sink omitted), one line per transition."""
-    t, mask = a._arrays()
-    live = mask.copy()
-    while True:
-        grew = live[t].any(axis=1) | live
-        if (grew == live).all():
-            break
-        live = grew
+    live = live_states(a)
     lines = ["digraph dfa {", "  rankdir=LR;", '  hidden [shape=point, label=""];']
     for q in range(a.n_states):
         if not live[q]:

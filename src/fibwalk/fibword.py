@@ -194,30 +194,34 @@ def worker_count() -> int:
         return 1
 
 
-def exponent_table(n_max: int, threads: int | None = None) -> list[ExponentRecord]:
-    """e(n) records for n = 1..n_max, independent per n and mergeable in order.
+def exponent_table(n_max: int, threads: int | None = None,
+                   start: int = 1) -> list[ExponentRecord]:
+    """e(n) records for n = start..n_max, independent per n and mergeable in order.
 
     threads > 1 splits the n-range across processes; results are identical
     to the serial run.
     """
-    if n_max < 1:
+    if start < 1:
+        raise ValueError("e(n) needs n >= 1")
+    if n_max < start:
         return []
     rev = generate_prefix(n_max)[::-1]
     threads = worker_count() if threads is None else max(1, threads)
-    if threads == 1 or n_max < 64:
-        pairs = _sweep_chunk(rev, n_max, 1, n_max + 1)
+    if threads == 1 or n_max - start < 63:
+        pairs = _sweep_chunk(rev, n_max, start, n_max + 1)
     else:
         # later chunks are quadratically heavier, so slice by equal work:
-        # cut points at n_max * sqrt(i/threads)
-        cuts = [1] + [max(1, round(n_max * (i / threads) ** 0.5))
-                      for i in range(1, threads)] + [n_max + 1]
+        # cut points where n^2 splits [start^2, n_max^2] evenly
+        cuts = [start] + [round((start ** 2 + (n_max ** 2 - start ** 2)
+                                 * i / threads) ** 0.5)
+                          for i in range(1, threads)] + [n_max + 1]
         spans = [(cuts[i], cuts[i + 1]) for i in range(threads) if cuts[i] < cuts[i + 1]]
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             futures = [pool.submit(_sweep_chunk, rev, n_max, lo, hi) for lo, hi in spans]
             pairs = []
             for f in futures:
                 pairs.extend(f.result())
-    return [ExponentRecord(n, x, y) for n, (x, y) in enumerate(pairs, start=1)]
+    return [ExponentRecord(n, x, y) for n, (x, y) in enumerate(pairs, start=start)]
 
 
 def check_periods_fibonacci(n_max: int) -> bool:

@@ -9,11 +9,11 @@ Scripts are sequences of commands, each ended by a colon:
 
 Formulas quantify over naturals written in Zeckendorf form.  Operators,
 weakest binding first: E/A quantifiers (maximal rightward scope), <=>,
-=> (right associative), |, &, ~.  Atoms are comparisons (= < <= > >=),
-positional predicate calls $name(term, ...), and word atoms
-F[term]=F[term] over the infinite Fibonacci word.  Terms use + - and
-constant multiplication; subtraction is existentially closed at the
-atom, so an atom containing a - b is false whenever a < b.
+=> (right associative), |, &, ~.  Atoms are comparisons
+(= != < <= > >=), positional predicate calls $name(term, ...), and word
+atoms F[term]=F[term] over the infinite Fibonacci word.  Terms use + -
+and multiplication by a literal constant; subtraction is existentially
+closed at the atom, so an atom containing a - b is false whenever a < b.
 
 Free variables of a stored predicate are ordered alphabetically; calls
 bind arguments to that order positionally.
@@ -164,7 +164,7 @@ def free_vars(f) -> frozenset[str]:
 # formula tokenizer / parser
 
 
-_MULTI_OPS = ("<=>", "<=", ">=", "=>", "<", ">", "=", "+", "-", "*",
+_MULTI_OPS = ("<=>", "<=", ">=", "=>", "!=", "<", ">", "=", "+", "-", "*",
               "&", "|", "~", "(", ")", "[", "]", ",", "$")
 
 
@@ -343,7 +343,7 @@ class _FormulaParser:
     def _cmp_atom(self):
         left = self._term()
         t = self._next()
-        if t.kind not in ("=", "<", "<=", ">", ">="):
+        if t.kind not in ("=", "!=", "<", "<=", ">", ">="):
             self._fail(f"expected comparison, found {t.text or 'end'!r}", t.pos)
         right = self._term()
         return Cmp(t.kind, left, right, t.pos)
@@ -631,16 +631,27 @@ def _project_name(a: Rel, name: str) -> Rel:
     return Rel(au.project(a.dfa, t), rest)
 
 
-class _AtomBuilder:
-    """Lowers one atom's terms into relation fragments, then conjoins them.
+def _combine(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int],
+             sign: int) -> tuple[dict[str, int], int]:
+    """The linear form a + sign*b."""
+    coeffs = dict(a[0])
+    for v, x in b[0].items():
+        coeffs[v] = coeffs.get(v, 0) + sign * x
+    return coeffs, a[1] + sign * b[1]
 
-    Helper variables introduced for subterms are projected away as soon
-    as no later fragment mentions them, which keeps the running track
-    count near the atom's own variable count.
+
+class _AtomBuilder:
+    """Lowers one atom into relation fragments, then conjoins them.
+
+    A comparison L op R becomes one linear fragment over the variables of
+    L - R.  A natural difference a - b becomes a helper t with the
+    equation t + b - a = 0, and a call or word-atom argument other than a
+    single variable a helper with one equation.  Helpers are projected
+    away as soon as no later fragment mentions them, which keeps the
+    running track count near the atom's own variable count.
     """
 
-    def __init__(self, compiler: "_Compiler"):
-        self.compiler = compiler
+    def __init__(self):
         self.fragments: list[tuple[SyncDFA, tuple[str, ...]]] = []
         self.n_temps = 0
 
@@ -654,70 +665,59 @@ class _AtomBuilder:
         for v in names:
             if v in fixed:
                 alias = self._temp()
-                self.fragments.append((au.comparator("="), (v, alias)))
+                self.fragments.append((au.linear((1, -1), "=", 0), (v, alias)))
                 fixed.append(alias)
             else:
                 fixed.append(v)
         self.fragments.append((dfa, tuple(fixed)))
 
-    def lower(self, term, target: str | None = None) -> str:
-        out = target if target is not None else None
+    def linear(self, coeffs: dict[str, int], op: str, c: int) -> None:
+        """Fragment sum(coeffs[v]*v) op c; zero coefficients keep their track."""
+        names = tuple(sorted(coeffs))
+        self.add(au.linear(tuple(coeffs[v] for v in names), op, c), names)
 
-        def sink() -> str:
-            nonlocal out
-            if out is None:
-                out = self._temp()
-            return out
+    def define(self, coeffs: dict[str, int], const: int) -> str:
+        """A helper t with the equation t = sum(coeffs[v]*v) + const."""
+        t = self._temp()
+        equation = {v: -a for v, a in coeffs.items()}
+        equation[t] = 1
+        self.linear(equation, "=", const)
+        return t
 
+    def form(self, term) -> tuple[dict[str, int], int]:
+        """term as (coefficient per variable, constant)."""
         if isinstance(term, Var):
-            if target is not None:
-                raise AssertionError("bare variable never lowered to a target")
-            return term.name
+            return {term.name: 1}, 0
         if isinstance(term, Const):
-            self.add(au.const_equal(term.value), (sink(),))
-            return out
+            return {}, term.value
         if isinstance(term, Add):
-            l, r = term.left, term.right
-            if isinstance(r, Const):
-                a = self.lower(l)
-                self.add(au.const_add(r.value), (a, sink()))
-                return out
-            if isinstance(l, Const):
-                a = self.lower(r)
-                self.add(au.const_add(l.value), (a, sink()))
-                return out
-            a, b = self.lower(l), self.lower(r)
-            self.add(au.adder(), (a, b, sink()))
-            return out
+            return _combine(self.form(term.left), self.form(term.right), 1)
         if isinstance(term, Sub):
-            l, r = term.left, term.right
-            if isinstance(r, Const):
-                a = self.lower(l)
-                self.add(au.const_add(r.value), (sink(), a))  # a = out + c
-                return out
-            a, b = self.lower(l), self.lower(r)
-            self.add(au.adder(), (b, sink(), a))  # b + out = a
-            return out
+            # t = left - right has a natural solution only when left >= right
+            diff = _combine(self.form(term.left), self.form(term.right), -1)
+            return {self.define(*diff): 1}, 0
         if isinstance(term, Mul):
             l, r = term.left, term.right
-            if isinstance(l, Const) and isinstance(r, Const):
-                return self.lower(Const(l.value * r.value, term.pos), out)
-            if isinstance(l, Const):
-                c, operand = l.value, r
-            elif isinstance(r, Const):
-                c, operand = r.value, l
-            else:
+            if isinstance(r, Const):
+                l, r = r, l
+            if not isinstance(l, Const):
                 raise LogicError(
                     f"multiplication needs a literal constant side "
                     f"at offset {term.pos}")
-            try:
-                mult = au.const_multiple(c)
-            except ValueError as exc:
-                raise LogicError(f"{exc} at offset {term.pos}") from None
-            a = self.lower(operand)
-            self.add(mult, (a, sink()))
-            return out
+            coeffs, const = self.form(r)
+            return {v: l.value * a for v, a in coeffs.items()}, l.value * const
         raise TypeError(f"not a term: {term!r}")
+
+    def compare(self, op: str, left, right) -> None:
+        coeffs, const = _combine(self.form(left), self.form(right), -1)
+        self.linear(coeffs, op, -const)
+
+    def argument(self, term) -> str:
+        """The variable holding a call or word-atom argument."""
+        coeffs, const = self.form(term)
+        if const == 0 and list(coeffs.values()) == [1]:
+            return next(iter(coeffs))
+        return self.define(coeffs, const)
 
     def build(self) -> Rel:
         if not self.fragments:
@@ -779,18 +779,11 @@ class _Compiler:
         raise TypeError(f"not a formula node: {f!r}")
 
     def _atom(self, f) -> Rel:
-        b = _AtomBuilder(self)
+        b = _AtomBuilder()
         if isinstance(f, Cmp):
-            l, r = f.left, f.right
-            if f.op == "=" and isinstance(l, Var) and not isinstance(r, Var):
-                b.lower(r, target=l.name)
-            elif f.op == "=" and isinstance(r, Var) and not isinstance(l, Var):
-                b.lower(l, target=r.name)
-            else:
-                x, y = b.lower(l), b.lower(r)
-                b.add(au.comparator(f.op), (x, y))
+            b.compare(f.op, f.left, f.right)
         elif isinstance(f, SeqEq):
-            x, y = b.lower(f.left), b.lower(f.right)
+            x, y = b.argument(f.left), b.argument(f.right)
             b.add(sequence_atom_automaton(), (x, y))
         elif isinstance(f, Call):
             pred = self.env.lookup(f.name)
@@ -798,7 +791,7 @@ class _Compiler:
                 raise LogicError(
                     f"${f.name} takes {pred.arity} arguments, "
                     f"got {len(f.args)} at offset {f.pos}")
-            names = tuple(b.lower(t) for t in f.args)
+            names = tuple(b.argument(t) for t in f.args)
             b.add(pred.validated(), names)
         else:
             raise TypeError(f"not an atom: {f!r}")
@@ -970,7 +963,7 @@ class BruteForce:
             b = self.term(f.right, asg)
             if a is None or b is None:
                 return False
-            return {"=": a == b, "<": a < b, "<=": a <= b,
+            return {"=": a == b, "!=": a != b, "<": a < b, "<=": a <= b,
                     ">": a > b, ">=": a >= b}[f.op]
         if isinstance(f, SeqEq):
             a = self.term(f.left, asg)

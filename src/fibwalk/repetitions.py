@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -80,9 +79,9 @@ _TABLE: list[ExponentRecord] = []  # _TABLE[n-1] = record for n
 
 def ensure_table(n_max: int) -> list[ExponentRecord]:
     """e(n) records for n = 1..n_max from a grow-only shared cache."""
-    global _TABLE
     if n_max > len(_TABLE):
-        _TABLE = exponent_table(n_max, threads=worker_count())
+        _TABLE.extend(exponent_table(n_max, threads=worker_count(),
+                                     start=len(_TABLE) + 1))
     return _TABLE[:n_max]
 
 
@@ -280,66 +279,14 @@ def verify_theorem(n_max: int) -> dict:
 def ratio_reach_automaton(p: int, q: int, strict: bool = False) -> au.SyncDFA:
     """One-track automaton for {n : e(n) >= p/q} (or > with strict).
 
-    Fuses the suffix predicate with a running comparison of q*x against
-    p*y: alongside the suffix automaton's state, track the deficit
-    q*x - p*y of the digits read so far as a pair (u, v) standing for
-    u*F_{s+2} + v*F_{s+1}.  Reading one more digit column multiplies the
-    deficit by the golden ratio in this basis and adds q*a - p*b, i.e.
-    (u, v) -> (u + v + q*a - p*b, u); at the end it is worth u + v.
-    Once u, v >= max(p, q) + 1 no suffix of digits can pull the total
-    back below zero (and symmetrically for the negative side), so such
-    states collapse to two absorbing sign states.  Building the
-    comparison inside the product keeps the state count tiny; the
-    standalone comparison automaton would have O((p + q)^2) states.
+    The suffix predicate constrained by q*x - p*y >= 0 (> 0 with strict)
+    in one product over (suffix state, carry), so the comparison is only
+    ever built where a suffix can still follow.  The comparison built on
+    its own, as the formula pipeline does, grows with p and q: for 232/89
+    it minimizes to 186,779 states.
     """
     suff = session_env().lookup("suff").validated()  # tracks (n, x, y)
-    sink = next(s for s, row in enumerate(suff.transitions)
-                if all(d == s for d in row) and s not in suff.accepting)
-    c = max(p, q)
-    start = (suff.initial, 0, 0)
-    dead = ("DEAD",)
-    idx = {start: 0, dead: 1}
-    order = [start, dead]
-    work = deque([start])
-    rows: dict[tuple, tuple[int, ...]] = {dead: (1,) * 8}
-    while work:
-        st = work.popleft()
-        s = st[0]
-        row = []
-        for sym in range(8):
-            a, b = (sym >> 1) & 1, (sym >> 2) & 1
-            s2 = suff.transitions[s][sym]
-            if s2 == sink:
-                ns = dead
-            elif len(st) == 2:
-                ns = (s2, st[1])  # comparison sign already settled
-            else:
-                nu, nv = st[1] + st[2] + q * a - p * b, st[1]
-                if nu >= c + 1 and nv >= c + 1:
-                    ns = (s2, "+")
-                elif nu <= -c - 1 and nv <= -c - 1:
-                    ns = (s2, "-")
-                else:
-                    ns = (s2, nu, nv)
-            if ns not in idx:
-                idx[ns] = len(order)
-                order.append(ns)
-                work.append(ns)
-            row.append(idx[ns])
-        rows[st] = tuple(row)
-    accepting = set()
-    for st in order:
-        if st == dead or st[0] not in suff.accepting:
-            continue
-        if len(st) == 2:
-            ok = st[1] == "+"
-        else:
-            d = st[1] + st[2]
-            ok = d > 0 if strict else d >= 0
-        if ok:
-            accepting.add(idx[st])
-    fused = au.minimize(au.SyncDFA(3, tuple(rows[st] for st in order), 0,
-                                   frozenset(accepting)))
+    fused = au.constrain(suff, (0, q, -p), ">" if strict else ">=", 0)
     # erase x before y: determinizing with the suffix length gone first
     # keeps the subset construction small (the other order blows up)
     return au.project(au.project(fused, 1), 1)
@@ -355,9 +302,10 @@ def _with_ratio_predicate(p: int, q: int, strict: bool) -> logic.PredicateEnv:
 def formula_ratio_automaton(p: int, q: int, strict: bool = False) -> au.SyncDFA:
     """Same set as ratio_reach_automaton via the formula pipeline.
 
-    Spells out p*y <= q*x (or <) with the chained-addition multiplier,
-    so it only works for p, q within that builder's cap.  Kept as an
-    independent construction to cross-check the fused one.
+    Spells out p*y <= q*x (or <) as a formula: the comparison becomes a
+    standalone linear atom that is then conjoined with the suffix
+    predicate and projected.  Kept as a second construction to
+    cross-check the fused one.
     """
     op = "<" if strict else "<="
     src = f"?msd_fib Ex,y $suff(n,x,y) & {p}*y{op}{q}*x"

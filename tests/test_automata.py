@@ -1,7 +1,12 @@
 """Synchronized DFAs: constructions, algebra, minimization, enumeration."""
 
+import itertools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibwalk import automata as au
 from fibwalk.numeration import fib, floor_alpha2, zeck_encode
@@ -34,9 +39,51 @@ def test_adder_oracle_small_exhaustive():
                 assert not au.accepts(add, (a, b, a + b - 1))
 
 
+RELATIONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def least_bound(coeffs, c):
+    pos = sum(a for a in coeffs if a > 0)
+    neg = -sum(a for a in coeffs if a < 0)
+    return max(pos, neg) + abs(c) + 1
+
+
+def constrain_at_bounds(coeffs, rel, c):
+    v = au.validity_automaton(len(coeffs))
+    b = least_bound(coeffs, c)
+    return [au.constrain(v, coeffs, rel, c, bound) for bound in (b, b + 3, 2 * b)]
+
+
 def test_adder_bound_independent():
-    # carry bound 4 is already stable: higher bounds give the same language
-    assert au.minimize(au.adder(4)) == au.minimize(au.adder(6))
+    # the derived carry bound is already stable: larger ones change nothing
+    built = constrain_at_bounds((1, 1, -1), "=", 0)
+    assert built[0] == built[1] == built[2] == au.adder()
+
+
+def test_constrain_bound_independent():
+    for coeffs, rel, c in [((2, -3), "<=", 4), ((5, -12), "<", 0),
+                           ((1, 1, -2), "=", -3), ((-4, 1, 3), "!=", 7),
+                           ((7,), ">", 20)]:
+        built = constrain_at_bounds(coeffs, rel, c)
+        assert built[0] == built[1] == built[2], (coeffs, rel, c)
+    with pytest.raises(ValueError):
+        au.constrain(au.validity_automaton(2), (2, -3), "<=", 4, 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6), max_size=3).map(tuple),
+       rel=st.sampled_from(sorted(RELATIONS)), c=st.integers(-10, 10))
+def test_linear_matches_integer_oracle(coeffs, rel, c):
+    dfa = au.linear(coeffs, rel, c)
+    side = 13 if len(coeffs) == 3 else 40
+    grid = np.array(list(itertools.product(range(side), repeat=len(coeffs))),
+                    dtype=np.int64)
+    wide = np.random.default_rng(3).integers(0, 10 ** 12,
+                                             size=(300, len(coeffs)))
+    for rows in (grid, wide):
+        want = RELATIONS[rel](rows @ np.array(coeffs, dtype=np.int64), c)
+        assert (au.accepts_batch(dfa, rows) == want).all()
 
 
 def test_adder_random_large():
@@ -80,9 +127,16 @@ def test_const_multiple_oracle():
                 assert not au.accepts(mul, (n, c * n - 1))
 
 
-def test_const_multiple_rejects_cap_overrun():
+def test_const_multiple_past_64_and_negative():
+    ns = np.arange(2001)
+    for c in (65, 100):
+        mul = au.const_multiple(c)
+        assert au.accepts_batch(mul, np.stack([ns, c * ns], axis=1)).all()
+        assert not au.accepts_batch(mul, np.stack([ns, c * ns + 1], axis=1)).any()
+        assert not au.accepts_batch(
+            mul, np.stack([ns[1:], c * ns[1:] - 1], axis=1)).any()
     with pytest.raises(ValueError):
-        au.const_multiple(65)
+        au.const_multiple(-2)
 
 
 def test_accepts_batch_matches_accepts():
@@ -92,6 +146,17 @@ def test_accepts_batch_matches_accepts():
     got = au.accepts_batch(add, vals)
     for row, ok in zip(vals, got):
         assert au.accepts(add, tuple(int(v) for v in row)) == bool(ok)
+
+
+def test_accepts_batch_rejects_out_of_range():
+    eq = au.comparator("=")
+    with pytest.raises(ValueError):
+        au.accepts(eq, (-3, 0))
+    with pytest.raises(ValueError):
+        au.accepts_batch(eq, [[-3, 0]])
+    with pytest.raises(ValueError):
+        au.accepts_batch(eq, [[2 ** 63, 0]])
+    assert au.accepts_batch(eq, [[2 ** 63 - 1, 2 ** 63 - 1]]).all()
 
 
 def test_minimize_idempotent_and_canonical():

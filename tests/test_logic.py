@@ -1,5 +1,9 @@
 """Predicate DSL: parsing, compilation, sessions, interpreter agreement."""
 
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 
 from fibwalk import automata as au
@@ -166,6 +170,34 @@ def test_quantifier_duality_small():
     a = compile_predicate(env, "?msd_fib Ax (x<=n) => x<=10")
     b = compile_predicate(env, "?msd_fib ~(Ex (x<=n) & ~(x<=10))")
     assert au.minimize(a.dfa) == au.minimize(b.dfa)
+
+
+def agrees_with_brute_force(src, limit):
+    """The compiled relation and BruteForce agree on every tuple <= limit."""
+    f = parse_formula(src)
+    rel = compile_predicate(PredicateEnv(), src)
+    bf = BruteForce({}, limit)
+    for vals in itertools.product(range(limit + 1), repeat=len(rel.names)):
+        want = bf.eval(f, dict(zip(rel.names, vals)))
+        assert au.accepts(rel.dfa, vals) == want, (src, vals)
+
+
+def test_readme_comparison_operators_compile():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ops = re.search(r"comparisons `([^`]*)`", readme).group(1).split()
+    assert "!=" in ops
+    for op in ops:
+        agrees_with_brute_force(f"?msd_fib x{op}y+1", 14)
+
+
+def test_multi_term_atoms_match_brute_force():
+    for src in ("?msd_fib 2*x+3*y<=z+4", "?msd_fib x-y+1=z",
+                "?msd_fib x+y=y+z", "?msd_fib 2*(x-y)!=z+1",
+                "?msd_fib 3*x>2*y+5"):
+        agrees_with_brute_force(src, 10)
+    # a variable whose coefficients cancel keeps its track
+    assert compile_predicate(PredicateEnv(), "?msd_fib x+y=y+z").names \
+        == ("x", "y", "z")
 
 
 def test_call_argument_aliasing():

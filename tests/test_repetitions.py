@@ -8,7 +8,7 @@ import pytest
 
 from fibwalk import automata as au
 from fibwalk import repetitions as rp
-from fibwalk.fibword import e_of_n
+from fibwalk.fibword import e_of_n, exponent_table
 from fibwalk.numeration import fib
 
 G_THROUGH_43 = [13, 14, 22, 23, 24, 26, 27, 34, 35, 36, 37, 38, 39, 40, 43]
@@ -110,10 +110,27 @@ def test_exponent_record_table_and_fast_agree():
 def test_ratio_reach_matches_formula_pipeline():
     # the fused threshold automaton equals the one compiled from the
     # quantified formula, for both comparison senses
-    for strict in (False, True):
-        fused = rp.ratio_reach_automaton(12, 5, strict)
-        formula = rp.formula_ratio_automaton(12, 5, strict)
-        assert au.minimize(fused) == au.minimize(formula)
+    for p, q in [(12, 5), (20, 8), (54, 21)]:
+        for strict in (False, True):
+            fused = rp.ratio_reach_automaton(p, q, strict)
+            formula = rp.formula_ratio_automaton(p, q, strict)
+            assert au.minimize(fused) == au.minimize(formula), (p, q, strict)
+
+
+def test_ensure_table_grows_without_rebuilding(monkeypatch):
+    built = []
+
+    def counted(n_max, threads=None, start=1):
+        out = exponent_table(n_max, threads, start)
+        built.extend(rec.n for rec in out)
+        return out
+
+    monkeypatch.setattr(rp, "_TABLE", [])
+    monkeypatch.setattr(rp, "exponent_table", counted)
+    rp.ensure_table(500)
+    table = rp.ensure_table(1200)
+    assert built == list(range(1, 1201))
+    assert table == exponent_table(1200)
 
 
 def test_m_gamma_oracle_agreement():

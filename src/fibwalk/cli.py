@@ -1,8 +1,7 @@
 """Batch front end: sessions, verification sweeps, enumerations, exports.
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or parse error.
-Identical invocations print identical bytes; sweeps may parallelize per
-FIBWALK_THREADS but reports are merged in index order.
+Identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -93,22 +92,29 @@ def _cmd_enumerate(args) -> int:
 
 
 def _verify_reports(target: str, max_n: int | None) -> list[dict]:
+    def bound(default: int) -> int:
+        return default if max_n is None else max_n
+
     reports = []
     if target in ("partition", "all"):
-        reports.append(rp.partition_report(max_n or 5000))
+        reports.append(rp.partition_report(bound(5000)))
     if target in ("lemma1", "all"):
-        reports.append(rp.lemma1_report(max_n or 2000))
+        reports.append(rp.lemma1_report(bound(2000)))
     if target in ("lemma2", "all"):
-        reports.append(rp.lemma2_report(max_n or 2000))
+        reports.append(rp.lemma2_report(bound(2000)))
     if target in ("theorem", "all"):
-        reports.append(rp.verify_theorem(max_n or 20000))
+        reports.append(rp.verify_theorem(bound(20000)))
     if target in ("identities", "all"):
-        reports.extend(idn.identities_report(max_n or 200))
+        reports.extend(idn.identities_report(bound(200)))
     return reports
 
 
 def _cmd_verify(args) -> int:
-    reports = _verify_reports(args.target, args.max_n)
+    try:
+        reports = _verify_reports(args.target, args.max_n)
+    except ValueError as e:
+        print(f"fibwalk: {e}", file=sys.stderr)
+        return 2
     if args.json:
         print(rp.verification_report_json(reports), end="")
     else:

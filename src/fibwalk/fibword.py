@@ -8,11 +8,11 @@ automata are tested against.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .exact import min_ceil_multiple
 from .numeration import zeck_encode
@@ -152,9 +152,11 @@ def e_of_n(n: int) -> ExponentRecord:
 def _sweep_chunk(rev: str, total: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """Records for n in [lo, hi): failure array of each reversed prefix.
 
-    The reversal of f[0..n-1] is rev[total-n:], and pi over it yields the
-    least period of every suffix of f[0..n-1] in one O(n) pass.  The pi
-    buffer is reused across n; pi[0] is never written so it stays 0.
+    The KMP route, kept independent of `exponent_table` so that each
+    checks the other.  The reversal of f[0..n-1] is rev[total-n:], and pi
+    over it yields the least period of every suffix of f[0..n-1] in one
+    O(n) pass.  The pi buffer is reused across n; pi[0] is never written
+    so it stays 0.
     """
     out = []
     pi = [0] * total
@@ -185,42 +187,59 @@ def exponent_record_fast(n: int) -> ExponentRecord:
     return ExponentRecord(n, x, y)
 
 
-def worker_count() -> int:
-    """Parallelism cap from FIBWALK_THREADS (default 1, floor 1)."""
-    raw = os.environ.get("FIBWALK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _run_records(w: str, start: int) -> list[tuple[int, int]]:
+    """(x, y) records of w[:n] for n = start..len(w), by per-period runs.
+
+    w is any word over one-byte symbols; `exponent_table` gives the
+    argument.  Memory is O(len(w)) per period.
+    """
+    n_max = len(w)
+    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+    best_x = np.ones(n_max + 1, dtype=np.int64)  # indexed by n
+    best_y = np.ones(n_max + 1, dtype=np.int64)
+    ks = np.arange(n_max, dtype=np.int64)
+    for p in range(1, n_max):
+        k = ks[:n_max - p]  # k = j - p for j = p..n_max-1
+        last = np.maximum.accumulate(np.where(f[p:] != f[:-p], k, -1))
+        lo = max(p + 1, start)  # n = lo..n_max sits at k = n - p - 1
+        x = p + k[lo - p - 1:] - last[lo - p - 1:]  # X_p(n)
+        bx, by = best_x[lo:], best_y[lo:]
+        better = x * by > bx * p
+        bx[better] = x[better]
+        by[better] = p
+    return list(zip(best_x[start:].tolist(), best_y[start:].tolist()))
 
 
-def exponent_table(n_max: int, threads: int | None = None,
-                   start: int = 1) -> list[ExponentRecord]:
-    """e(n) records for n = start..n_max, independent per n and mergeable in order.
+def exponent_table(n_max: int, start: int = 1) -> list[ExponentRecord]:
+    """e(n) records for n = start..n_max, one integer numpy pass per period.
 
-    threads > 1 splits the n-range across processes; results are identical
-    to the serial run.
+    For a period p and an index j >= p, let R_p(j) be the length of the
+    run of matches f[i] = f[i-p] that ends at j.  For n > p, a suffix of
+    f[0..n-1] of length x >= p has period p exactly when its last x - p
+    positions all match p symbols back, that is when x - p <= R_p(n-1);
+    and R_p(n-1) <= n - p.  So X_p(n) = p + R_p(n-1) is the length of the
+    longest suffix with period p.  Lengths n <= p give exponent <= 1, which
+    the record (1, 1) of the one-symbol suffix already attains.
+
+    Every suffix, of length x and least period q, has x <= X_q, so the
+    largest X_p/p is e(n).  The record keeps that largest ratio, compared
+    cross-multiplied in int64, and among ties the smallest X_p: p ascends
+    and only a larger ratio replaces the record, so the smallest tied p,
+    whose X_p = e(n)*p is smallest, stays.  A suffix of length x with
+    x/q = e(n) has X_q = x, as X_q/q cannot exceed e(n); so the smallest
+    tied X_p is the shortest suffix of exponent e(n).  Its least period
+    q <= p has X_q >= X_p, so X_q/q >= e(n) forces q = p.  This is the
+    record `_sweep_chunk` keeps: the shortest suffix of the largest
+    exponent, with y its least period.
+
+    Runs are computed from index p on, so a table started at `start`
+    equals the tail of the full table.
     """
     if start < 1:
         raise ValueError("e(n) needs n >= 1")
     if n_max < start:
         return []
-    rev = generate_prefix(n_max)[::-1]
-    threads = worker_count() if threads is None else max(1, threads)
-    if threads == 1 or n_max - start < 63:
-        pairs = _sweep_chunk(rev, n_max, start, n_max + 1)
-    else:
-        # later chunks are quadratically heavier, so slice by equal work:
-        # cut points where n^2 splits [start^2, n_max^2] evenly
-        cuts = [start] + [round((start ** 2 + (n_max ** 2 - start ** 2)
-                                 * i / threads) ** 0.5)
-                          for i in range(1, threads)] + [n_max + 1]
-        spans = [(cuts[i], cuts[i + 1]) for i in range(threads) if cuts[i] < cuts[i + 1]]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [pool.submit(_sweep_chunk, rev, n_max, lo, hi) for lo, hi in spans]
-            pairs = []
-            for f in futures:
-                pairs.extend(f.result())
+    pairs = _run_records(generate_prefix(n_max), start)
     return [ExponentRecord(n, x, y) for n, (x, y) in enumerate(pairs, start=start)]
 
 

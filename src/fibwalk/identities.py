@@ -528,6 +528,8 @@ def e_lower_bound_report(i_max_b1: int = 26, i_max_b2: int = 26) -> dict:
 
 def identities_report(k_max: int = 200, closed_k_max: int = 100) -> list[dict]:
     """The full identity battery as a list of claim reports."""
+    if k_max < 1:
+        raise ValueError(f"identities needs k_max >= 1, got {k_max}")
     reports = [
         {"claim": "eq1", "range": [-30, 30], "verdict": check_eq1()},
         {"claim": "lemma3", "range": [1, k_max], "verdict": check_lemma3(k_max)},

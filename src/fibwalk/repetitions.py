@@ -29,7 +29,7 @@ from . import automata as au
 from . import logic
 from .exact import below_alpha2, exceeds_alpha_squared, theorem_margin_sign
 from .fibword import (ExponentRecord, exponent_record_fast, exponent_table,
-                      generate_prefix, has_period, worker_count)
+                      generate_prefix, has_period)
 from .numeration import fib, fib_index
 
 
@@ -77,11 +77,17 @@ def b2_set_automaton() -> au.SyncDFA:
 _TABLE: list[ExponentRecord] = []  # _TABLE[n-1] = record for n
 
 
+def _check_range(claim: str, n_max: int, low: int) -> None:
+    """Refuse a sweep whose range [low, n_max] is empty."""
+    if n_max < low:
+        raise ValueError(f"{claim} needs n_max >= {low}, got {n_max}")
+
+
 def ensure_table(n_max: int) -> list[ExponentRecord]:
     """e(n) records for n = 1..n_max from a grow-only shared cache."""
+    _check_range("the e(n) table", n_max, 1)
     if n_max > len(_TABLE):
-        _TABLE.extend(exponent_table(n_max, threads=worker_count(),
-                                     start=len(_TABLE) + 1))
+        _TABLE.extend(exponent_table(n_max, start=len(_TABLE) + 1))
     return _TABLE[:n_max]
 
 
@@ -165,6 +171,7 @@ def classify(n: int) -> ClassifiedIndex:
 
 def partition_report(n_max: int) -> dict:
     """Totality and unambiguity of the three-way split on [2, n_max]."""
+    _check_range("partition", n_max, 2)
     ensure_table(n_max)
     ns = np.arange(2, n_max + 1, dtype=np.int64)
     in_good = au.accepts_batch(good_automaton(), ns.reshape(-1, 1))
@@ -200,6 +207,7 @@ def lemma1_report(n_max: int) -> dict:
     Either the whole prefix has period F_{i-2}, or its suffix of length
     F_j - 1 has period F_{j-2}; both sides are recorded when both hold.
     """
+    _check_range("lemma1", n_max, 2)
     prefix = generate_prefix(n_max)
     checked = 0
     failures = []
@@ -226,6 +234,7 @@ def verify_lemma1(n_max: int) -> bool:
 
 def lemma2_report(n_max: int) -> dict:
     """Period F_{i-2} for every B2 witness; the extra suffix claim for j >= 2."""
+    _check_range("lemma2", n_max, 2)
     prefix = generate_prefix(n_max)
     checked = 0
     failures = []
@@ -253,6 +262,7 @@ def verify_theorem(n_max: int) -> dict:
     The verdict path never touches floats; the reported slack is a float
     rendering of e(n) - (alpha^2 - 3/sqrt(n)) for display only.
     """
+    _check_range("theorem", n_max, 1)
     table = ensure_table(n_max)
     failures = []
     min_slack = None

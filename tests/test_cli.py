@@ -95,6 +95,18 @@ def test_verify_lemmas(capsys):
     assert "PASS" in out
 
 
+def test_verify_rejects_empty_ranges(capsys):
+    cases = [("theorem", "-5", "--json"), ("theorem", "-5"),
+             ("theorem", "0"), ("partition", "1"), ("lemma1", "-3"),
+             ("lemma2", "0"), ("identities", "0"), ("all", "1")]
+    for target, max_n, *flags in cases:
+        code, out, err = run(capsys, "verify", target, "--max-n", max_n,
+                             *flags)
+        assert code == 2, (target, max_n)
+        assert out == ""
+        assert err.startswith("fibwalk: ") and f"got {max_n}" in err
+
+
 def test_en_record(capsys):
     code, out, err = run(capsys, "en", "12")
     assert code == 0

@@ -1,10 +1,14 @@
 """The infinite word, periods, and maximal suffix exponents."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibwalk.fibword import (ExponentRecord, check_periods_fibonacci, e_of_n,
+from fibwalk.fibword import (ExponentRecord, _run_records, _sweep_chunk,
+                             check_periods_fibonacci, e_of_n,
                              exponent, exponent_record_fast, exponent_table,
                              failure_function, fib_word_dfao, generate_prefix,
                              has_period, is_alpha_power, least_period,
@@ -88,12 +92,21 @@ def test_e_of_n_golden_values():
         e_of_n(0)
 
 
+@cache
+def _table(n_max):
+    return exponent_table(n_max)
+
+
 def test_exponent_record_ties_prefer_short_suffix():
-    # the record keeps the shortest suffix attaining the best exponent
+    # the record keeps the shortest suffix attaining the best exponent,
+    # with its least period, in the scan and in the table alike
+    table = _table(1500)
     for n in range(1, 120):
         rec = e_of_n(n)
+        assert table[n - 1] == rec
         prefix = generate_prefix(n)
         best = rec.exponent
+        assert rec.y == least_period(prefix[n - rec.x:])
         for x in range(1, rec.x):
             assert Fraction(x, least_period(prefix[n - x:])) < best
 
@@ -114,10 +127,45 @@ def test_exponent_table_matches_pointwise():
         assert rec.verify()
 
 
-def test_exponent_table_threads_stable():
-    a = exponent_table(150, threads=1)
-    b = exponent_table(150, threads=3)
-    assert a == b
+def test_exponent_table_matches_kmp_sweep():
+    # the per-period runs against the independent failure-array route
+    n_max = 3000
+    table = exponent_table(n_max)
+    rev = generate_prefix(n_max)[::-1]
+    pairs = _sweep_chunk(rev, n_max, 1, n_max + 1)
+    assert len(table) == len(pairs) == n_max
+    for n, (rec, (x, y)) in enumerate(zip(table, pairs), start=1):
+        assert (rec.n, rec.x, rec.y) == (n, x, y)
+    for n in (1, 2, 89, 1597, n_max):
+        assert exponent_record_fast(n) == table[n - 1]
+
+
+def test_exponent_table_start_is_tail():
+    full = exponent_table(700)
+    for s in (1, 2, 3, 55, 377, 699, 700):
+        assert exponent_table(700, start=s) == full[s - 1:], s
+    assert exponent_table(1, start=1) == [ExponentRecord(1, 1, 1)]
+    assert exponent_table(5, start=6) == []
+    with pytest.raises(ValueError):
+        exponent_table(5, start=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.text(alphabet="01a", min_size=1, max_size=40))
+def test_run_records_match_kmp_on_any_word(w):
+    # arbitrary words have ties at the largest exponent and records with
+    # long periods, which the Fibonacci prefixes above lack
+    n = len(w)
+    assert _run_records(w, 1) == _sweep_chunk(w[::-1], n, 1, n + 1)
+    assert _run_records(w, n) == _sweep_chunk(w[::-1], n, n, n + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 1500))
+def test_exponent_table_record_is_e_of_n(n):
+    rec = _table(1500)[n - 1]
+    assert rec == e_of_n(n)
+    assert rec.verify()
 
 
 def test_record_verify_rejects_wrong_claims():

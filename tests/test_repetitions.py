@@ -120,8 +120,8 @@ def test_ratio_reach_matches_formula_pipeline():
 def test_ensure_table_grows_without_rebuilding(monkeypatch):
     built = []
 
-    def counted(n_max, threads=None, start=1):
-        out = exponent_table(n_max, threads, start)
+    def counted(n_max, start=1):
+        out = exponent_table(n_max, start)
         built.extend(rec.n for rec in out)
         return out
 
@@ -131,6 +131,20 @@ def test_ensure_table_grows_without_rebuilding(monkeypatch):
     table = rp.ensure_table(1200)
     assert built == list(range(1, 1201))
     assert table == exponent_table(1200)
+
+
+def test_sweeps_reject_empty_ranges():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            rp.ensure_table(bad)
+        with pytest.raises(ValueError, match="theorem needs n_max >= 1"):
+            rp.verify_theorem(bad)
+    for report in (rp.partition_report, rp.lemma1_report, rp.lemma2_report):
+        for bad in (1, 0, -3):
+            with pytest.raises(ValueError, match="n_max >= 2"):
+                report(bad)
+    assert rp.verify_theorem(1)["range"] == [1, 1]
+    assert rp.partition_report(2)["range"] == [2, 2]
 
 
 def test_m_gamma_oracle_agreement():

@@ -11,6 +11,12 @@ length.  Constructed automata keep two invariants:
 
 Symbols are integers: the digit of track t occupies bit t, so a column
 (d_0, ..., d_{k-1}) is sum(d_t << t).
+
+`minimize`, `product`, `complement`, `project`, `constrain` (with the
+`linear` builders) and `compile_regex` return minimal automata in
+canonical numbering, so equal languages give equal objects.
+`expand_insert` and `remap_tracks` do not: they prepare operands for the
+one minimizing `product` of a formula node.
 """
 
 from __future__ import annotations
@@ -53,19 +59,6 @@ class SyncDFA:
             cached = (t, mask)
             object.__setattr__(self, "_np_cache", cached)
         return cached
-
-    def check_structure(self) -> None:
-        m = self.n_symbols
-        for row in self.transitions:
-            if len(row) != m:
-                raise AssertionError("transition table not total")
-            for q in row:
-                if not 0 <= q < self.n_states:
-                    raise AssertionError("transition target out of range")
-        if not 0 <= self.initial < self.n_states:
-            raise AssertionError("initial state out of range")
-        if not all(0 <= q < self.n_states for q in self.accepting):
-            raise AssertionError("accepting state out of range")
 
 
 def columns_of(values: tuple[int, ...] | list[int]) -> list[int]:
@@ -183,19 +176,11 @@ def _hopcroft_blocks(t: np.ndarray, acc: np.ndarray) -> np.ndarray:
         starts[s] = np.searchsorted(t[order[:, s], s], targets)
 
     block_of = np.where(acc, 0, 1).astype(np.int32)
-    blocks: dict[int, np.ndarray] = {}
     acc_states = np.nonzero(acc)[0].astype(np.int32)
     rej_states = np.nonzero(~acc)[0].astype(np.int32)
-    if acc_states.size:
-        blocks[0] = acc_states
-    if rej_states.size:
-        blocks[1] = rej_states
-    if len(blocks) < 2:
-        only = next(iter(blocks), None)
-        if only == 1:
-            block_of[:] = 0
-            blocks = {0: rej_states}
-        return block_of
+    if not acc_states.size or not rej_states.size:
+        return np.zeros(n, dtype=np.int32)
+    blocks = {0: acc_states, 1: rej_states}
     next_id = 2
     work = deque([0 if acc_states.size <= rej_states.size else 1])
     in_work = {work[0]}
@@ -203,12 +188,10 @@ def _hopcroft_blocks(t: np.ndarray, acc: np.ndarray) -> np.ndarray:
     while work:
         a_id = work.popleft()
         in_work.discard(a_id)
-        splitter = blocks[a_id].copy()
+        splitter = blocks[a_id]  # blocks are replaced, never changed in place
         for s in range(m):
-            segs = [order[starts[s][q]:starts[s][q + 1], s] for q in splitter]
-            if not segs:
-                continue
-            preds = np.concatenate(segs)
+            preds = np.concatenate([order[starts[s][q]:starts[s][q + 1], s]
+                                    for q in splitter])
             if preds.size == 0:
                 continue
             hit_ids = block_of[preds]
@@ -217,12 +200,12 @@ def _hopcroft_blocks(t: np.ndarray, acc: np.ndarray) -> np.ndarray:
                 hit = preds[hit_ids == b]
                 if hit.size == y.size:
                     continue
-                rest = np.setdiff1d(y, hit, assume_unique=True)
                 new_id = next_id
                 next_id += 1
+                block_of[hit] = new_id
+                rest = y[block_of[y] == b]
                 blocks[b] = rest
                 blocks[new_id] = hit
-                block_of[hit] = new_id
                 if b in in_work:
                     work.append(new_id)
                     in_work.add(new_id)
@@ -310,38 +293,58 @@ def live_state_count(a: SyncDFA) -> int:
 # boolean algebra, projection, track surgery
 
 
-def product(a: SyncDFA, b: SyncDFA, mode: str) -> SyncDFA:
-    """Intersection ("and") or union ("or") of two aligned-track automata."""
-    if a.arity != b.arity:
-        raise ValueError(f"arity mismatch: {a.arity} vs {b.arity}")
-    if mode not in ("and", "or"):
-        raise ValueError(f"bad product mode {mode!r}")
-    both = mode == "and"
-    n_sym = a.n_symbols
-    index: dict[tuple[int, int], int] = {(a.initial, b.initial): 0}
-    pairs = [(a.initial, b.initial)]
+# accepting[2*(a accepts) + (b accepts)] for each product mode
+_PRODUCT_MODES = {"and": (False, False, False, True),
+                  "or": (False, True, True, True),
+                  "imp": (True, True, False, True),
+                  "iff": (True, False, False, True)}
+
+
+def _walk(parts: tuple[SyncDFA, ...], accept) -> SyncDFA:
+    """Reachable part of the synchronous product of `parts`, not minimized.
+
+    A state is a tuple of part states; accept(flags) decides it from the
+    tuple of per-part acceptance flags.
+    """
+    tables = [p.transitions for p in parts]
+    start = tuple(p.initial for p in parts)
+    index = {start: 0}
+    keys = [start]
     rows: list[tuple[int, ...]] = []
     i = 0
-    while i < len(pairs):
-        pa, pb = pairs[i]
+    while i < len(keys):
         row = []
-        for s in range(n_sym):
-            nxt = (a.transitions[pa][s], b.transitions[pb][s])
+        for nxt in zip(*(t[q] for t, q in zip(tables, keys[i]))):
             j = index.get(nxt)
             if j is None:
-                j = len(pairs)
+                j = len(keys)
                 index[nxt] = j
-                pairs.append(nxt)
+                keys.append(nxt)
             row.append(j)
         rows.append(tuple(row))
         i += 1
-    if both:
-        accepting = frozenset(i for i, (pa, pb) in enumerate(pairs)
-                              if pa in a.accepting and pb in b.accepting)
-    else:
-        accepting = frozenset(i for i, (pa, pb) in enumerate(pairs)
-                              if pa in a.accepting or pb in b.accepting)
-    return minimize(SyncDFA(a.arity, tuple(rows), 0, accepting))
+    accepting = frozenset(
+        i for i, key in enumerate(keys)
+        if accept(tuple(q in p.accepting for p, q in zip(parts, key))))
+    return SyncDFA(parts[0].arity, tuple(rows), 0, accepting)
+
+
+def product(a: SyncDFA, b: SyncDFA, mode: str) -> SyncDFA:
+    """a and b, a or b, a => b ("imp") or a <=> b ("iff"); minimal, canonical.
+
+    The operands need the same tracks but need not be minimal.  "imp" and
+    "iff" accept where neither operand does, so like `complement` they
+    are relative to the canonical universe: the same walk also runs
+    validity_automaton(arity) and the result holds canonical tuples only.
+    """
+    if a.arity != b.arity:
+        raise ValueError(f"arity mismatch: {a.arity} vs {b.arity}")
+    table = _PRODUCT_MODES.get(mode)
+    if table is None:
+        raise ValueError(f"bad product mode {mode!r}")
+    parts = (a, b, validity_automaton(a.arity)) if table[0] else (a, b)
+    return minimize(_walk(parts,
+                          lambda f: table[2 * f[0] + f[1]] and all(f[2:])))
 
 
 def complement(a: SyncDFA) -> SyncDFA:
@@ -370,12 +373,13 @@ def remap_tracks(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> Sync
 
 
 def expand_insert(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> SyncDFA:
-    """remap_tracks plus validity on the inserted tracks, minimized."""
+    """remap_tracks plus validity on the inserted tracks, not minimized:
+    the reachable walk that the one minimizing `product` then takes."""
     inserted = tuple(sorted(set(range(new_arity)) - set(positions)))
     wide = remap_tracks(a, new_arity, positions)
     if not inserted:
-        return minimize(wide)
-    return product(wide, validity_on(new_arity, inserted), "and")
+        return wide
+    return _walk((wide, validity_on(new_arity, inserted)), all)
 
 
 def project(a: SyncDFA, track: int) -> SyncDFA:
@@ -433,10 +437,6 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
     accepting = frozenset(i for i, group in enumerate(sets)
                           if group & a.accepting)
     return minimize(SyncDFA(new_arity, tuple(rows), 0, accepting))
-
-
-def is_empty(a: SyncDFA) -> bool:
-    return not any(q in a.accepting for q in _reachable(a))
 
 
 def decide_true(a: SyncDFA) -> bool:

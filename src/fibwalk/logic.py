@@ -606,16 +606,12 @@ def sequence_atom_automaton() -> SyncDFA:
     return au.product(raw, au.validity_automaton(2), "and")
 
 
-def _align(a: Rel, b: Rel) -> tuple[SyncDFA, SyncDFA, tuple[str, ...]]:
+def _boolean(a: Rel, b: Rel, mode: str) -> Rel:
+    """a mode b over the union of their tracks: align both, one product."""
     names = tuple(sorted(set(a.names) | set(b.names)))
     pos = {v: i for i, v in enumerate(names)}
     wa = au.expand_insert(a.dfa, len(names), tuple(pos[v] for v in a.names))
     wb = au.expand_insert(b.dfa, len(names), tuple(pos[v] for v in b.names))
-    return wa, wb, names
-
-
-def _boolean(a: Rel, b: Rel, mode: str) -> Rel:
-    wa, wb, names = _align(a, b)
     return Rel(au.product(wa, wb, mode), names)
 
 
@@ -729,11 +725,11 @@ class _AtomBuilder:
         rel: Rel | None = None
         for idx, (dfa, names) in enumerate(self.fragments):
             ordered = tuple(sorted(names))
-            pos = {v: i for i, v in enumerate(ordered)}
-            frag = Rel(au.expand_insert(dfa, len(names),
-                                        tuple(pos[v] for v in names))
-                       if ordered != names else au.minimize(dfa),
-                       ordered)
+            if ordered != names:  # a remap changes the canonical numbering
+                pos = {v: i for i, v in enumerate(ordered)}
+                dfa = au.minimize(au.remap_tracks(
+                    dfa, len(names), tuple(pos[v] for v in names)))
+            frag = Rel(dfa, ordered)
             rel = frag if rel is None else _boolean(rel, frag, "and")
             for v in list(rel.names):
                 if v.startswith("t#") and last_use[v] <= idx:
@@ -744,26 +740,21 @@ class _AtomBuilder:
         return rel
 
 
+_CONNECTIVES = {And: "and", Or: "or", Imp: "imp", Iff: "iff"}
+
+
 class _Compiler:
+    """Formula to Rel; every Rel it returns is minimal and canonical."""
+
     def __init__(self, env: PredicateEnv):
         self.env = env
 
     def compile(self, f) -> Rel:
         if isinstance(f, Not):
             return _negate(self.compile(f.body))
-        if isinstance(f, And):
-            return _boolean(self.compile(f.left), self.compile(f.right), "and")
-        if isinstance(f, Or):
-            return _boolean(self.compile(f.left), self.compile(f.right), "or")
-        if isinstance(f, Imp):
-            return _boolean(_negate(self.compile(f.left)),
-                            self.compile(f.right), "or")
-        if isinstance(f, Iff):
-            a, b = self.compile(f.left), self.compile(f.right)
-            wa, wb, names = _align(a, b)
-            both = au.product(wa, wb, "and")
-            neither = au.product(au.complement(wa), au.complement(wb), "and")
-            return Rel(au.product(both, neither, "or"), names)
+        mode = _CONNECTIVES.get(type(f))
+        if mode is not None:
+            return _boolean(self.compile(f.left), self.compile(f.right), mode)
         if isinstance(f, Exists):
             rel = self.compile(f.body)
             for v in f.names:

@@ -1,4 +1,4 @@
-"""Shared fixtures: compiled session environment and per-script reports."""
+"""Shared fixtures: compiled session environment and per-script runs."""
 
 import pytest
 
@@ -12,13 +12,20 @@ def env():
 
 
 @pytest.fixture(scope="session")
-def script_report():
-    """Run a shipped script at most once per test session, keyed by name."""
+def script_run():
+    """(report, environment) of a shipped script, run at most once per test
+    session, keyed by name."""
     cache = {}
 
     def run(name):
         if name not in cache:
-            cache[name] = logic.run_session(rp.script_text(name))
+            env = logic.PredicateEnv()
+            cache[name] = (logic.run_session(rp.script_text(name), env), env)
         return cache[name]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def script_report(script_run):
+    return lambda name: script_run(name)[0]

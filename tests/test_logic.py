@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibwalk import automata as au
 from fibwalk import logic
@@ -198,6 +200,78 @@ def test_multi_term_atoms_match_brute_force():
     # a variable whose coefficients cancel keeps its track
     assert compile_predicate(PredicateEnv(), "?msd_fib x+y=y+z").names \
         == ("x", "y", "z")
+
+
+def assert_minimal(dfa, what):
+    assert au.minimize(dfa) == dfa, what
+
+
+@pytest.mark.parametrize("a, b", [
+    ("x<y+2", "F[y]=F[z]"),
+    ("$isfib(x)", "Et (t<=y) & x=t+t"),
+    ("2*y!=z+1", "F[x+1]=F[y] | $isfib(z)"),
+])
+def test_imp_and_iff_match_their_expansions(env, a, b):
+    # a and b have different free variables, so their tracks are aligned
+    cases = [(f"({a}) <=> ({b})", f"(({a}) & ({b})) | (~({a}) & ~({b}))"),
+             (f"({a}) => ({b})", f"~({a}) | ({b})")]
+    for one, two in cases:
+        got = compile_predicate(env, "?msd_fib " + one)
+        want = compile_predicate(env, "?msd_fib " + two)
+        assert got == want, one
+        assert_minimal(got.dfa, one)
+        assert_minimal(want.dfa, two)
+
+
+@pytest.mark.parametrize("script", ["good_partition.wal", "lemma_checks.wal",
+                                    "largest_index.wal"])
+def test_stored_session_automata_are_minimal(script_run, script):
+    _, env = script_run(script)
+    for name, pred in env.preds.items():
+        assert_minimal(pred.dfa, (script, name))
+
+
+FREE = ("n", "x", "y")
+
+
+@st.composite
+def terms(draw, scope):
+    v, w = draw(st.sampled_from(scope)), draw(st.sampled_from(scope))
+    c = draw(st.integers(0, 3))
+    return draw(st.sampled_from([v, str(c), f"{v}+{c}", f"2*{v}", f"{v}+{w}",
+                                 f"{v}-{w}"]))
+
+
+@st.composite
+def formulas(draw, scope=FREE, depth=0):
+    """Connectives and guarded quantifiers over comparison and word atoms.
+
+    A quantified q_d is bounded by a variable already in scope, so every
+    value it can take lies inside BruteForce's domain.
+    """
+    kinds = ["atom"] if depth >= 3 else ["atom", "not", "bin", "bin", "quant"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        left, right = draw(terms(scope)), draw(terms(scope))
+        op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "F"]))
+        return f"F[{left}]=F[{right}]" if op == "F" else f"{left}{op}{right}"
+    if kind == "not":
+        return f"~({draw(formulas(scope, depth + 1))})"
+    if kind == "bin":
+        op = draw(st.sampled_from(["&", "|", "=>", "<=>"]))
+        left = draw(formulas(scope, depth + 1))
+        return f"({left}) {op} ({draw(formulas(scope, depth + 1))})"
+    q, guard = f"q{depth}", draw(st.sampled_from(scope))
+    body = draw(formulas(scope + (q,), depth + 1))
+    if draw(st.booleans()):
+        return f"E{q} ({q}<={guard}) & ({body})"
+    return f"A{q} ({q}<={guard}) => ({body})"
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=formulas())
+def test_random_formulas_match_brute_force(f):
+    agrees_with_brute_force("?msd_fib " + f, 5)
 
 
 def test_call_argument_aliasing():

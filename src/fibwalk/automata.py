@@ -21,8 +21,8 @@ one minimizing `product` of a formula node.
 
 from __future__ import annotations
 
+import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,14 +31,38 @@ import numpy as np
 from .numeration import zeck_decode, zeck_encode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyncDFA:
-    """Complete DFA over the 2^arity digit-tuple alphabet."""
+    """Complete DFA over the 2^arity digit-tuple alphabet.
+
+    Both arrays are made read-only here, because cached automata are
+    shared by every caller.  Equality and hashing compare the bytes.
+    """
 
     arity: int
-    transitions: tuple[tuple[int, ...], ...]  # [state][symbol] -> state
+    transitions: np.ndarray  # int32[state, symbol] -> state
     initial: int
-    accepting: frozenset[int]
+    final: np.ndarray  # bool[state]: accepting
+
+    def __post_init__(self):
+        t, f = self.transitions, self.final
+        if (t.dtype != np.int32 or f.dtype != bool or f.ndim != 1
+                or t.shape != (len(f), 1 << self.arity)
+                or not 0 <= self.initial < len(f)):
+            raise ValueError("need int32[states, 2^arity], bool[states] "
+                             "and an initial state")
+        t.flags.writeable = False
+        f.flags.writeable = False
+
+    def _key(self) -> tuple:
+        return (self.arity, self.initial, self.transitions.tobytes(),
+                self.final.tobytes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SyncDFA) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n_states(self) -> int:
@@ -48,17 +72,11 @@ class SyncDFA:
     def n_symbols(self) -> int:
         return 1 << self.arity
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(transition matrix, accepting mask) as numpy, cached on the instance."""
-        cached = self.__dict__.get("_np_cache")
-        if cached is None:
-            t = np.array(self.transitions, dtype=np.int32)
-            t = t.reshape(self.n_states, self.n_symbols)
-            mask = np.zeros(self.n_states, dtype=bool)
-            mask[list(self.accepting)] = True
-            cached = (t, mask)
-            object.__setattr__(self, "_np_cache", cached)
-        return cached
+
+def _dfa(arity: int, rows, initial: int, final) -> SyncDFA:
+    """SyncDFA from any nested sequence of rows and acceptance flags."""
+    t = np.array(rows, dtype=np.int32).reshape(-1, 1 << arity)
+    return SyncDFA(arity, t, initial, np.array(final, dtype=bool))
 
 
 def columns_of(values: tuple[int, ...] | list[int]) -> list[int]:
@@ -76,13 +94,15 @@ def accepts(a: SyncDFA, values: tuple[int, ...] | list[int]) -> bool:
         raise ValueError(f"expected {a.arity} values, got {len(values)}")
     q = a.initial
     for sym in columns_of(values):
-        q = a.transitions[q][sym]
-    return q in a.accepting
+        q = a.transitions[q, sym]
+    return bool(a.final[q])
+
+
+_BATCH_ROWS = 1 << 15  # rows per chunk of accepts_batch, to stay in cache
 
 
 def accepts_batch(a: SyncDFA, values: np.ndarray) -> np.ndarray:
     """Vectorized accepts over an (N, arity) array of naturals."""
-    t, mask = a._arrays()
     try:
         values = np.asarray(values, dtype=np.int64)
     except OverflowError:
@@ -100,15 +120,20 @@ def accepts_batch(a: SyncDFA, values: np.ndarray) -> np.ndarray:
     while x <= top:
         weights.append(x)
         x, y = y, x + y
-    states = np.full(n, a.initial, dtype=np.int32)
-    rem = values.copy()
-    bits = 1 << np.arange(k, dtype=np.int64)
-    for w in reversed(weights):
-        d = rem >= w
-        rem -= d * w
-        syms = d @ bits
-        states = t[states, syms]
-    return mask[states]
+    flat = a.transitions.ravel().astype(np.intp)
+    out = np.empty(n, dtype=bool)
+    for lo in range(0, n, _BATCH_ROWS):
+        tracks = values[lo:lo + _BATCH_ROWS].T.copy()  # one row per track
+        states = np.full(tracks.shape[1], a.initial, dtype=np.intp)
+        for w in reversed(weights):
+            states *= a.n_symbols
+            for t, rem in enumerate(tracks):
+                d = rem >= w
+                rem -= d * w
+                states += d.astype(np.intp) << t
+            states = flat[states]
+        out[lo:lo + _BATCH_ROWS] = a.final[states]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +156,10 @@ def validity_on(arity: int, tracks: tuple[int, ...]) -> SyncDFA:
     index = {m: i for i, m in enumerate(masks)}
     dead = len(masks)
     n_sym = 1 << arity
-    rows = []
-    for m in masks:
-        row = []
-        for s in range(n_sym):
-            row.append(dead if m & s else index[s & watched])
-        rows.append(tuple(row))
-    rows.append(tuple(dead for _ in range(n_sym)))
-    return SyncDFA(arity, tuple(rows), index[0],
-                   frozenset(range(len(masks))))
+    rows = [[dead if m & s else index[s & watched] for s in range(n_sym)]
+            for m in masks]
+    rows.append([dead] * n_sym)
+    return _dfa(arity, rows, index[0], [True] * len(masks) + [False])
 
 
 def validity_automaton(arity: int) -> SyncDFA:
@@ -148,121 +168,89 @@ def validity_automaton(arity: int) -> SyncDFA:
 
 
 # ---------------------------------------------------------------------------
-# minimization (Hopcroft partition refinement) and canonical numbering
+# minimization (column-wise Moore refinement) and canonical numbering
 
 
-def _reachable(a: SyncDFA) -> list[int]:
-    seen = [False] * a.n_states
-    seen[a.initial] = True
-    order = [a.initial]
-    queue = deque([a.initial])
-    while queue:
-        q = queue.popleft()
-        for nxt in a.transitions[q]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                order.append(nxt)
-                queue.append(nxt)
-    return order
-
-def _hopcroft_blocks(t: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Block id per state for the coarsest congruence refining {F, Q-F}."""
-    n, m = t.shape
-    # inverse edges, one sorted slice family per symbol
-    order = np.argsort(t, axis=0, kind="stable").astype(np.int32)
-    starts = np.empty((m, n + 1), dtype=np.int64)
-    targets = np.arange(n + 1)
-    for s in range(m):
-        starts[s] = np.searchsorted(t[order[:, s], s], targets)
-
-    block_of = np.where(acc, 0, 1).astype(np.int32)
-    acc_states = np.nonzero(acc)[0].astype(np.int32)
-    rej_states = np.nonzero(~acc)[0].astype(np.int32)
-    if not acc_states.size or not rej_states.size:
-        return np.zeros(n, dtype=np.int32)
-    blocks = {0: acc_states, 1: rej_states}
-    next_id = 2
-    work = deque([0 if acc_states.size <= rej_states.size else 1])
-    in_work = {work[0]}
-
-    while work:
-        a_id = work.popleft()
-        in_work.discard(a_id)
-        splitter = blocks[a_id]  # blocks are replaced, never changed in place
-        for s in range(m):
-            preds = np.concatenate([order[starts[s][q]:starts[s][q + 1], s]
-                                    for q in splitter])
-            if preds.size == 0:
-                continue
-            hit_ids = block_of[preds]
-            for b in np.unique(hit_ids):
-                y = blocks[b]
-                hit = preds[hit_ids == b]
-                if hit.size == y.size:
-                    continue
-                new_id = next_id
-                next_id += 1
-                block_of[hit] = new_id
-                rest = y[block_of[y] == b]
-                blocks[b] = rest
-                blocks[new_id] = hit
-                if b in in_work:
-                    work.append(new_id)
-                    in_work.add(new_id)
-                else:
-                    smaller = new_id if hit.size <= rest.size else b
-                    work.append(smaller)
-                    in_work.add(smaller)
-    return block_of
+def _first_new(targets: np.ndarray, numbered: np.ndarray) -> np.ndarray:
+    """The targets not yet numbered, each once, in order of first occurrence."""
+    fresh = targets[numbered[targets] < 0]
+    uniq, first = np.unique(fresh, return_index=True)
+    return uniq[np.argsort(first)]
 
 
 def minimize(a: SyncDFA) -> SyncDFA:
     """Unique minimal complete DFA in canonical (BFS, symbol-ascending) numbering.
 
     Minimal canonical automata for the same language are structurally equal.
+
+    The reachable states are found by a frontier BFS.  Moore refinement
+    then starts from {accepting, rejecting}; each round folds the columns
+    in one at a time, key = key*count + block[t[:, s]], and compresses
+    the keys with np.unique(return_inverse=True) at the end of the round
+    and whenever the next fold could overflow int64.  Rounds stop when
+    the block count stops growing.  A round costs O(2^arity * n log n)
+    and there are at most n rounds.  The quotient, one representative row
+    per block, is numbered by BFS one frontier at a time: new states in
+    order of first occurrence over the (frontier position, symbol) pairs.
     """
-    order = _reachable(a)
-    remap = {old: i for i, old in enumerate(order)}
-    t = np.array([[remap[a.transitions[q][s]] for s in range(a.n_symbols)]
-                  for q in order], dtype=np.int32)
-    acc = np.array([q in a.accepting for q in order], dtype=bool)
-    block_of = _hopcroft_blocks(t, acc)
-    return _renumber(a.arity, t, acc, block_of, remap[a.initial])
+    reached = np.zeros(a.n_states, dtype=bool)
+    reached[a.initial] = True
+    frontier = np.array([a.initial])
+    while frontier.size:
+        frontier = np.unique(a.transitions[frontier])
+        frontier = frontier[~reached[frontier]]
+        reached[frontier] = True
+    keep = np.flatnonzero(reached)
+    index = np.empty(a.n_states, dtype=np.intp)
+    index[keep] = np.arange(keep.size)
+    t, acc = index[a.transitions[keep]], a.final[keep]
 
+    uniq, block = np.unique(acc, return_inverse=True)
+    count = uniq.size
+    while True:
+        key, bound = block, count
+        for s in range(a.n_symbols):
+            if bound * count > 1 << 62:  # the fold could overflow int64
+                uniq, key = np.unique(key, return_inverse=True)
+                bound = uniq.size
+            key = key * count + block[t[:, s]]
+            bound *= count
+        uniq, key = np.unique(key, return_inverse=True)
+        if uniq.size == count:
+            break
+        block, count = key, uniq.size
 
-def _renumber(arity: int, t: np.ndarray, acc: np.ndarray,
-              block_of: np.ndarray, initial: int) -> SyncDFA:
-    n, m = t.shape
-    new_of_block: dict[int, int] = {}
-    reps: list[int] = []
-
-    def visit(block: int, rep: int) -> int:
-        idx = new_of_block.get(block)
-        if idx is None:
-            idx = len(reps)
-            new_of_block[block] = idx
-            reps.append(rep)
-        return idx
-
-    visit(int(block_of[initial]), initial)
-    rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(reps):
-        rep = reps[i]
-        rows.append(tuple(visit(int(block_of[t[rep, s]]), int(t[rep, s]))
-                          for s in range(m)))
-        i += 1
-    accepting = frozenset(i for i, rep in enumerate(reps) if acc[rep])
-    return SyncDFA(arity, tuple(rows), 0, accepting)
+    rep = np.empty(count, dtype=np.intp)
+    rep[block] = np.arange(block.size)
+    qt = block[t[rep]]
+    number = np.full(count, -1, dtype=np.intp)
+    frontier = np.array([block[index[a.initial]]])
+    number[frontier] = 0
+    order = [frontier]
+    done = 1
+    while frontier.size:
+        frontier = _first_new(qt[frontier].ravel(), number)
+        number[frontier] = np.arange(done, done + frontier.size)
+        done += frontier.size
+        order.append(frontier)
+    order = np.concatenate(order)
+    return SyncDFA(a.arity, number[qt[order]].astype(np.int32), 0,
+                   acc[rep[order]])
 
 
 def moore_state_count(a: SyncDFA) -> int:
     """Independent minimal state count by iterated signature refinement."""
-    order = _reachable(a)
-    remap = {old: i for i, old in enumerate(order)}
-    t = np.array([[remap[a.transitions[q][s]] for s in range(a.n_symbols)]
-                  for q in order], dtype=np.int64)
-    block = np.array([q in a.accepting for q in order], dtype=np.int64)
+    seen = np.zeros(a.n_states, dtype=bool)
+    seen[a.initial] = True
+    while True:
+        grown = seen.copy()
+        grown[a.transitions[seen]] = True
+        if (grown == seen).all():
+            break
+        seen = grown
+    index = np.cumsum(seen) - 1
+    t = index[a.transitions[seen]]
+    block = a.final[seen].astype(np.int64)
     n_blocks = len(np.unique(block))
     while True:
         sig = np.concatenate([block.reshape(-1, 1), block[t]], axis=1)
@@ -275,10 +263,9 @@ def moore_state_count(a: SyncDFA) -> int:
 
 def live_states(a: SyncDFA) -> np.ndarray:
     """Mask of the states from which an accepting state is reachable."""
-    t, mask = a._arrays()
-    live = mask.copy()
+    live = a.final.copy()
     while True:
-        grew = live[t].any(axis=1) | live
+        grew = live[a.transitions].any(axis=1) | live
         if (grew == live).all():
             return live
         live = grew
@@ -303,30 +290,37 @@ _PRODUCT_MODES = {"and": (False, False, False, True),
 def _walk(parts: tuple[SyncDFA, ...], accept) -> SyncDFA:
     """Reachable part of the synchronous product of `parts`, not minimized.
 
-    A state is a tuple of part states; accept(flags) decides it from the
-    tuple of per-part acceptance flags.
+    A state is a tuple of part states, coded as one mixed-radix int64;
+    the walk runs one BFS frontier at a time.  accept(flags) decides the
+    states from the tuple of per-part acceptance arrays.
     """
-    tables = [p.transitions for p in parts]
-    start = tuple(p.initial for p in parts)
-    index = {start: 0}
-    keys = [start]
-    rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(keys):
-        row = []
-        for nxt in zip(*(t[q] for t, q in zip(tables, keys[i]))):
-            j = index.get(nxt)
-            if j is None:
-                j = len(keys)
-                index[nxt] = j
-                keys.append(nxt)
-            row.append(j)
-        rows.append(tuple(row))
-        i += 1
-    accepting = frozenset(
-        i for i, key in enumerate(keys)
-        if accept(tuple(q in p.accepting for p, q in zip(parts, key))))
-    return SyncDFA(parts[0].arity, tuple(rows), 0, accepting)
+    sizes = [p.n_states for p in parts]
+    if math.prod(sizes) > np.iinfo(np.int64).max:
+        raise ValueError("product too large to code in int64")
+    start = 0
+    for p, n in zip(parts, sizes):
+        start = start * n + p.initial
+    frontier = known = np.array([start], dtype=np.int64)
+    levels, rows, states = [], [], []
+    while frontier.size:
+        levels.append(frontier)
+        qs, rest = [], frontier
+        for n in reversed(sizes):
+            rest, q = np.divmod(rest, n)
+            qs.append(q)
+        qs.reverse()
+        states.append(qs)
+        nxt = np.zeros((frontier.size, parts[0].n_symbols), dtype=np.int64)
+        for p, n, q in zip(parts, sizes, qs):
+            nxt = nxt * n + p.transitions[q]
+        rows.append(nxt)
+        frontier = np.setdiff1d(nxt, known)
+        known = np.union1d(known, frontier)
+    order = np.argsort(np.concatenate(levels))  # known[j] is state order[j]
+    t = order[np.searchsorted(known, np.concatenate(rows))]
+    flags = tuple(p.final[np.concatenate([qs[i] for qs in states])]
+                  for i, p in enumerate(parts))
+    return SyncDFA(parts[0].arity, t.astype(np.int32), 0, accept(flags))
 
 
 def product(a: SyncDFA, b: SyncDFA, mode: str) -> SyncDFA:
@@ -343,14 +337,13 @@ def product(a: SyncDFA, b: SyncDFA, mode: str) -> SyncDFA:
     if table is None:
         raise ValueError(f"bad product mode {mode!r}")
     parts = (a, b, validity_automaton(a.arity)) if table[0] else (a, b)
-    return minimize(_walk(parts,
-                          lambda f: table[2 * f[0] + f[1]] and all(f[2:])))
+    return minimize(_walk(parts, lambda f: np.array(table)[2 * f[0] + f[1]]
+                          & np.logical_and.reduce(f[2:])))
 
 
 def complement(a: SyncDFA) -> SyncDFA:
     """Complement relative to the canonical-representation universe."""
-    flipped = SyncDFA(a.arity, a.transitions, a.initial,
-                      frozenset(range(a.n_states)) - a.accepting)
+    flipped = SyncDFA(a.arity, a.transitions, a.initial, ~a.final)
     return product(flipped, validity_automaton(a.arity), "and")
 
 
@@ -364,12 +357,9 @@ def remap_tracks(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> Sync
         raise ValueError("positions must list each old track once")
     if any(not 0 <= p < new_arity for p in positions):
         raise ValueError("position out of range")
-    n_sym_new = 1 << new_arity
     sym_map = [sum(((s >> p) & 1) << i for i, p in enumerate(positions))
-               for s in range(n_sym_new)]
-    rows = tuple(tuple(row[sym_map[s]] for s in range(n_sym_new))
-                 for row in a.transitions)
-    return SyncDFA(new_arity, rows, a.initial, a.accepting)
+               for s in range(1 << new_arity)]
+    return SyncDFA(new_arity, a.transitions[:, sym_map], a.initial, a.final)
 
 
 def expand_insert(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> SyncDFA:
@@ -379,7 +369,8 @@ def expand_insert(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> Syn
     wide = remap_tracks(a, new_arity, positions)
     if not inserted:
         return wide
-    return _walk((wide, validity_on(new_arity, inserted)), all)
+    return _walk((wide, validity_on(new_arity, inserted)),
+                 np.logical_and.reduce)
 
 
 def project(a: SyncDFA, track: int) -> SyncDFA:
@@ -397,6 +388,7 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
     new_arity = a.arity - 1
     n_sym_new = 1 << new_arity
     low_mask = (1 << track) - 1
+    table = a.transitions.tolist()
 
     def olds(s_new: int) -> tuple[int, int]:
         low = s_new & low_mask
@@ -409,7 +401,7 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
     while frontier:
         q = frontier.pop()
         for sym in (0, 1 << track):
-            nxt = a.transitions[q][sym]
+            nxt = table[q][sym]
             if nxt not in start:
                 start.add(nxt)
                 frontier.append(nxt)
@@ -424,8 +416,7 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
         row = []
         for s_new in range(n_sym_new):
             s0, s1 = olds(s_new)
-            nxt = frozenset(a.transitions[q][s]
-                            for q in cur for s in (s0, s1))
+            nxt = frozenset(table[q][s] for q in cur for s in (s0, s1))
             j = index.get(nxt)
             if j is None:
                 j = len(sets)
@@ -434,9 +425,9 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
             row.append(j)
         rows.append(tuple(row))
         i += 1
-    accepting = frozenset(i for i, group in enumerate(sets)
-                          if group & a.accepting)
-    return minimize(SyncDFA(new_arity, tuple(rows), 0, accepting))
+    accepting = frozenset(np.flatnonzero(a.final).tolist())
+    return minimize(_dfa(new_arity, rows, 0,
+                         [bool(group & accepting) for group in sets]))
 
 
 def decide_true(a: SyncDFA) -> bool:
@@ -446,8 +437,8 @@ def decide_true(a: SyncDFA) -> bool:
     q = a.initial
     verdicts = []
     for _ in range(a.n_states + 1):
-        verdicts.append(q in a.accepting)
-        q = a.transitions[q][0]
+        verdicts.append(bool(a.final[q]))
+        q = a.transitions[q, 0]
     if any(v != verdicts[0] for v in verdicts):
         raise AssertionError("arity-0 automaton not padding-invariant")
     return verdicts[0]
@@ -611,8 +602,7 @@ class _RegexParser:
                 row.append(j)
             rows.append(tuple(row))
             i += 1
-        accepting = frozenset(i for i, group in enumerate(sets) if end in group)
-        return minimize(SyncDFA(self.arity, tuple(rows), 0, accepting))
+        return minimize(_dfa(self.arity, rows, 0, [end in group for group in sets]))
 
 
 def compile_regex(pattern: str, arity: int) -> SyncDFA:
@@ -671,6 +661,7 @@ def constrain(a: SyncDFA, coeffs: tuple[int, ...], rel: str, c: int,
     weight = [sum(x for i, x in enumerate(coeffs) if s >> i & 1)
               for s in range(a.n_symbols)]
     live = live_states(a).tolist()
+    table = a.transitions.tolist()
     start = (a.initial, 0, 0) if live[a.initial] else None
     index: dict[tuple[int, int, int] | None, int] = {start: 0}
     order = [start]
@@ -683,7 +674,7 @@ def constrain(a: SyncDFA, coeffs: tuple[int, ...], rel: str, c: int,
             nxt = None
             if key is not None:
                 q, u, v = key
-                q2 = a.transitions[q][s]
+                q2 = table[q][s]
                 if live[q2]:
                     u, v = u + v + weight[s], u
                     if u >= bound and v >= bound:
@@ -699,10 +690,9 @@ def constrain(a: SyncDFA, coeffs: tuple[int, ...], rel: str, c: int,
             row.append(j)
         rows.append(tuple(row))
         i += 1
-    accepting = frozenset(j for j, key in enumerate(order)
-                          if key is not None and key[0] in a.accepting
-                          and holds(key[1] + key[2], c))
-    return minimize(SyncDFA(a.arity, tuple(rows), 0, accepting))
+    return minimize(_dfa(a.arity, rows, 0,
+                         [key is not None and bool(a.final[key[0]])
+                          and holds(key[1] + key[2], c) for key in order]))
 
 
 @lru_cache(maxsize=None)
@@ -792,9 +782,9 @@ def first_accepted_words(a: SyncDFA, k: int, max_len: int = 4000) -> list[list[i
     """
     if a.arity == 0:
         raise ValueError("needs arity >= 1")
-    t, mask = a._arrays()
+    t, mask = a.transitions, a.final
     found: list[list[int]] = []
-    if a.initial in a.accepting:
+    if mask[a.initial]:
         found.append([])
     live = live_states(a)
     exact = [mask]  # exact[r][q]: accepting reachable in exactly r steps
@@ -844,14 +834,14 @@ def to_dot(a: SyncDFA) -> str:
     for q in range(a.n_states):
         if not live[q]:
             continue
-        shape = "doublecircle" if q in a.accepting else "circle"
+        shape = "doublecircle" if a.final[q] else "circle"
         lines.append(f"  {q} [shape={shape}];")
     lines.append(f"  hidden -> {a.initial};")
     for q in range(a.n_states):
         if not live[q]:
             continue
         for s in range(a.n_symbols):
-            nxt = a.transitions[q][s]
+            nxt = a.transitions[q, s]
             if not live[nxt]:
                 continue
             label = "[" + ",".join(str((s >> i) & 1) for i in range(a.arity)) + "]"
@@ -863,9 +853,9 @@ def to_dot(a: SyncDFA) -> str:
 def to_text(a: SyncDFA) -> str:
     """Plain-text dump of the complete automaton."""
     lines = [f"arity {a.arity} / states {a.n_states} / initial {a.initial}",
-             "accepting: " + " ".join(str(q) for q in sorted(a.accepting))]
+             "accepting: " + " ".join(str(q) for q in np.flatnonzero(a.final))]
     for q in range(a.n_states):
         for s in range(a.n_symbols):
             label = "[" + ",".join(str((s >> i) & 1) for i in range(a.arity)) + "]"
-            lines.append(f"{q} {label} -> {a.transitions[q][s]}")
+            lines.append(f"{q} {label} -> {a.transitions[q, s]}")
     return "\n".join(lines) + "\n"

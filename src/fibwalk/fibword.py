@@ -7,10 +7,8 @@ automata are tested against.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -187,27 +185,43 @@ def exponent_record_fast(n: int) -> ExponentRecord:
     return ExponentRecord(n, x, y)
 
 
+def _last_mismatch(f: np.ndarray, p: int, k: int) -> int:
+    """Largest j < k with f[j+p] != f[j], or -1; searched back in doubling chunks."""
+    width = 16
+    while k > 0:
+        lo = max(0, k - width)
+        hits = np.flatnonzero(f[lo + p:k + p] != f[lo:k])
+        if hits.size:
+            return lo + int(hits[-1])
+        k, width = lo, 2 * width
+    return -1
+
+
 def _run_records(w: str, start: int) -> list[tuple[int, int]]:
     """(x, y) records of w[:n] for n = start..len(w), by per-period runs.
 
     w is any word over one-byte symbols; `exponent_table` gives the
-    argument.  Memory is O(len(w)) per period.
+    argument.  Each period's runs start from its last mismatch before
+    the window, so the cost per period is the window plus the distance
+    back to that mismatch.  Memory is O(len(w)).
     """
     n_max = len(w)
     f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-    best_x = np.ones(n_max + 1, dtype=np.int64)  # indexed by n
-    best_y = np.ones(n_max + 1, dtype=np.int64)
+    best_x = np.ones(n_max + 1 - start, dtype=np.int64)  # indexed by n - start
+    best_y = np.ones(n_max + 1 - start, dtype=np.int64)
     ks = np.arange(n_max, dtype=np.int64)
     for p in range(1, n_max):
-        k = ks[:n_max - p]  # k = j - p for j = p..n_max-1
-        last = np.maximum.accumulate(np.where(f[p:] != f[:-p], k, -1))
-        lo = max(p + 1, start)  # n = lo..n_max sits at k = n - p - 1
-        x = p + k[lo - p - 1:] - last[lo - p - 1:]  # X_p(n)
-        bx, by = best_x[lo:], best_y[lo:]
+        lo = max(p + 1, start)
+        k0 = lo - p - 1  # n = lo..n_max sits at k = n - p - 1 = k0..
+        k = ks[k0:n_max - p]  # k = j - p for j = lo-1..n_max-1
+        miss = f[k0 + p:] != f[k0:n_max - p]
+        last = np.maximum.accumulate(np.where(miss, k, _last_mismatch(f, p, k0)))
+        x = p + k - last  # X_p(n)
+        bx, by = best_x[lo - start:], best_y[lo - start:]
         better = x * by > bx * p
         bx[better] = x[better]
         by[better] = p
-    return list(zip(best_x[start:].tolist(), best_y[start:].tolist()))
+    return list(zip(best_x.tolist(), best_y.tolist()))
 
 
 def exponent_table(n_max: int, start: int = 1) -> list[ExponentRecord]:
@@ -232,7 +246,8 @@ def exponent_table(n_max: int, start: int = 1) -> list[ExponentRecord]:
     record `_sweep_chunk` keeps: the shortest suffix of the largest
     exponent, with y its least period.
 
-    Runs are computed from index p on, so a table started at `start`
+    A run ending in the window [start, n_max] is accumulated from the
+    last mismatch before the window, so a table started at `start`
     equals the tail of the full table.
     """
     if start < 1:
@@ -280,12 +295,3 @@ def _fib_set_upto(limit: int) -> set[int]:
         a, b = b, a + b
     return s
 
-
-def exponent_csv(records: Iterable[ExponentRecord], out: IO[str]) -> None:
-    """Write (n, x, y, fraction, decimal) rows; decimal is display-only."""
-    writer = csv.writer(out)
-    writer.writerow(["n", "x", "y", "exponent", "exponent_decimal"])
-    for rec in records:
-        e = rec.exponent
-        writer.writerow([rec.n, rec.x, rec.y, f"{e.numerator}/{e.denominator}",
-                         f"{rec.x / rec.y:.6f}"])

@@ -398,10 +398,6 @@ def _case3_displays(k: int):
     )
 
 
-def check_closed_forms(k_max: int) -> bool:
-    return closed_forms_report(k_max)["verdict"]
-
-
 # ---------------------------------------------------------------------------
 # crossover tables
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iter_product
 
+import numpy as np
+
 from . import automata as au
 from .automata import SyncDFA
 from .fibword import fib_word_dfao, symbol_at
@@ -543,20 +545,16 @@ class Rel:
     names: tuple[str, ...]  # sorted; names[i] owns track i
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredPred:
     name: str
     kind: str  # "reg" | "def" | "eval"
     dfa: SyncDFA
     arity: int
-
-    _validated: SyncDFA | None = field(default=None, repr=False)
+    _validated: SyncDFA = field(repr=False)
 
     def validated(self) -> SyncDFA:
         """The relation intersected with per-track canonicality."""
-        if self._validated is None:
-            self._validated = au.product(
-                self.dfa, au.validity_automaton(self.arity), "and")
         return self._validated
 
 
@@ -567,7 +565,10 @@ class PredicateEnv:
     def define(self, name: str, kind: str, dfa: SyncDFA) -> StoredPred:
         if name in self.preds:
             raise LogicError(f"name {name!r} is already defined")
-        p = StoredPred(name, kind, dfa, dfa.arity)
+        # a compiled def or eval is already canonical; a raw regex is not
+        valid = (au.product(dfa, au.validity_automaton(dfa.arity), "and")
+                 if kind == "reg" else dfa)
+        p = StoredPred(name, kind, dfa, dfa.arity, valid)
         self.preds[name] = p
         return p
 
@@ -592,17 +593,11 @@ def sequence_atom_automaton() -> SyncDFA:
     n = dfao["states"]
     pairs = [(i, j) for i in range(n) for j in range(n)]
     index = {p: k for k, p in enumerate(pairs)}
-    rows = []
-    for i, j in pairs:
-        row = []
-        for sym in range(4):
-            a, b = sym & 1, (sym >> 1) & 1
-            row.append(index[(trans[i][a], trans[j][b])])
-        rows.append(tuple(row))
-    accepting = frozenset(k for k, (i, j) in enumerate(pairs)
-                          if out[i] == out[j])
-    raw = SyncDFA(2, tuple(rows), index[(dfao["initial"], dfao["initial"])],
-                  accepting)
+    rows = [[index[(trans[i][sym & 1], trans[j][sym >> 1])] for sym in range(4)]
+            for i, j in pairs]
+    raw = SyncDFA(2, np.array(rows, dtype=np.int32),
+                  index[(dfao["initial"], dfao["initial"])],
+                  np.array([out[i] == out[j] for i, j in pairs]))
     return au.product(raw, au.validity_automaton(2), "and")
 
 

@@ -39,19 +39,11 @@ def script_text(name: str) -> str:
 
 
 @lru_cache(maxsize=1)
-def _session() -> tuple[logic.PredicateEnv, logic.SessionReport]:
-    env = logic.PredicateEnv()
-    report = logic.run_session(script_text("good_partition.wal"), env)
-    return env, report
-
-
 def session_env() -> logic.PredicateEnv:
     """Environment with the bundled classification predicates compiled."""
-    return _session()[0]
-
-
-def session_report() -> logic.SessionReport:
-    return _session()[1]
+    env = logic.PredicateEnv()
+    logic.run_session(script_text("good_partition.wal"), env)
+    return env
 
 
 def good_automaton() -> au.SyncDFA:
@@ -228,10 +220,6 @@ def lemma1_report(n_max: int) -> dict:
             "failures": failures[:20]}
 
 
-def verify_lemma1(n_max: int) -> bool:
-    return lemma1_report(n_max)["verdict"]
-
-
 def lemma2_report(n_max: int) -> dict:
     """Period F_{i-2} for every B2 witness; the extra suffix claim for j >= 2."""
     _check_range("lemma2", n_max, 2)
@@ -250,10 +238,6 @@ def lemma2_report(n_max: int) -> dict:
                 failures.append([n, i, j])
     return {"claim": "lemma2", "range": [2, n_max], "verdict": not failures,
             "witness_pairs": checked, "failures": failures[:20]}
-
-
-def verify_lemma2(n_max: int) -> bool:
-    return lemma2_report(n_max)["verdict"]
 
 
 def verify_theorem(n_max: int) -> dict:

@@ -255,14 +255,14 @@ def test_criterion_11_property_suite():
             q = good.initial
             for sym in [0] * pad + word:
                 q = good.transitions[q][sym]
-            assert (q in good.accepting) == base, n
+            assert good.final[q] == base, n
     for tup in [(6, 6, 3), (12, 7, 3), (130, 12, 5), (10, 4, 2)]:
         word = au.columns_of(tup)
         base = au.accepts(suff, tup)
         q = suff.initial
         for sym in [0, 0] + word:
             q = suff.transitions[q][sym]
-        assert (q in suff.accepting) == base, tup
+        assert suff.final[q] == base, tup
 
     # brute-force interpreter agreement at domain bound 300
     from test_logic import base_semantics

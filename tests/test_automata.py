@@ -16,7 +16,7 @@ def run_word(a, word):
     q = a.initial
     for sym in word:
         q = a.transitions[q][sym]
-    return q in a.accepting
+    return a.final[q]
 
 
 def test_validity_automaton_accepts_exactly_canonical():
@@ -298,3 +298,79 @@ def test_zeck_encoding_feeds_tracks():
         width = len(word)
         for v, s in zip(vals, strs):
             assert s == zeck_encode(v).digits.rjust(width, "0")
+
+
+@st.composite
+def inflated_dfas(draw, arity=None):
+    """(a, base): a random complete DFA `a` of up to 40 states whose states
+    each copy one state of the smaller random DFA `base`, so `a` has the
+    language of `base` and many states that minimization must merge."""
+    if arity is None:
+        arity = draw(st.integers(0, 3))
+    m = 1 << arity
+    k = draw(st.integers(1, 8))
+    table = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=m, max_size=m),
+                          min_size=k, max_size=k))
+    final = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    image = list(range(k)) + draw(st.lists(st.integers(0, k - 1), max_size=40 - k))
+    copies = [[q for q, b in enumerate(image) if b == c] for c in range(k)]
+    pick = draw(st.lists(st.integers(0, 39), min_size=len(image) * m,
+                         max_size=len(image) * m))
+    rows = [[copies[table[b][s]][pick[q * m + s] % len(copies[table[b][s]])]
+             for s in range(m)] for q, b in enumerate(image)]
+    initial = draw(st.integers(0, len(image) - 1))
+    a = au.SyncDFA(arity, np.array(rows, dtype=np.int32).reshape(-1, m), initial,
+                   np.array([final[b] for b in image]))
+    base = au.SyncDFA(arity, np.array(table, dtype=np.int32).reshape(-1, m),
+                      image[initial], np.array(final))
+    return a, base
+
+
+def words(arity):
+    return st.lists(st.lists(st.integers(0, (1 << arity) - 1), max_size=12),
+                    min_size=1, max_size=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=inflated_dfas(), data=st.data())
+def test_minimize_on_random_dfas(pair, data):
+    a, base = pair
+    m = au.minimize(a)
+    assert au.minimize(m) == m
+    assert m.n_states == au.moore_state_count(a)
+    assert m == au.minimize(base)  # same language, same canonical object
+    for word in data.draw(words(a.arity)):
+        assert run_word(m, word) == run_word(a, word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), arity=st.integers(0, 3))
+def test_product_modes_follow_truth_table(data, arity):
+    a, _ = data.draw(inflated_dfas(arity))
+    b, _ = data.draw(inflated_dfas(arity))
+    valid = au.validity_automaton(arity)
+    tuples = data.draw(st.lists(st.tuples(*[st.integers(0, 400)] * arity),
+                                min_size=1, max_size=20))
+    raw = data.draw(words(arity))
+    for mode, table in (("and", (0, 0, 0, 1)), ("or", (0, 1, 1, 1)),
+                        ("imp", (1, 1, 0, 1)), ("iff", (1, 0, 0, 1))):
+        p = au.product(a, b, mode)
+        for vals in tuples:  # canonical encodings
+            want = table[2 * au.accepts(a, vals) + au.accepts(b, vals)]
+            assert au.accepts(p, vals) == bool(want), (mode, vals)
+        for word in raw:  # any word; imp and iff hold within validity only
+            want = table[2 * run_word(a, word) + run_word(b, word)]
+            if table[0]:
+                want = want and run_word(valid, word)
+            assert run_word(p, word) == bool(want), (mode, word)
+
+
+def test_sync_dfa_arrays_are_read_only():
+    a = au.adder()
+    with pytest.raises(ValueError):
+        a.transitions[0, 0] = 1
+    with pytest.raises(ValueError):
+        a.final[0] = not a.final[0]
+    with pytest.raises(ValueError):
+        au.SyncDFA(1, np.zeros((2, 2), dtype=np.int64), 0, np.zeros(2, bool))
+    assert hash(au.minimize(a)) == hash(a) and au.minimize(a) == a

@@ -151,13 +151,15 @@ def test_exponent_table_start_is_tail():
 
 
 @settings(max_examples=200, deadline=None)
-@given(w=st.text(alphabet="01a", min_size=1, max_size=40))
-def test_run_records_match_kmp_on_any_word(w):
+@given(w=st.text(alphabet="01a", min_size=1, max_size=40), data=st.data())
+def test_run_records_match_kmp_on_any_word(w, data):
     # arbitrary words have ties at the largest exponent and records with
-    # long periods, which the Fibonacci prefixes above lack
+    # long periods, which the Fibonacci prefixes above lack; a start past
+    # 1 makes each period's runs begin at its last mismatch before it
     n = len(w)
+    start = data.draw(st.integers(1, n))
     assert _run_records(w, 1) == _sweep_chunk(w[::-1], n, 1, n + 1)
-    assert _run_records(w, n) == _sweep_chunk(w[::-1], n, n, n + 1)
+    assert _run_records(w, start) == _sweep_chunk(w[::-1], n, start, n + 1)
 
 
 @settings(max_examples=30, deadline=None)

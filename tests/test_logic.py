@@ -1,5 +1,6 @@
 """Predicate DSL: parsing, compilation, sessions, interpreter agreement."""
 
+import hashlib
 import itertools
 import re
 from pathlib import Path
@@ -229,6 +230,62 @@ def test_stored_session_automata_are_minimal(script_run, script):
     _, env = script_run(script)
     for name, pred in env.preds.items():
         assert_minimal(pred.dfa, (script, name))
+
+
+@pytest.mark.parametrize("script", ["good_partition.wal", "lemma_checks.wal",
+                                    "largest_index.wal"])
+def test_validated_is_the_validity_product(script_run, script):
+    _, env = script_run(script)
+    for name, pred in env.preds.items():
+        want = au.product(pred.dfa, au.validity_automaton(pred.arity), "and")
+        assert pred.validated() == want, (script, name)
+
+
+# sha256 of automata.to_text: any change to the canonical numbering, or to
+# the automata themselves, changes a digest
+STORED_DIGESTS = {
+    "isfib": "e9714b450d94e750a4e1a388802d539bda127d3f770f468d943c1c99e1bc4b0c",
+    "evenfib": "f138d95f2414b8da12a93d73e45600ece3dfe94b419d0cf16ec7096bf02cb161",
+    "oddfib": "f3256151512e3ac9ea18c92911ed9c632d203fa6171279a123e68fccc083fca9",
+    "adjfib": "26529ec58000d08038338c8ec033ac3840f68111f1b7c7787a2ae8f463df2ace",
+    "ffactoreq": "97718d26b41e7aabfde098f21adf0a8d65cb44232cf49aebe8eef09c67db693b",
+    "suff": "f2869863270f2a281febf698608580eae61a4bc02c25a0f9bbd4a838478725f5",
+    "shift": "a53c10559b58afa6335b53fc48e16b06760826ab371885f70bd364aad155e026",
+    "phi2n": "f5263a500a0302ebfbf7f9f8def575e2527b5844d7486d584b8dabfc5bcf59ab",
+    "good": "b0c73afffc632762e13e4a18b0f0338ebac972b9e454fb4c894e2473b162536c",
+    "b1": "68e5e0a50c7601bc24db2fb36b99ae48d876c8d5fd233f98dd44239b47710a71",
+    "b2": "e20927db479c177493fa372578d77a97b629eb5b0ff29956b23b251db47c24a0",
+    "test": "c07d34ef7ac42e0e152d255fbb851bc533b3e230581412654e3480635c0bce5a",
+    "check1": "c07d34ef7ac42e0e152d255fbb851bc533b3e230581412654e3480635c0bce5a",
+    "check2a": "c07d34ef7ac42e0e152d255fbb851bc533b3e230581412654e3480635c0bce5a",
+    "check2b": "c07d34ef7ac42e0e152d255fbb851bc533b3e230581412654e3480635c0bce5a",
+    "has_suff": "4cd1a5a002dc4dca1bda560b874bebd1a5bdc0afdc456f5c6867520305f10140",
+    "largest_index": "aaabd18852940a94ca91b2b86683a3356eb74f87b32f155bcdce790b75546464",
+}
+BUILT_DIGESTS = {
+    "adder": "e7c0b27a890ca4bfdfa836953602c87a9c74f010c7a891be514e9ff6db8da424",
+    "const_multiple(13)": "f7788e1a24dd55b7d87e87a11dc8a9da6d1a1c941568d113780be1953f311dee",
+    "ratio_reach_automaton(54, 21)": "228daddb4a6362f966878d5efb14b3f50fc0eb3e3a29f9586effbce0b1ae859d",
+}
+
+
+def digest(dfa):
+    return hashlib.sha256(au.to_text(dfa).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("script", ["good_partition.wal", "lemma_checks.wal",
+                                    "largest_index.wal"])
+def test_stored_automata_match_golden_digests(script_run, script):
+    _, env = script_run(script)
+    assert set(env.preds) <= set(STORED_DIGESTS)
+    for name, pred in env.preds.items():
+        assert digest(pred.dfa) == STORED_DIGESTS[name], (script, name)
+
+
+def test_built_automata_match_golden_digests():
+    built = {"adder": au.adder(), "const_multiple(13)": au.const_multiple(13),
+             "ratio_reach_automaton(54, 21)": rp.ratio_reach_automaton(54, 21)}
+    assert {k: digest(a) for k, a in built.items()} == BUILT_DIGESTS
 
 
 FREE = ("n", "x", "y")

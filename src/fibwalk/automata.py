@@ -744,34 +744,21 @@ def _natural(c: int) -> int:
 def enumerate_accepted(a: SyncDFA, limit: int, chunk: int = 1 << 14) -> list:
     """Accepted tuples with every component <= limit, ascending.
 
-    Arity 1 returns ints; higher arities return tuples in lexicographic
-    (hence per-track numeric) order.
+    Walks the row-major grid of all (limit+1)^arity tuples in chunks, so
+    the rows come out in lexicographic (hence per-track numeric) order.
+    Arity 1 returns ints; higher arities return tuples.
     """
     if a.arity == 0:
         raise ValueError("enumerate needs arity >= 1")
-    if a.arity == 1:
-        out: list[int] = []
-        for lo in range(0, limit + 1, chunk):
-            vals = np.arange(lo, min(lo + chunk, limit + 1), dtype=np.int64)
-            hits = accepts_batch(a, vals.reshape(-1, 1))
-            out.extend(int(v) for v in vals[hits])
-        return out
-    results: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == a.arity - 1:
-            vals = np.arange(0, limit + 1, dtype=np.int64)
-            cols = np.empty((vals.size, a.arity), dtype=np.int64)
-            cols[:, :-1] = prefix
-            cols[:, -1] = vals
-            hits = accepts_batch(a, cols)
-            results.extend(prefix + (int(v),) for v in vals[hits])
-            return
-        for v in range(limit + 1):
-            rec(prefix + (v,))
-
-    rec(())
-    return results
+    side = max(limit + 1, 0)
+    total = side ** a.arity
+    out: list = []
+    for lo in range(0, total, chunk):
+        flat = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        grid = np.stack(np.unravel_index(flat, (side,) * a.arity), axis=1)
+        hits = grid[accepts_batch(a, grid)].tolist()
+        out.extend(map(tuple, hits) if a.arity > 1 else (h[0] for h in hits))
+    return out
 
 
 def first_accepted_words(a: SyncDFA, k: int, max_len: int = 4000) -> list[list[int]]:

@@ -634,12 +634,13 @@ def _combine(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int],
 class _AtomBuilder:
     """Lowers one atom into relation fragments, then conjoins them.
 
-    A comparison L op R becomes one linear fragment over the variables of
-    L - R.  A natural difference a - b becomes a helper t with the
-    equation t + b - a = 0, and a call or word-atom argument other than a
-    single variable a helper with one equation.  Helpers are projected
-    away as soon as no later fragment mentions them, which keeps the
-    running track count near the atom's own variable count.
+    A comparison L op R built on its own (see _Compiler) becomes one
+    linear fragment over the variables of L - R.  A natural difference
+    a - b becomes a helper t with the equation t + b - a = 0, and a call
+    or word-atom argument other than a single variable a helper with one
+    equation.  Helpers are projected away as soon as no later fragment
+    mentions them, which keeps the running track count near the atom's
+    own variable count.
     """
 
     def __init__(self):
@@ -699,10 +700,6 @@ class _AtomBuilder:
             return {v: l.value * a for v, a in coeffs.items()}, l.value * const
         raise TypeError(f"not a term: {term!r}")
 
-    def compare(self, op: str, left, right) -> None:
-        coeffs, const = _combine(self.form(left), self.form(right), -1)
-        self.linear(coeffs, op, -const)
-
     def argument(self, term) -> str:
         """The variable holding a call or word-atom argument."""
         coeffs, const = self.form(term)
@@ -735,11 +732,25 @@ class _AtomBuilder:
         return rel
 
 
-_CONNECTIVES = {And: "and", Or: "or", Imp: "imp", Iff: "iff"}
+_CONNECTIVES = {Or: "or", Imp: "imp", Iff: "iff"}
+
+
+def _conjuncts(f) -> list:
+    """The operands of an & chain, left to right."""
+    if isinstance(f, And):
+        return _conjuncts(f.left) + _conjuncts(f.right)
+    return [f]
 
 
 class _Compiler:
-    """Formula to Rel; every Rel it returns is minimal and canonical."""
+    """Formula to Rel; every Rel it returns is minimal and canonical.
+
+    An & chain is one conjunction: first its other conjuncts, then each
+    comparison.  A comparison that needs no helper and whose variables
+    the conjunction already binds constrains it (automata.constrain), so
+    it is only built where the rest can hold; built on its own, its size
+    grows with its constants.  Either way gives the same automaton.
+    """
 
     def __init__(self, env: PredicateEnv):
         self.env = env
@@ -747,6 +758,17 @@ class _Compiler:
     def compile(self, f) -> Rel:
         if isinstance(f, Not):
             return _negate(self.compile(f.body))
+        if isinstance(f, (And, Cmp)):
+            acc = None
+            parts = _conjuncts(f)
+            for g in parts:
+                if not isinstance(g, Cmp):
+                    rel = self.compile(g)
+                    acc = rel if acc is None else _boolean(acc, rel, "and")
+            for g in parts:
+                if isinstance(g, Cmp):
+                    acc = self._comparison(g, acc)
+            return acc
         mode = _CONNECTIVES.get(type(f))
         if mode is not None:
             return _boolean(self.compile(f.left), self.compile(f.right), mode)
@@ -760,15 +782,24 @@ class _Compiler:
             for v in f.names:
                 rel = _project_name(rel, v)
             return _negate(rel)
-        if isinstance(f, (Cmp, Call, SeqEq)):
+        if isinstance(f, (Call, SeqEq)):
             return self._atom(f)
         raise TypeError(f"not a formula node: {f!r}")
 
+    def _comparison(self, f: Cmp, acc: Rel | None) -> Rel:
+        """f conjoined with acc, or alone when acc is None."""
+        b = _AtomBuilder()
+        coeffs, const = _combine(b.form(f.left), b.form(f.right), -1)
+        if acc is not None and not b.fragments and set(coeffs) <= set(acc.names):
+            aligned = tuple(coeffs.get(v, 0) for v in acc.names)
+            return Rel(au.constrain(acc.dfa, aligned, f.op, -const), acc.names)
+        b.linear(coeffs, f.op, -const)
+        rel = b.build()
+        return rel if acc is None else _boolean(acc, rel, "and")
+
     def _atom(self, f) -> Rel:
         b = _AtomBuilder()
-        if isinstance(f, Cmp):
-            b.compare(f.op, f.left, f.right)
-        elif isinstance(f, SeqEq):
+        if isinstance(f, SeqEq):
             x, y = b.argument(f.left), b.argument(f.right)
             b.add(sequence_atom_automaton(), (x, y))
         elif isinstance(f, Call):

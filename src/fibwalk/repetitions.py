@@ -270,39 +270,16 @@ def verify_theorem(n_max: int) -> dict:
 # M_{p/q} automata and the largest-index query
 
 
-def ratio_reach_automaton(p: int, q: int, strict: bool = False) -> au.SyncDFA:
-    """One-track automaton for {n : e(n) >= p/q} (or > with strict).
+def ratio_reach_automaton(p: int, q: int) -> au.SyncDFA:
+    """One-track automaton for {n : e(n) >= p/q}, as the compiled formula.
 
-    The suffix predicate constrained by q*x - p*y >= 0 (> 0 with strict)
-    in one product over (suffix state, carry), so the comparison is only
-    ever built where a suffix can still follow.  The comparison built on
-    its own, as the formula pipeline does, grows with p and q: for 232/89
-    it minimizes to 186,779 states.
+    In Ex,y $suff(n,x,y) & q*x>=p*y the comparison mentions only tracks
+    of the suffix predicate, so it constrains that conjunct and is only
+    ever built where a suffix can still follow; on its own it would grow
+    with p and q (186,779 states for 232/89).  Ex,y erases x before y,
+    which keeps the subset construction small; Ey,x blows it up.
     """
-    suff = session_env().lookup("suff").validated()  # tracks (n, x, y)
-    fused = au.constrain(suff, (0, q, -p), ">" if strict else ">=", 0)
-    # erase x before y: determinizing with the suffix length gone first
-    # keeps the subset construction small (the other order blows up)
-    return au.project(au.project(fused, 1), 1)
-
-
-def _with_ratio_predicate(p: int, q: int, strict: bool) -> logic.PredicateEnv:
-    """Session env extended with hs(n) = [e(n) >= p/q] (> when strict)."""
-    env = session_env().copy()
-    env.define("hs", "def", ratio_reach_automaton(p, q, strict))
-    return env
-
-
-def formula_ratio_automaton(p: int, q: int, strict: bool = False) -> au.SyncDFA:
-    """Same set as ratio_reach_automaton via the formula pipeline.
-
-    Spells out p*y <= q*x (or <) as a formula: the comparison becomes a
-    standalone linear atom that is then conjoined with the suffix
-    predicate and projected.  Kept as a second construction to
-    cross-check the fused one.
-    """
-    op = "<" if strict else "<="
-    src = f"?msd_fib Ex,y $suff(n,x,y) & {p}*y{op}{q}*x"
+    src = f"?msd_fib Ex,y $suff(n,x,y) & {q}*x>={p}*y"
     return logic.compile_predicate(session_env(), src).dfa
 
 
@@ -310,10 +287,12 @@ def m_gamma_automaton(p: int, q: int) -> au.SyncDFA:
     """Automaton for M_{p/q} = {n : e(n) >= p/q}."""
     if q < 1:
         raise ValueError("denominator must be >= 1")
+    if p < 0:
+        raise ValueError("numerator must be >= 0")
     if p < q:
         warnings.warn(f"{p}/{q} < 1: every n >= 1 is accepted",
                       stacklevel=2)
-    return ratio_reach_automaton(p, q, strict=False)
+    return ratio_reach_automaton(p, q)
 
 
 def largest_index_below(p: int, q: int,
@@ -332,7 +311,8 @@ def largest_index_below(p: int, q: int,
     if not below_alpha2(p, q):
         raise ValueError(f"{p}/{q} >= alpha^2: indices below it never "
                          "run out, so no largest one exists")
-    env = _with_ratio_predicate(p, q, strict=False)
+    env = session_env().copy()
+    env.define("hs", "def", ratio_reach_automaton(p, q))
     rel = logic.compile_predicate(
         env, "?msd_fib (~$hs(n)) & Am (m>n) => $hs(m)")
     words = au.first_accepted_words(rel.dfa, 2)

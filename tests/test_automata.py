@@ -232,8 +232,13 @@ def test_enumerate_accepted_value_bound():
     assert got == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     lt = au.comparator("<")
     pairs = au.enumerate_accepted(lt, 4)
-    assert sorted(pairs) == sorted((a, b) for a in range(5) for b in range(5)
-                                   if a < b)
+    assert pairs == [(a, b) for a in range(5) for b in range(5) if a < b]
+    # lexicographic order holds across chunk boundaries of the tuple grid
+    want = [(x, y, x + y) for x in range(13) for y in range(13) if x + y <= 12]
+    for chunk in (7, 1 << 14):
+        assert au.enumerate_accepted(au.adder(), 12, chunk) == want
+    assert au.enumerate_accepted(au.const_equal(4), 9, 3) == [4]
+    assert au.enumerate_accepted(au.adder(), -2) == []
 
 
 def test_first_accepted_words_order():

@@ -138,6 +138,13 @@ def test_mgamma_errors(capsys):
     assert "alpha^2" in err
 
 
+def test_mgamma_rejects_negative_numerator(capsys):
+    code, out, err = run(capsys, "mgamma", "--", "-3", "1")
+    assert code == 2
+    assert out == ""
+    assert "numerator must be >= 0" in err
+
+
 def test_export_dfa(tmp_path, capsys):
     target = tmp_path / "good.dot"
     code, out, err = run(capsys, "export-dfa", "good", "--dot", str(target))

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -288,15 +289,61 @@ def test_built_automata_match_golden_digests():
     assert {k: digest(a) for k, a in built.items()} == BUILT_DIGESTS
 
 
+# {n : e(n) >= p/q} for p/q = (F_{k+1}-1)/F_{k-1}, k = 6..12; pinned from
+# the hand-fused construction (suff constrained by q*x - p*y >= 0) that
+# the compiled formula replaced
+RATIO_DIGESTS = {
+    (12, 5): "e6cd640d8982da88a845751679d70c83ca556e867af2e02cd42a0937ba252441",
+    (20, 8): "36221ac149092150965ad3217a92c0873114873715d317851ae654d8952cb83b",
+    (33, 13): "e9192c8953d8971ce63d758a86ddc9affa48be037fd7bc124fe5e1ec974d4ac7",
+    (54, 21): "228daddb4a6362f966878d5efb14b3f50fc0eb3e3a29f9586effbce0b1ae859d",
+    (88, 34): "378a0352191c6eea9c9e0713bae76bdd0fce178796c6d2f3aaef555f11e78330",
+    (143, 55): "9aaf004b719e5e9b8d52fb93ef4d8c49d40ec6e2221890b268ff0a8467c633dc",
+    (232, 89): "2bc3468147a6d42249d511a97d30e839e333e973f1bfab50f931865bfd2fd72a",
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(RATIO_DIGESTS))
+def test_ratio_reach_automaton_matches_golden_digests(p, q):
+    assert digest(rp.ratio_reach_automaton(p, q)) == RATIO_DIGESTS[p, q]
+
+
+def test_bound_comparison_constrains_its_conjunction(monkeypatch):
+    env = rp.session_env()
+    built, constrained = [], []
+    linear, constrain = au.linear, au.constrain
+
+    def recorded_linear(coeffs, rel, c):
+        built.append(coeffs)
+        return linear(coeffs, rel, c)
+
+    def recorded_constrain(a, coeffs, rel, c, bound=None):
+        constrained.append((coeffs, rel, c))
+        return constrain(a, coeffs, rel, c, bound)
+
+    monkeypatch.setattr(au, "linear", recorded_linear)
+    monkeypatch.setattr(au, "constrain", recorded_constrain)
+    start = time.perf_counter()
+    rel = compile_predicate(env, "?msd_fib Ex,y $suff(n,x,y) & 89*x>=232*y")
+    assert time.perf_counter() - start < 1.0
+    # no standalone atom: the comparison went onto suff's tracks (n, x, y)
+    assert (89, -232) not in built and (-89, 232) not in built
+    assert constrained == [((0, 89, -232), ">=", 0)]
+    assert rel.names == ("n",) and len(rel.dfa.transitions) == 32
+
+
 FREE = ("n", "x", "y")
 
 
+CMP_OPS = ["=", "!=", "<", "<=", ">", ">="]
+
+
 @st.composite
-def terms(draw, scope):
+def terms(draw, scope, subtract=True):
     v, w = draw(st.sampled_from(scope)), draw(st.sampled_from(scope))
-    c = draw(st.integers(0, 3))
-    return draw(st.sampled_from([v, str(c), f"{v}+{c}", f"2*{v}", f"{v}+{w}",
-                                 f"{v}-{w}"]))
+    c, k = draw(st.integers(0, 3)), draw(st.integers(3, 13))
+    shapes = [v, str(c), f"{v}+{c}", f"2*{v}", f"{k}*{v}", f"{v}+{w}"]
+    return draw(st.sampled_from(shapes + [f"{v}-{w}"] if subtract else shapes))
 
 
 @st.composite
@@ -304,14 +351,22 @@ def formulas(draw, scope=FREE, depth=0):
     """Connectives and guarded quantifiers over comparison and word atoms.
 
     A quantified q_d is bounded by a variable already in scope, so every
-    value it can take lies inside BruteForce's domain.
+    value it can take lies inside BruteForce's domain.  The "bound" shape
+    conjoins a word atom with a comparison over the atom's own variables,
+    which the compiler applies to the atom rather than building alone.
     """
-    kinds = ["atom"] if depth >= 3 else ["atom", "not", "bin", "bin", "quant"]
+    kinds = (["atom", "bound"] if depth >= 3 else
+             ["atom", "bound", "not", "bin", "bin", "quant"])
     kind = draw(st.sampled_from(kinds))
     if kind == "atom":
         left, right = draw(terms(scope)), draw(terms(scope))
-        op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "F"]))
+        op = draw(st.sampled_from(CMP_OPS + ["F"]))
         return f"F[{left}]=F[{right}]" if op == "F" else f"{left}{op}{right}"
+    if kind == "bound":
+        pair = (draw(st.sampled_from(scope)), draw(st.sampled_from(scope)))
+        left, right = draw(terms(pair, False)), draw(terms(pair, False))
+        op = draw(st.sampled_from(CMP_OPS))
+        return f"F[{pair[0]}]=F[{pair[1]}] & {left}{op}{right}"
     if kind == "not":
         return f"~({draw(formulas(scope, depth + 1))})"
     if kind == "bin":

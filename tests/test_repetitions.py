@@ -107,16 +107,6 @@ def test_exponent_record_table_and_fast_agree():
     assert rec.exponent == e_of_n(800).exponent
 
 
-def test_ratio_reach_matches_formula_pipeline():
-    # the fused threshold automaton equals the one compiled from the
-    # quantified formula, for both comparison senses
-    for p, q in [(12, 5), (20, 8), (54, 21)]:
-        for strict in (False, True):
-            fused = rp.ratio_reach_automaton(p, q, strict)
-            formula = rp.formula_ratio_automaton(p, q, strict)
-            assert au.minimize(fused) == au.minimize(formula), (p, q, strict)
-
-
 def test_ensure_table_grows_without_rebuilding(monkeypatch):
     built = []
 
@@ -162,6 +152,13 @@ def test_m_gamma_first_members():
     words = au.first_accepted_words(dfa, 3)
     vals = [au.word_to_values(w, 1)[0] for w in words]
     assert vals == [14, 23, 24]
+
+
+def test_m_gamma_rejects_bad_ratio():
+    with pytest.raises(ValueError, match="numerator must be >= 0"):
+        rp.m_gamma_automaton(-3, 1)
+    with pytest.raises(ValueError, match="denominator must be >= 1"):
+        rp.m_gamma_automaton(3, 0)
 
 
 def test_m_gamma_low_ratio_warns():

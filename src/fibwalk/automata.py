@@ -750,7 +750,9 @@ def enumerate_accepted(a: SyncDFA, limit: int, chunk: int = 1 << 14) -> list:
     """
     if a.arity == 0:
         raise ValueError("enumerate needs arity >= 1")
-    side = max(limit + 1, 0)
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    side = limit + 1
     total = side ** a.arity
     out: list = []
     for lo in range(0, total, chunk):

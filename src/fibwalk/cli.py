@@ -83,7 +83,12 @@ def _cmd_session(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     dfa = _lookup_pred(args.pred)
-    for item in au.enumerate_accepted(dfa, args.limit):
+    try:
+        items = au.enumerate_accepted(dfa, args.limit)
+    except ValueError as e:
+        print(f"fibwalk: {e}", file=sys.stderr)
+        return 2
+    for item in items:
         if isinstance(item, tuple):
             print(" ".join(str(v) for v in item))
         else:

@@ -185,70 +185,188 @@ def exponent_record_fast(n: int) -> ExponentRecord:
     return ExponentRecord(n, x, y)
 
 
-def _last_mismatch(f: np.ndarray, p: int, k: int) -> int:
-    """Largest j < k with f[j+p] != f[j], or -1; searched back in doubling chunks."""
-    width = 16
-    while k > 0:
-        lo = max(0, k - width)
-        hits = np.flatnonzero(f[lo + p:k + p] != f[lo:k])
-        if hits.size:
-            return lo + int(hits[-1])
-        k, width = lo, 2 * width
-    return -1
+_BAND = 8192  # checkpoints per batch of LCE queries
+
+
+class _LCE:
+    """Exact longest common extension over a byte array f of length N.
+
+    Called on index arrays a and b, with a != b in 0..N (N is the empty
+    suffix), it gives the lengths of the longest common prefixes of f[a:]
+    and f[b:].  Each is a range minimum over the LCP array between the
+    two suffixes' ranks: the suffix array by prefix doubling, the LCP
+    array by Kasai's algorithm, and a sparse table whose level comes from
+    an integer log table.  Every array is int32.
+    """
+
+    def __init__(self, f: np.ndarray):
+        n = len(f)
+        rank = f.astype(np.int32)
+        k = 1
+        while True:  # sort by the first 2k symbols, ranking ties equal
+            second = np.full(n, -1, dtype=np.int32)
+            second[:n - k] = rank[k:]
+            sa = np.lexsort((second, rank)).astype(np.int32)
+            step = np.zeros(n, dtype=np.int32)
+            step[1:] = (np.diff(rank[sa]) != 0) | (np.diff(second[sa]) != 0)
+            rank[sa] = np.cumsum(step, dtype=np.int32)
+            if rank[sa[-1]] == n - 1:  # at the latest once 2k >= N
+                break
+            k *= 2
+        # Kasai: lcp[r] = LCP(f[sa[r-1]:], f[sa[r]:]); h drops by at most
+        # one from each suffix to the next, so the scan is O(N).  The
+        # empty suffix takes rank N with lcp[N] = 0; the -1 stops a match.
+        s, sa_list = f.tolist() + [-1], sa.tolist()
+        lcp = [0] * (n + 1)
+        h = 0
+        for i, r in enumerate(rank.tolist()):
+            if r:
+                j = sa_list[r - 1]
+                while s[i + h] == s[j + h]:
+                    h += 1
+                lcp[r] = h
+                if h:
+                    h -= 1
+            else:
+                h = 0
+        self.rank = np.append(rank, np.int32(n))
+        levels = n.bit_length()  # a query range spans at most N entries
+        self.table = np.zeros((levels, n + 1), dtype=np.int32)
+        self.table[0] = lcp
+        for k in range(1, levels):  # table[k, i] = min lcp[i:i + 2^k]
+            w = 1 << (k - 1)
+            np.minimum(self.table[k - 1, :-w], self.table[k - 1, w:],
+                       out=self.table[k, :-w])
+        self.log = np.zeros(n + 1, dtype=np.int32)
+        for k in range(1, levels):
+            self.log[1 << k:] += 1
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ra, rb = self.rank[a], self.rank[b]
+        lo = np.minimum(ra, rb) + 1
+        hi = np.maximum(ra, rb)
+        k = self.log[hi - lo + 1]
+        return np.minimum(self.table[k, lo],
+                          self.table[k, hi + 1 - (np.int32(1) << k)])
+
+
+def _improve(best_x: np.ndarray, best_y: np.ndarray, i: np.ndarray,
+             x: np.ndarray, p: int) -> None:
+    """Records i (distinct) take (x, p) where x/p is strictly larger."""
+    better = x * best_y[i] > best_x[i] * p
+    best_x[i[better]] = x[better]
+    best_y[i[better]] = p
+
+
+def _runs(fwd: _LCE, bwd: _LCE, n_max: int, start: int) -> np.ndarray:
+    """Maximal p-periodic intervals [s, e) with e - s >= 2p and e >= start.
+
+    Rows (p, s, e), one per interval, by ascending p.  Queried at
+    checkpoints j = i*p in bands of `_BAND`; an interval ending at e has
+    one at some j >= e - 2p, so checkpoints below start - 2p are skipped.
+    An interval is kept at its first checkpoint (B < p), or at the first
+    one queried when the checkpoints before it were skipped.
+    """
+    p = np.arange(1, n_max // 2 + 1, dtype=np.int32)
+    first = np.maximum((start - p - 1) // p, 0)
+    count = np.maximum((n_max - p - 1) // p + 1 - first, 0)
+    ends = np.cumsum(count)
+    found = [np.zeros((3, 0), dtype=np.int32)]
+    for lo in range(0, int(ends[-1]) if ends.size else 0, _BAND):
+        g = np.arange(lo, min(lo + _BAND, int(ends[-1])))
+        k = np.searchsorted(ends, g, side="right")
+        per = p[k]
+        i = g - ends[k] + count[k] + first[k]
+        j = (i * per).astype(np.int32)
+        fw = fwd(j, j + per)
+        bw = bwd(n_max - j, n_max - j - per)
+        run = np.stack([per, j - bw, j + per + fw])
+        once = (bw < per) | (i == first[k])
+        found.append(run[:, (fw + bw >= per) & once & (run[2] >= start)])
+    return np.concatenate(found, axis=1)
 
 
 def _run_records(w: str, start: int) -> list[tuple[int, int]]:
-    """(x, y) records of w[:n] for n = start..len(w), by per-period runs.
+    """(x, y) records of w[:n] for n = start..len(w), from the runs of w.
 
     w is any word over one-byte symbols; `exponent_table` gives the
-    argument.  Each period's runs start from its last mismatch before
-    the window, so the cost per period is the window plus the distance
-    back to that mismatch.  Memory is O(len(w)).
+    argument.  X_p(n) = n - s on each run [s, e) for n in [s + 2p, e],
+    and X_p(n) = p + min(LCS(n, n - p), n - p) for the records left
+    below exponent 2, where LCS is the longest common suffix of w[:n]
+    and w[:n - p].
     """
     n_max = len(w)
     f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+    fwd, bwd = _LCE(f), _LCE(f[::-1])  # bwd(N - a, N - b) = LCS(a, b)
     best_x = np.ones(n_max + 1 - start, dtype=np.int64)  # indexed by n - start
     best_y = np.ones(n_max + 1 - start, dtype=np.int64)
-    ks = np.arange(n_max, dtype=np.int64)
-    for p in range(1, n_max):
-        lo = max(p + 1, start)
-        k0 = lo - p - 1  # n = lo..n_max sits at k = n - p - 1 = k0..
-        k = ks[k0:n_max - p]  # k = j - p for j = lo-1..n_max-1
-        miss = f[k0 + p:] != f[k0:n_max - p]
-        last = np.maximum.accumulate(np.where(miss, k, _last_mismatch(f, p, k0)))
-        x = p + k - last  # X_p(n)
-        bx, by = best_x[lo - start:], best_y[lo - start:]
-        better = x * by > bx * p
-        bx[better] = x[better]
-        by[better] = p
+    runs = _runs(fwd, bwd, n_max, start)
+    del fwd  # only bwd is queried below
+    period_at = np.flatnonzero(np.diff(runs[0])) + 1
+    for p, s, e in np.split(runs, period_at, axis=1) if runs.size else ():
+        p = int(p[0])
+        lo = np.maximum(s + 2 * p, start)
+        size = e + 1 - lo
+        offset = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+        n = np.repeat(lo, size) + offset
+        _improve(best_x, best_y, n - start, n - np.repeat(s, size), p)
+    low = np.flatnonzero(best_x < 2 * best_y) + start  # no square suffix
+    for p in range(1, int(low[-1]) if low.size else 0):
+        n = low[low > p]
+        x = p + np.minimum(bwd(n_max - n, n_max - n + p), n - p)
+        _improve(best_x, best_y, n - start, x, p)
     return list(zip(best_x.tolist(), best_y.tolist()))
 
 
 def exponent_table(n_max: int, start: int = 1) -> list[ExponentRecord]:
-    """e(n) records for n = start..n_max, one integer numpy pass per period.
+    """e(n) records for n = start..n_max, from the runs of the prefix.
 
-    For a period p and an index j >= p, let R_p(j) be the length of the
-    run of matches f[i] = f[i-p] that ends at j.  For n > p, a suffix of
-    f[0..n-1] of length x >= p has period p exactly when its last x - p
-    positions all match p symbols back, that is when x - p <= R_p(n-1);
-    and R_p(n-1) <= n - p.  So X_p(n) = p + R_p(n-1) is the length of the
-    longest suffix with period p.  Lengths n <= p give exponent <= 1, which
-    the record (1, 1) of the one-symbol suffix already attains.
+    For a period p < n, let X_p(n) be the length of the longest suffix of
+    f[0..n-1] with period p.  Lengths n <= p give exponent <= 1, which
+    the record (1, 1) of the one-symbol suffix already attains.  Every
+    suffix, of length x and least period q, has x <= X_q(n), so the
+    largest X_p(n)/p is e(n).
 
-    Every suffix, of length x and least period q, has x <= X_q, so the
-    largest X_p/p is e(n).  The record keeps that largest ratio, compared
-    cross-multiplied in int64, and among ties the smallest X_p: p ascends
-    and only a larger ratio replaces the record, so the smallest tied p,
-    whose X_p = e(n)*p is smallest, stays.  A suffix of length x with
-    x/q = e(n) has X_q = x, as X_q/q cannot exceed e(n); so the smallest
-    tied X_p is the shortest suffix of exponent e(n).  Its least period
-    q <= p has X_q >= X_p, so X_q/q >= e(n) forces q = p.  This is the
-    record `_sweep_chunk` keeps: the shortest suffix of the largest
-    exponent, with y its least period.
+    Checkpoints.  A run is a maximal p-periodic interval [s, e) of length
+    >= 2p.  It holds a multiple j of p in [s, s + p), and j + p < e; with
+    F = LCE(j, j + p) forward and B the common extension backward from
+    j and j + p, the run is [j - B, j + p + F), and F + B = e - s - p >= p.
+    Conversely any checkpoint with F + B >= p gives a run.  So querying
+    j = i*p for every p <= N/2 finds every run; a run is taken once, at
+    its first checkpoint, the one with B < p.  Two runs of one period
+    overlap in fewer than p positions, so each n lies in [s + 2p, e] for
+    at most one of them, where X_p(n) = n - s.
 
-    A run ending in the window [start, n_max] is accumulated from the
-    last mismatch before the window, so a table started at `start`
-    equals the tail of the full table.
+    Below exponent 2.  The runs give X_p(n) only where X_p(n) >= 2p.
+    Where e(n) >= 2 that loses nothing, as a ratio below 2 can neither
+    beat nor tie the record.  An n whose record stays below 2 has no
+    square suffix, and its best X_p(n)/p lies in no run; its record is
+    taken directly from X_p(n) = p + min(LCS(n, n - p), n - p) over
+    every p < n, LCS being the backward LCE.  On the Fibonacci word
+    these n are 1, 2, 3 and 5.
+
+    Ties.  The record keeps the largest ratio, compared cross-multiplied
+    in int64, and among ties the smallest X_p: p ascends and only a
+    larger ratio replaces the record, so the smallest tied p, whose
+    X_p = e(n)*p is smallest, stays.  A suffix of length x with x/q =
+    e(n) has X_q = x, as X_q/q cannot exceed e(n); so the smallest tied
+    X_p is the shortest suffix of exponent e(n).  Its least period q <= p
+    has X_q >= X_p, so X_q/q >= e(n) forces q = p.  This is the record
+    `_sweep_chunk` keeps: the shortest suffix of the largest exponent,
+    with y its least period.
+
+    Cost.  Each call builds forward and backward LCE over f[0..n_max-1]:
+    the suffix array in O(log N) sorting rounds, the LCP array in O(N),
+    and a sparse table of (log2 N + 1) x (N + 1) int32 entries, the
+    largest allocation.  There are about N ln N checkpoints, each one
+    O(1) query, made in bands of `_BAND` so the query arrays stay small.
+    Applying the runs costs one step per (n, p) with a square suffix of
+    period p; on the Fibonacci word, whose periods are Fibonacci
+    numbers, that is O(N log N).  The direct path costs n queries for
+    each n it serves.
+    Checkpoints whose runs end before `start` are skipped, and runs are
+    maximal in the whole prefix, so a table started at `start` equals
+    the tail of the full table.
     """
     if start < 1:
         raise ValueError("e(n) needs n >= 1")

@@ -25,6 +25,7 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return (c, d)
 
 
+@lru_cache(maxsize=None)
 def fib(n: int) -> int:
     """F_n for any integer n, F_0 = 0, F_1 = 1.
 

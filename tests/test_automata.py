@@ -238,7 +238,9 @@ def test_enumerate_accepted_value_bound():
     for chunk in (7, 1 << 14):
         assert au.enumerate_accepted(au.adder(), 12, chunk) == want
     assert au.enumerate_accepted(au.const_equal(4), 9, 3) == [4]
-    assert au.enumerate_accepted(au.adder(), -2) == []
+    assert au.enumerate_accepted(au.adder(), 0) == [(0, 0, 0)]
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        au.enumerate_accepted(au.adder(), -2)
 
 
 def test_first_accepted_words_order():

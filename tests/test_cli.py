@@ -62,6 +62,15 @@ def test_enumerate_multi_track(capsys):
     assert set(rows) == {(1, 1), (2, 1), (3, 2), (5, 3), (8, 5)}
 
 
+def test_enumerate_rejects_negative_limit(capsys):
+    code, out, err = run(capsys, "enumerate", "good", "--limit", "-5")
+    assert code == 2
+    assert out == ""
+    assert "limit must be >= 0" in err
+    code, out, err = run(capsys, "enumerate", "good", "--limit", "0")
+    assert (code, out) == (0, "")
+
+
 def test_enumerate_unknown_predicate(capsys):
     code, out, err = run(capsys, "enumerate", "nothere", "--limit", "5")
     assert code == 2

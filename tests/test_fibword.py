@@ -3,11 +3,13 @@
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibwalk.fibword import (ExponentRecord, _run_records, _sweep_chunk,
+from fibwalk.fibword import (ExponentRecord, _LCE, _run_records, _runs,
+                             _sweep_chunk,
                              check_periods_fibonacci, e_of_n,
                              exponent, exponent_record_fast, exponent_table,
                              failure_function, fib_word_dfao, generate_prefix,
@@ -151,15 +153,96 @@ def test_exponent_table_start_is_tail():
 
 
 @settings(max_examples=200, deadline=None)
-@given(w=st.text(alphabet="01a", min_size=1, max_size=40), data=st.data())
+@given(w=st.sampled_from(["01", "01a"]).flatmap(
+    lambda sigma: st.text(alphabet=sigma, min_size=1, max_size=120)),
+    data=st.data())
 def test_run_records_match_kmp_on_any_word(w, data):
-    # arbitrary words have ties at the largest exponent and records with
-    # long periods, which the Fibonacci prefixes above lack; a start past
-    # 1 makes each period's runs begin at its last mismatch before it
+    # arbitrary words have ties at the largest exponent, records with
+    # long periods and n with no square suffix, which the Fibonacci
+    # prefixes above mostly lack; a start past 1 skips the checkpoints
+    # of runs that end before it
     n = len(w)
     start = data.draw(st.integers(1, n))
     assert _run_records(w, 1) == _sweep_chunk(w[::-1], n, 1, n + 1)
     assert _run_records(w, start) == _sweep_chunk(w[::-1], n, start, n + 1)
+
+
+def _square_free_ternary(length):
+    # the number of 1s between consecutive 0s of the Thue-Morse word
+    zeros = [i for i in range(4 * length) if bin(i).count("1") % 2 == 0]
+    return "".join(str(b - a - 1) for a, b in zip(zeros, zeros[1:]))[:length]
+
+
+@pytest.mark.parametrize("w", [
+    _square_free_ternary(240),  # every n has no square suffix
+    "0" * 150,  # one run of period 1 covering the word
+    "001" * 50 + "0",
+    "0" * 40 + "1" + "0" * 40,
+], ids=["square-free", "unary", "(001)^k0", "0^k10^k"])
+def test_run_records_on_structured_words(w):
+    n = len(w)
+    for start in (1, 2, 3, 17, n // 2, n - 1, n):
+        assert _run_records(w, start) == _sweep_chunk(w[::-1], n, start, n + 1)
+
+
+def test_square_free_word_takes_the_direct_path():
+    w = _square_free_ternary(240)
+    assert all(w[i:i + p] != w[i + p:i + 2 * p]
+               for p in range(1, 121) for i in range(len(w) - 2 * p + 1))
+    records = _run_records(w, 1)
+    assert all(x < 2 * y for x, y in records)
+    assert max(Fraction(x, y) for x, y in records) > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.text(alphabet="01a", min_size=1, max_size=80), data=st.data())
+def test_lce_matches_direct_comparison(w, data):
+    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+    n = len(w)
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+            lambda ab: ab[0] != ab[1]), min_size=1, max_size=30))
+    a, b = (np.array(c) for c in zip(*pairs))
+    for fn, word in ((_LCE(f), w), (_LCE(f[::-1]), w[::-1])):
+        want = []
+        for i, j in pairs:
+            k = 0
+            while max(i, j) + k < n and word[i + k] == word[j + k]:
+                k += 1
+            want.append(k)
+        assert fn(a, b).tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.text(alphabet="01a", min_size=1, max_size=80), data=st.data())
+def test_runs_are_the_maximal_repetitions(w, data):
+    # each maximal p-periodic [s, e) of length >= 2p that ends at or after
+    # start, found by scanning every period, comes out exactly once
+    n = len(w)
+    start = data.draw(st.integers(1, n))
+    want = []
+    for p in range(1, n // 2 + 1):
+        s = 0
+        while s + p < n:
+            e = s + p
+            while e < n and w[e] == w[e - p]:
+                e += 1
+            if e - s >= 2 * p and e >= start:
+                want.append((p, s, e))
+            s = max(s + 1, e - p)
+    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+    got = _runs(_LCE(f), _LCE(f[::-1]), n, start)
+    assert list(zip(*got.tolist())) == want
+
+
+def test_workload_growth_is_the_full_tail():
+    # the table grows in these steps under mgamma --largest-below for
+    # k = 6..9 and under verify up to 10,000
+    full = _table(10000)
+    for steps in ((2080, 2219, 2588, 3562), (5000, 10000)):
+        assert exponent_table(steps[0]) == full[:steps[0]]
+        for lo, hi in zip(steps, steps[1:]):
+            assert exponent_table(hi, start=lo + 1) == full[lo:hi], (lo, hi)
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,8 +12,9 @@ weakest binding first: E/A quantifiers (maximal rightward scope), <=>,
 => (right associative), |, &, ~.  Atoms are comparisons
 (= != < <= > >=), positional predicate calls $name(term, ...), and word
 atoms F[term]=F[term] over the infinite Fibonacci word.  Terms use + -
-and multiplication by a literal constant; subtraction is existentially
-closed at the atom, so an atom containing a - b is false whenever a < b.
+and multiplication by a literal constant; subtraction is natural: each
+a - b adds the constraint a - b >= 0 to its atom, so an atom containing
+a - b is false whenever a < b.
 
 Free variables of a stored predicate are ordered alphabetically; calls
 bind arguments to that order positionally.
@@ -631,105 +632,53 @@ def _combine(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int],
     return coeffs, a[1] + sign * b[1]
 
 
-class _AtomBuilder:
-    """Lowers one atom into relation fragments, then conjoins them.
+def _form(term, guards: list) -> tuple[dict[str, int], int]:
+    """term as (coefficient per variable, constant).
 
-    A comparison L op R built on its own (see _Compiler) becomes one
-    linear fragment over the variables of L - R.  A natural difference
-    a - b becomes a helper t with the equation t + b - a = 0, and a call
-    or word-atom argument other than a single variable a helper with one
-    equation.  Helpers are projected away as soon as no later fragment
-    mentions them, which keeps the running track count near the atom's
-    own variable count.
+    Each natural difference a - b appends the form of a - b to guards:
+    the term has a natural value only where every guard is >= 0.  Inner
+    differences come first, so a - b's own guard is the last one.
     """
-
-    def __init__(self):
-        self.fragments: list[tuple[SyncDFA, tuple[str, ...]]] = []
-        self.n_temps = 0
-
-    def _temp(self) -> str:
-        name = f"t#{self.n_temps}"
-        self.n_temps += 1
-        return name
-
-    def add(self, dfa: SyncDFA, names: tuple[str, ...]) -> None:
-        fixed = []
-        for v in names:
-            if v in fixed:
-                alias = self._temp()
-                self.fragments.append((au.linear((1, -1), "=", 0), (v, alias)))
-                fixed.append(alias)
-            else:
-                fixed.append(v)
-        self.fragments.append((dfa, tuple(fixed)))
-
-    def linear(self, coeffs: dict[str, int], op: str, c: int) -> None:
-        """Fragment sum(coeffs[v]*v) op c; zero coefficients keep their track."""
-        names = tuple(sorted(coeffs))
-        self.add(au.linear(tuple(coeffs[v] for v in names), op, c), names)
-
-    def define(self, coeffs: dict[str, int], const: int) -> str:
-        """A helper t with the equation t = sum(coeffs[v]*v) + const."""
-        t = self._temp()
-        equation = {v: -a for v, a in coeffs.items()}
-        equation[t] = 1
-        self.linear(equation, "=", const)
-        return t
-
-    def form(self, term) -> tuple[dict[str, int], int]:
-        """term as (coefficient per variable, constant)."""
-        if isinstance(term, Var):
-            return {term.name: 1}, 0
-        if isinstance(term, Const):
-            return {}, term.value
+    if isinstance(term, Var):
+        return {term.name: 1}, 0
+    if isinstance(term, Const):
+        return {}, term.value
+    if isinstance(term, (Add, Sub)):
+        left, right = _form(term.left, guards), _form(term.right, guards)
         if isinstance(term, Add):
-            return _combine(self.form(term.left), self.form(term.right), 1)
-        if isinstance(term, Sub):
-            # t = left - right has a natural solution only when left >= right
-            diff = _combine(self.form(term.left), self.form(term.right), -1)
-            return {self.define(*diff): 1}, 0
-        if isinstance(term, Mul):
-            l, r = term.left, term.right
-            if isinstance(r, Const):
-                l, r = r, l
-            if not isinstance(l, Const):
-                raise LogicError(
-                    f"multiplication needs a literal constant side "
-                    f"at offset {term.pos}")
-            coeffs, const = self.form(r)
-            return {v: l.value * a for v, a in coeffs.items()}, l.value * const
-        raise TypeError(f"not a term: {term!r}")
+            return _combine(left, right, 1)
+        diff = _combine(left, right, -1)
+        guards.append(diff)
+        return diff
+    if isinstance(term, Mul):
+        l, r = term.left, term.right
+        if isinstance(r, Const):
+            l, r = r, l
+        if not isinstance(l, Const):
+            raise LogicError(
+                f"multiplication needs a literal constant side "
+                f"at offset {term.pos}")
+        coeffs, const = _form(r, guards)
+        return {v: l.value * a for v, a in coeffs.items()}, l.value * const
+    raise TypeError(f"not a term: {term!r}")
 
-    def argument(self, term) -> str:
-        """The variable holding a call or word-atom argument."""
-        coeffs, const = self.form(term)
-        if const == 0 and list(coeffs.values()) == [1]:
-            return next(iter(coeffs))
-        return self.define(coeffs, const)
 
-    def build(self) -> Rel:
-        if not self.fragments:
-            raise AssertionError("atom produced no fragments")
-        last_use: dict[str, int] = {}
-        for idx, (_, names) in enumerate(self.fragments):
-            for v in names:
-                last_use[v] = idx
-        rel: Rel | None = None
-        for idx, (dfa, names) in enumerate(self.fragments):
-            ordered = tuple(sorted(names))
-            if ordered != names:  # a remap changes the canonical numbering
-                pos = {v: i for i, v in enumerate(ordered)}
-                dfa = au.minimize(au.remap_tracks(
-                    dfa, len(names), tuple(pos[v] for v in names)))
-            frag = Rel(dfa, ordered)
-            rel = frag if rel is None else _boolean(rel, frag, "and")
-            for v in list(rel.names):
-                if v.startswith("t#") and last_use[v] <= idx:
-                    rel = _project_name(rel, v)
-        for v in list(rel.names):  # helper vars with no later use at all
-            if v.startswith("t#"):
-                rel = _project_name(rel, v)
-        return rel
+def _conjoin_linear(rel: Rel | None, form: tuple[dict[str, int], int],
+                    op: str) -> Rel:
+    """rel conjoined with `form op 0` (alone when rel is None).
+
+    When rel binds every variable of form, the constraint is applied to
+    rel by automata.constrain, so it is only built where rel can hold.
+    Otherwise the cached atom automata.linear over form's variables is
+    conjoined with it; a zero coefficient keeps its variable's track.
+    """
+    coeffs, const = form
+    if rel is not None and set(coeffs) <= set(rel.names):
+        aligned = tuple(coeffs.get(v, 0) for v in rel.names)
+        return Rel(au.constrain(rel.dfa, aligned, op, -const), rel.names)
+    names = tuple(sorted(coeffs))
+    atom = Rel(au.linear(tuple(coeffs[v] for v in names), op, -const), names)
+    return atom if rel is None else _boolean(rel, atom, "and")
 
 
 _CONNECTIVES = {Or: "or", Imp: "imp", Iff: "iff"}
@@ -745,11 +694,20 @@ def _conjuncts(f) -> list:
 class _Compiler:
     """Formula to Rel; every Rel it returns is minimal and canonical.
 
-    An & chain is one conjunction: first its other conjuncts, then each
-    comparison.  A comparison that needs no helper and whose variables
-    the conjunction already binds constrains it (automata.constrain), so
-    it is only built where the rest can hold; built on its own, its size
-    grows with its constants.  Either way gives the same automaton.
+    Every linear term is lowered by _form, and every linear constraint is
+    conjoined by _conjoin_linear.  An & chain is one conjunction: first
+    its other conjuncts, then each comparison followed by the guards of
+    its natural differences.  A comparison whose variables the
+    conjunction already binds constrains it, so it is only built where
+    the rest can hold; built on its own, its size grows with its
+    constants.  Either way gives the same automaton.
+
+    A call or word atom starts from the predicate's automaton.  Each
+    argument other than a fresh variable (a repeated variable, a
+    constant, a sum, a difference) gets a helper track t, which the
+    equation t - argument = 0 ties to the argument's variables before t
+    is projected away.  A natural t already implies the guard of an
+    argument a - b itself, so only the guards nested inside it are added.
     """
 
     def __init__(self, env: PredicateEnv):
@@ -767,7 +725,12 @@ class _Compiler:
                     acc = rel if acc is None else _boolean(acc, rel, "and")
             for g in parts:
                 if isinstance(g, Cmp):
-                    acc = self._comparison(g, acc)
+                    guards = []
+                    form = _combine(_form(g.left, guards),
+                                    _form(g.right, guards), -1)
+                    acc = _conjoin_linear(acc, form, g.op)
+                    for guard in guards:
+                        acc = _conjoin_linear(acc, guard, ">=")
             return acc
         mode = _CONNECTIVES.get(type(f))
         if mode is not None:
@@ -786,33 +749,41 @@ class _Compiler:
             return self._atom(f)
         raise TypeError(f"not a formula node: {f!r}")
 
-    def _comparison(self, f: Cmp, acc: Rel | None) -> Rel:
-        """f conjoined with acc, or alone when acc is None."""
-        b = _AtomBuilder()
-        coeffs, const = _combine(b.form(f.left), b.form(f.right), -1)
-        if acc is not None and not b.fragments and set(coeffs) <= set(acc.names):
-            aligned = tuple(coeffs.get(v, 0) for v in acc.names)
-            return Rel(au.constrain(acc.dfa, aligned, f.op, -const), acc.names)
-        b.linear(coeffs, f.op, -const)
-        rel = b.build()
-        return rel if acc is None else _boolean(acc, rel, "and")
-
     def _atom(self, f) -> Rel:
-        b = _AtomBuilder()
         if isinstance(f, SeqEq):
-            x, y = b.argument(f.left), b.argument(f.right)
-            b.add(sequence_atom_automaton(), (x, y))
+            dfa, args = sequence_atom_automaton(), (f.left, f.right)
         elif isinstance(f, Call):
             pred = self.env.lookup(f.name)
             if len(f.args) != pred.arity:
                 raise LogicError(
                     f"${f.name} takes {pred.arity} arguments, "
                     f"got {len(f.args)} at offset {f.pos}")
-            names = tuple(b.argument(t) for t in f.args)
-            b.add(pred.validated(), names)
+            dfa, args = pred.validated(), f.args
         else:
             raise TypeError(f"not an atom: {f!r}")
-        return b.build()
+        names: list[str] = []
+        helpers = []  # (track, its equation, the guards nested in it)
+        for i, term in enumerate(args):
+            if isinstance(term, Var) and term.name not in names:
+                names.append(term.name)
+                continue
+            t, guards = f"#{i}", []
+            form = _form(term, guards)
+            if isinstance(term, Sub):
+                guards.pop()  # the argument's own guard
+            names.append(t)
+            helpers.append((t, _combine(({t: 1}, 0), form, -1), guards))
+        ordered = tuple(sorted(names))
+        if ordered != tuple(names):  # a remap changes the canonical numbering
+            pos = {v: i for i, v in enumerate(ordered)}
+            dfa = au.minimize(au.remap_tracks(
+                dfa, len(names), tuple(pos[v] for v in names)))
+        rel = Rel(dfa, ordered)
+        for t, equation, guards in helpers:
+            rel = _project_name(_conjoin_linear(rel, equation, "="), t)
+            for guard in guards:
+                rel = _conjoin_linear(rel, guard, ">=")
+        return rel
 
 
 def compile_formula(f, env: PredicateEnv) -> Rel:

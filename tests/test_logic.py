@@ -1,5 +1,6 @@
 """Predicate DSL: parsing, compilation, sessions, interpreter agreement."""
 
+import functools
 import hashlib
 import itertools
 import re
@@ -56,6 +57,18 @@ def base_semantics(limit=4000):
         "adjfib": lambda x, y: (x, y) in adj,
         "shift": lambda a, b: shift_value(a) == b,
     }
+
+
+# the base predicates that call atoms use, as automata and as callables
+CALL_SCRIPT = """reg isfib msd_fib "0*10*":
+reg adjfib msd_fib msd_fib "([0,0]*[1,1])|[0,0]*[1,0][0,1][0,0]*":"""
+
+
+@functools.cache
+def call_env():
+    env = PredicateEnv()
+    run_session(CALL_SCRIPT, env)
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +190,11 @@ def test_quantifier_duality_small():
 
 
 def agrees_with_brute_force(src, limit):
-    """The compiled relation and BruteForce agree on every tuple <= limit."""
+    """The compiled relation and BruteForce agree on every tuple <= limit;
+    calls go to call_env's automata and to base_semantics' callables."""
     f = parse_formula(src)
-    rel = compile_predicate(PredicateEnv(), src)
-    bf = BruteForce({}, limit)
+    rel = compile_predicate(call_env(), src)
+    bf = BruteForce(base_semantics(), limit)
     for vals in itertools.product(range(limit + 1), repeat=len(rel.names)):
         want = bf.eval(f, dict(zip(rel.names, vals)))
         assert au.accepts(rel.dfa, vals) == want, (src, vals)
@@ -197,7 +211,15 @@ def test_readme_comparison_operators_compile():
 def test_multi_term_atoms_match_brute_force():
     for src in ("?msd_fib 2*x+3*y<=z+4", "?msd_fib x-y+1=z",
                 "?msd_fib x+y=y+z", "?msd_fib 2*(x-y)!=z+1",
-                "?msd_fib 3*x>2*y+5"):
+                "?msd_fib 3*x>2*y+5", "?msd_fib (x-y)-z=0",
+                "?msd_fib 3*(x-(y-z))>=x",
+                "?msd_fib x-y<x+1",  # only the guard x>=y can fail
+                # call arguments: a constant, a repeated variable, and
+                # differences whose inner guard the helper does not imply
+                "?msd_fib $isfib(3) & $isfib(x)", "?msd_fib $adjfib(x,x)",
+                "?msd_fib $isfib((x-y)+3)", "?msd_fib $isfib(x-(y-2))",
+                "?msd_fib $adjfib(x-y,(x-y)+1)",
+                "?msd_fib $adjfib(y+1,x-(y-1))"):
         agrees_with_brute_force(src, 10)
     # a variable whose coefficients cancel keeps its track
     assert compile_predicate(PredicateEnv(), "?msd_fib x+y=y+z").names \
@@ -308,13 +330,15 @@ def test_ratio_reach_automaton_matches_golden_digests(p, q):
     assert digest(rp.ratio_reach_automaton(p, q)) == RATIO_DIGESTS[p, q]
 
 
-def test_bound_comparison_constrains_its_conjunction(monkeypatch):
-    env = rp.session_env()
+@pytest.fixture
+def recorded(env, monkeypatch):
+    """Lists of the (coeffs, rel, c) that automata.linear and
+    automata.constrain are called with from here on."""
     built, constrained = [], []
     linear, constrain = au.linear, au.constrain
 
     def recorded_linear(coeffs, rel, c):
-        built.append(coeffs)
+        built.append((coeffs, rel, c))
         return linear(coeffs, rel, c)
 
     def recorded_constrain(a, coeffs, rel, c, bound=None):
@@ -323,13 +347,33 @@ def test_bound_comparison_constrains_its_conjunction(monkeypatch):
 
     monkeypatch.setattr(au, "linear", recorded_linear)
     monkeypatch.setattr(au, "constrain", recorded_constrain)
+    return built, constrained
+
+
+def timed_compile(env, src):
     start = time.perf_counter()
-    rel = compile_predicate(env, "?msd_fib Ex,y $suff(n,x,y) & 89*x>=232*y")
-    assert time.perf_counter() - start < 1.0
+    rel = compile_predicate(env, src)
+    assert time.perf_counter() - start < 1.0, src
+    return rel
+
+
+def test_bound_comparison_constrains_its_conjunction(env, recorded):
+    built, constrained = recorded
+    rel = timed_compile(env, "?msd_fib Ex,y $suff(n,x,y) & 89*x>=232*y")
     # no standalone atom: the comparison went onto suff's tracks (n, x, y)
-    assert (89, -232) not in built and (-89, 232) not in built
+    assert built == []
     assert constrained == [((0, 89, -232), ">=", 0)]
     assert rel.names == ("n",) and len(rel.dfa.transitions) == 32
+
+
+def test_natural_difference_constrains_its_conjunction(env, recorded):
+    built, constrained = recorded
+    rel = timed_compile(env, "?msd_fib Ex,y $suff(n,x,y) & 34*(x-y)>=54*y")
+    # 34*(x-y)-54*y >= 0, then the guard x-y >= 0, both on suff's tracks
+    assert built == []
+    assert constrained == [((0, 34, -88), ">=", 0), ((0, 1, -1), ">=", 0)]
+    assert rel.names == ("n",) and len(rel.dfa.transitions) == 26
+    assert rel.dfa == rp.ratio_reach_automaton(88, 34)
 
 
 FREE = ("n", "x", "y")
@@ -343,24 +387,35 @@ def terms(draw, scope, subtract=True):
     v, w = draw(st.sampled_from(scope)), draw(st.sampled_from(scope))
     c, k = draw(st.integers(0, 3)), draw(st.integers(3, 13))
     shapes = [v, str(c), f"{v}+{c}", f"2*{v}", f"{k}*{v}", f"{v}+{w}"]
-    return draw(st.sampled_from(shapes + [f"{v}-{w}"] if subtract else shapes))
+    if subtract:
+        shapes += [f"{v}-{w}", f"({v}-{w})+{c}", f"{v}-({w}-{c})"]
+    return draw(st.sampled_from(shapes))
 
 
 @st.composite
 def formulas(draw, scope=FREE, depth=0):
-    """Connectives and guarded quantifiers over comparison and word atoms.
+    """Connectives and guarded quantifiers over comparison, word and call
+    atoms.
 
     A quantified q_d is bounded by a variable already in scope, so every
     value it can take lies inside BruteForce's domain.  The "bound" shape
     conjoins a word atom with a comparison over the atom's own variables,
     which the compiler applies to the atom rather than building alone.
+    The right term of an atom repeats the left one about half of the
+    time, which gives $adjfib and word atoms a repeated argument.
     """
-    kinds = (["atom", "bound"] if depth >= 3 else
-             ["atom", "bound", "not", "bin", "bin", "quant"])
+    kinds = (["atom", "call", "bound"] if depth >= 3 else
+             ["atom", "call", "bound", "not", "bin", "bin", "quant"])
     kind = draw(st.sampled_from(kinds))
-    if kind == "atom":
-        left, right = draw(terms(scope)), draw(terms(scope))
-        op = draw(st.sampled_from(CMP_OPS + ["F"]))
+    if kind in ("atom", "call"):
+        left = draw(terms(scope))
+        right = draw(st.one_of(st.just(left), terms(scope)))
+        ops = ["$isfib", "$adjfib"] if kind == "call" else CMP_OPS + ["F"]
+        op = draw(st.sampled_from(ops))
+        if op == "$isfib":
+            return f"$isfib({left})"
+        if op == "$adjfib":
+            return f"$adjfib({left},{right})"
         return f"F[{left}]=F[{right}]" if op == "F" else f"{left}{op}{right}"
     if kind == "bound":
         pair = (draw(st.sampled_from(scope)), draw(st.sampled_from(scope)))
@@ -392,7 +447,7 @@ def test_call_argument_aliasing():
     rel = compile_predicate(env, "?msd_fib $adjfib(x,x)")
     got = [n for n in range(200) if au.accepts(rel.dfa, (n,))]
     assert got == [1]
-    # and term arguments go through the adder
+    # a term argument gets a helper track, tied to n by its equation
     rel2 = compile_predicate(env, "?msd_fib $adjfib(n+1,n)")
     got2 = [n for n in range(200) if au.accepts(rel2.dfa, (n,))]
     assert got2 == [1, 2]  # (2,1) and (3,2) only

@@ -61,7 +61,7 @@ def _lookup_pred(name: str) -> au.SyncDFA:
         return env.lookup(name).validated()
     except logic.LogicError:
         raise SystemExit(f"fibwalk: unknown predicate {name!r}; "
-                         f"have: {', '.join(sorted(env.preds))}")
+                         f"have: {', '.join(env.names())}")
 
 
 def _cmd_session(args) -> int:

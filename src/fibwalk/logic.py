@@ -400,6 +400,7 @@ class RegCmd:
     tags: tuple[str, ...]
     pattern: str
     line: int
+    kind = "reg"
 
 
 @dataclass(frozen=True)
@@ -408,6 +409,10 @@ class DefCmd:
     source: str
     line: int
     store: bool = True  # False for eval
+
+    @property
+    def kind(self) -> str:
+        return "def" if self.store else "eval"
 
 
 @dataclass(frozen=True)
@@ -560,12 +565,30 @@ class StoredPred:
 
 
 class PredicateEnv:
+    """Named predicates: compiled ones in preds, uncompiled ones in pending.
+
+    define stores an automaton.  load registers a script's reg, def and
+    eval commands uncompiled, and lookup compiles a pending one on its
+    first use, through compile_predicate's memo; a caller pays only for
+    the predicates it reaches.  Each name is defined once, compiled or
+    pending, and a pending def may call only the names before it, as
+    when the script runs.
+    """
+
     def __init__(self):
         self.preds: dict[str, StoredPred] = {}
+        self.pending: dict[str, RegCmd | DefCmd] = {}
+
+    def names(self) -> list[str]:
+        """Every defined name, compiled or pending, sorted."""
+        return sorted(self.preds.keys() | self.pending.keys())
+
+    def _refuse_known(self, name: str) -> None:
+        if name in self.preds or name in self.pending:
+            raise LogicError(f"name {name!r} is already defined")
 
     def define(self, name: str, kind: str, dfa: SyncDFA) -> StoredPred:
-        if name in self.preds:
-            raise LogicError(f"name {name!r} is already defined")
+        self._refuse_known(name)
         # a compiled def or eval is already canonical; a raw regex is not
         valid = (au.product(dfa, au.validity_automaton(dfa.arity), "and")
                  if kind == "reg" else dfa)
@@ -573,16 +596,46 @@ class PredicateEnv:
         self.preds[name] = p
         return p
 
+    def load(self, text: str) -> None:
+        """Register a script's reg, def and eval commands uncompiled.
+
+        Its test commands only report, so they are skipped.
+        """
+        for cmd in parse_script(text):
+            if isinstance(cmd, TestCmd):
+                continue
+            self._refuse_known(cmd.name)
+            if isinstance(cmd, DefCmd):
+                for callee in sorted(_called(parse_formula(cmd.source))):
+                    if callee not in self.preds and callee not in self.pending:
+                        raise LogicError(f"unknown predicate {callee!r}",
+                                         cmd.line, 1)
+            self.pending[cmd.name] = cmd
+
     def lookup(self, name: str) -> StoredPred:
         p = self.preds.get(name)
-        if p is None:
+        if p is not None:
+            return p
+        cmd = self.pending.get(name)
+        if cmd is None:
             raise LogicError(f"unknown predicate {name!r}")
-        return p
+        dfa = (_reg_automaton(cmd) if isinstance(cmd, RegCmd)
+               else compile_predicate(self, cmd.source).dfa)
+        del self.pending[name]
+        return self.define(name, cmd.kind, dfa)
 
     def copy(self) -> "PredicateEnv":
         env = PredicateEnv()
         env.preds = dict(self.preds)
+        env.pending = dict(self.pending)
         return env
+
+
+def _reg_automaton(cmd: RegCmd) -> SyncDFA:
+    try:
+        return au.compile_regex(cmd.pattern, len(cmd.tags))
+    except au.RegexError as exc:
+        raise LogicError(f"in reg {cmd.name}: {exc}", cmd.line, 1)
 
 
 @lru_cache(maxsize=1)
@@ -790,9 +843,50 @@ def compile_formula(f, env: PredicateEnv) -> Rel:
     return _Compiler(env).compile(f)
 
 
+def _called(f) -> frozenset[str]:
+    """The names of the predicates a formula calls."""
+    if isinstance(f, Call):
+        return frozenset([f.name])
+    if isinstance(f, (Not, Exists, Forall)):
+        return _called(f.body)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return _called(f.left) | _called(f.right)
+    return frozenset()
+
+
+# compile_predicate's results, keyed by (source, ((callee, its validated
+# automaton), ...)); filled on demand, never at import
+_COMPILED: dict[tuple, Rel] = {}
+
+
+def clear_compile_memo() -> None:
+    """Forget every memoized compile, so the next one runs in full."""
+    _COMPILED.clear()
+
+
 def compile_predicate(env: PredicateEnv, source: str) -> Rel:
-    """Compile a '?msd_fib ...' formula against an environment."""
-    return compile_formula(parse_formula(source), env)
+    """Compile a '?msd_fib ...' formula against an environment.
+
+    The result is memoized for the whole process.  The key is the source
+    and the name and validated automaton of each predicate it calls:
+    nothing else a compile reads can vary (linear and
+    sequence_atom_automaton are pure), and a Rel and its automaton are
+    immutable, so one entry serves every caller and every env that
+    agrees on the callees.  A redefined callee is a new key.  A compile
+    that raises stores nothing, so it raises again on every call; a
+    callee the env lacks is left to the compiler, which reports the
+    first error in the formula, as it always has.
+    """
+    f = parse_formula(source)
+    try:
+        key = (source, tuple((name, env.lookup(name).validated())
+                             for name in sorted(_called(f))))
+    except LogicError:
+        return compile_formula(f, env)
+    rel = _COMPILED.get(key)
+    if rel is None:
+        rel = _COMPILED[key] = compile_formula(f, env)
+    return rel
 
 
 # ---------------------------------------------------------------------------
@@ -819,16 +913,17 @@ class SessionReport:
 
 
 def run_session(text: str, env: PredicateEnv | None = None) -> SessionReport:
-    """Execute a script, defining predicates and reporting each command."""
+    """Execute a script, defining predicates and reporting each command.
+
+    Every command is compiled here, since the report needs each one;
+    PredicateEnv.load registers a script's predicates without compiling.
+    """
     if env is None:
         env = PredicateEnv()
     entries: list[SessionEntry] = []
     for cmd in parse_script(text):
         if isinstance(cmd, RegCmd):
-            try:
-                dfa = au.compile_regex(cmd.pattern, len(cmd.tags))
-            except au.RegexError as exc:
-                raise LogicError(f"in reg {cmd.name}: {exc}", cmd.line, 1)
+            dfa = _reg_automaton(cmd)
             env.define(cmd.name, "reg", dfa)
             states = au.live_state_count(dfa)
             entries.append(SessionEntry(
@@ -837,7 +932,7 @@ def run_session(text: str, env: PredicateEnv | None = None) -> SessionReport:
                  "arity": dfa.arity, "states": states}))
         elif isinstance(cmd, DefCmd):
             rel = compile_predicate(env, cmd.source)
-            kind = "def" if cmd.store else "eval"
+            kind = cmd.kind
             env.define(cmd.name, kind, rel.dfa)
             if not cmd.store and rel.dfa.arity == 0:
                 verdict = au.decide_true(rel.dfa)

@@ -18,7 +18,6 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import IO
@@ -40,9 +39,16 @@ def script_text(name: str) -> str:
 
 @lru_cache(maxsize=1)
 def session_env() -> logic.PredicateEnv:
-    """Environment with the bundled classification predicates compiled."""
+    """Environment with the bundled classification predicates.
+
+    good_partition.wal is registered uncompiled on the first call, and
+    each predicate is compiled on its first lookup, through
+    compile_predicate's memo: largest_index_below compiles only
+    ffactoreq and suff, and a session that compiled them already in this
+    process makes that free.
+    """
     env = logic.PredicateEnv()
-    logic.run_session(script_text("good_partition.wal"), env)
+    env.load(script_text("good_partition.wal"))
     return env
 
 
@@ -322,12 +328,13 @@ def largest_index_below(p: int, q: int,
     n_star = au.word_to_values(words[0], 1)[0]
     if cross_check_margin:
         table = ensure_table(n_star + cross_check_margin)
-        gamma = Fraction(p, q)
         rec = table[n_star - 1]
-        if not rec.exponent < gamma:
+        # e = x/y < p/q, in integers since y and q are positive
+        if not rec.x * q < p * rec.y:
             raise AssertionError(f"oracle refutes e({n_star}) < {p}/{q}")
         for m in range(n_star + 1, n_star + cross_check_margin + 1):
-            if table[m - 1].exponent < gamma:
+            rec = table[m - 1]
+            if rec.x * q < p * rec.y:
                 raise AssertionError(
                     f"oracle found e({m}) < {p}/{q} beyond the answer")
     return n_star

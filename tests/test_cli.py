@@ -3,6 +3,8 @@
 import json
 import os
 
+from fibwalk import logic
+from fibwalk import repetitions as rp
 from fibwalk.cli import main
 
 
@@ -74,7 +76,28 @@ def test_enumerate_rejects_negative_limit(capsys):
 def test_enumerate_unknown_predicate(capsys):
     code, out, err = run(capsys, "enumerate", "nothere", "--limit", "5")
     assert code == 2
-    assert "unknown predicate" in err
+    # compiled and pending names alike
+    assert err == ("fibwalk: unknown predicate 'nothere'; have: adjfib, b1, "
+                   "b2, evenfib, ffactoreq, good, isfib, oddfib, phi2n, "
+                   "shift, suff, test\n")
+
+
+def test_ratio_commands_compile_suff_once(capsys, monkeypatch):
+    # the bench's ratio workload: one session, then four largest-below
+    # queries, each needing suff through the session env
+    logic.clear_compile_memo()
+    rp.session_env.cache_clear()
+    suff = next(logic.parse_formula(c.source) for c in
+                logic.parse_script(rp.script_text("largest_index.wal"))
+                if c.name == "suff")
+    compiled, compile_formula = [], logic.compile_formula
+    monkeypatch.setattr(logic, "compile_formula", lambda f, env:
+                        compiled.append(f) or compile_formula(f, env))
+    assert run(capsys, "session", script_path("largest_index.wal"),
+               "--json")[0] == 0
+    for p, q in ((12, 5), (20, 8), (33, 13), (54, 21)):
+        assert run(capsys, "mgamma", str(p), str(q), "--largest-below")[0] == 0
+    assert compiled.count(suff) == 1
 
 
 def test_verify_theorem_base_range(capsys):

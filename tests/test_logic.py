@@ -333,7 +333,13 @@ def test_ratio_reach_automaton_matches_golden_digests(p, q):
 @pytest.fixture
 def recorded(env, monkeypatch):
     """Lists of the (coeffs, rel, c) that automata.linear and
-    automata.constrain are called with from here on."""
+    automata.constrain are called with from here on.
+
+    The compile memo is cleared first, so a formula compiled earlier in
+    the process is compiled again; suff, which the tests call, is
+    compiled before recording starts."""
+    logic.clear_compile_memo()
+    env.lookup("suff")
     built, constrained = [], []
     linear, constrain = au.linear, au.constrain
 
@@ -374,6 +380,48 @@ def test_natural_difference_constrains_its_conjunction(env, recorded):
     assert constrained == [((0, 34, -88), ">=", 0), ((0, 1, -1), ">=", 0)]
     assert rel.names == ("n",) and len(rel.dfa.transitions) == 26
     assert rel.dfa == rp.ratio_reach_automaton(88, 34)
+
+
+def test_repeated_compile_is_memoized(env, recorded, monkeypatch):
+    built, constrained = recorded
+    ops, product, project = [], au.product, au.project
+    monkeypatch.setattr(au, "product", lambda a, b, mode:
+                        ops.append(mode) or product(a, b, mode))
+    monkeypatch.setattr(au, "project", lambda a, track:
+                        ops.append(track) or project(a, track))
+    src = "?msd_fib Ex,y $suff(n,x,y) & $isfib(y) & 21*x>=54*y"
+    first = compile_predicate(env, src)
+    assert constrained and "and" in ops  # the first compile ran in full
+    constrained.clear()
+    ops.clear()
+    # an env that agrees on the callees shares the entry
+    again = compile_predicate(env.copy(), src)
+    assert (built, constrained, ops) == ([], [], [])
+    assert again == first
+
+
+def test_redefined_callee_recompiles(env):
+    src = "?msd_fib (~$hs(n)) & Am (m>n) => $hs(m)"
+    got = {}
+    for p, q in ((12, 5), (20, 8)):
+        scoped = env.copy()
+        scoped.define("hs", "def", rp.ratio_reach_automaton(p, q))
+        got[p, q] = compile_predicate(scoped, src)
+        assert got[p, q] == logic.compile_formula(parse_formula(src), scoped)
+    assert got[12, 5] != got[20, 8]
+
+
+@pytest.mark.parametrize("src, message", [
+    ("?msd_fib x*y=1", "multiplication needs a literal constant side"),
+    ("?msd_fib $nothere(x) | x*y=1", "unknown predicate 'nothere'"),
+    ("?msd_fib x*y=1 | $nothere(x)", "multiplication needs"),
+    ("?msd_fib $isfib(x,y)", "$isfib takes 1 arguments, got 2"),
+])
+def test_failed_compile_raises_every_time(src, message):
+    for _ in range(2):
+        with pytest.raises(LogicError, match=re.escape(message)):
+            compile_predicate(call_env(), src)
+    assert all(key[0] != src for key in logic._COMPILED)
 
 
 FREE = ("n", "x", "y")
@@ -481,6 +529,57 @@ def test_session_env_reuse():
     assert au.live_state_count(env.lookup("good").dfa) == 12
     with pytest.raises(LogicError):
         env.lookup("missing")
+
+
+GOOD_PARTITION_NAMES = ["adjfib", "b1", "b2", "evenfib", "ffactoreq", "good",
+                        "isfib", "oddfib", "phi2n", "shift", "suff", "test"]
+
+
+def fresh_session_env():
+    """A new session_env, not the one the process shares."""
+    return rp.session_env.__wrapped__()
+
+
+def test_session_env_compiles_on_demand(monkeypatch):
+    env = fresh_session_env()
+    assert env.preds == {} and env.names() == GOOD_PARTITION_NAMES
+    compiled, compile_predicate = [], logic.compile_predicate
+    monkeypatch.setattr(logic, "compile_predicate", lambda e, src:
+                        compiled.append(src) or compile_predicate(e, src))
+    env.lookup("suff")
+    assert sorted(env.preds) == ["ffactoreq", "suff"]
+    assert len(compiled) == 2
+    assert env.names() == GOOD_PARTITION_NAMES
+
+
+def test_session_env_copy_resolves_pending_names():
+    env = fresh_session_env()
+    scoped = env.copy()
+    assert au.live_state_count(scoped.lookup("good").dfa) == 12
+    assert env.preds == {} and "good" in env.pending
+    assert env.lookup("good") == scoped.lookup("good")
+
+
+def test_define_refuses_a_pending_name():
+    env = fresh_session_env()
+    with pytest.raises(LogicError, match="'good' is already defined"):
+        env.define("good", "def", au.linear((1,), "=", 0))
+    with pytest.raises(LogicError, match="'isfib' is already defined"):
+        env.load(CALL_SCRIPT)
+
+
+def test_load_allows_only_earlier_callees():
+    # as in a run: a def cannot call a name the script defines later
+    with pytest.raises(LogicError, match="unknown predicate 'later'"):
+        PredicateEnv().load('def early "?msd_fib $later(n)":\n'
+                            'def later "?msd_fib n=1":')
+
+
+def test_session_env_lookups_match_golden_digests():
+    env = fresh_session_env()
+    for name in env.names():
+        assert digest(env.lookup(name).dfa) == STORED_DIGESTS[name], name
+    assert env.pending == {} and sorted(env.preds) == GOOD_PARTITION_NAMES
 
 
 # ---------------------------------------------------------------------------

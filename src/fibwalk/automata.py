@@ -17,11 +17,13 @@ Symbols are integers: the digit of track t occupies bit t, so a column
 canonical numbering, so equal languages give equal objects.
 `expand_insert` and `remap_tracks` do not: they prepare operands for the
 one minimizing `product` of a formula node.
+
+The constructions walk only the raw states they reach, over transition
+tables as lists; only minimization refines whole arrays.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -171,41 +173,24 @@ def validity_automaton(arity: int) -> SyncDFA:
 # minimization (column-wise Moore refinement) and canonical numbering
 
 
-def _first_new(targets: np.ndarray, numbered: np.ndarray) -> np.ndarray:
-    """The targets not yet numbered, each once, in order of first occurrence."""
-    fresh = targets[numbered[targets] < 0]
-    uniq, first = np.unique(fresh, return_index=True)
-    return uniq[np.argsort(first)]
-
-
 def minimize(a: SyncDFA) -> SyncDFA:
     """Unique minimal complete DFA in canonical (BFS, symbol-ascending) numbering.
 
     Minimal canonical automata for the same language are structurally equal.
 
-    The reachable states are found by a frontier BFS.  Moore refinement
-    then starts from {accepting, rejecting}; each round folds the columns
-    in one at a time, key = key*count + block[t[:, s]], and compresses
-    the keys with np.unique(return_inverse=True) at the end of the round
-    and whenever the next fold could overflow int64.  Rounds stop when
-    the block count stops growing.  A round costs O(2^arity * n log n)
-    and there are at most n rounds.  The quotient, one representative row
-    per block, is numbered by BFS one frontier at a time: new states in
-    order of first occurrence over the (frontier position, symbol) pairs.
+    Moore refinement runs over every state, reachable or not, because it
+    splits states by their languages alone.  It starts from {accepting,
+    rejecting}; each round folds the columns in one at a time, key =
+    key*count + block[t[:, s]], and compresses the keys with
+    np.unique(return_inverse=True) at the end of the round and whenever
+    the next fold could overflow int64.  Rounds stop when the block count
+    stops growing.  A round costs O(2^arity * n log n) and there are at
+    most n rounds.  The quotient, one representative row per block, is
+    walked by BFS from the initial block with symbols ascending, which
+    numbers the reachable blocks and drops the rest.
     """
-    reached = np.zeros(a.n_states, dtype=bool)
-    reached[a.initial] = True
-    frontier = np.array([a.initial])
-    while frontier.size:
-        frontier = np.unique(a.transitions[frontier])
-        frontier = frontier[~reached[frontier]]
-        reached[frontier] = True
-    keep = np.flatnonzero(reached)
-    index = np.empty(a.n_states, dtype=np.intp)
-    index[keep] = np.arange(keep.size)
-    t, acc = index[a.transitions[keep]], a.final[keep]
-
-    uniq, block = np.unique(acc, return_inverse=True)
+    t = a.transitions
+    uniq, block = np.unique(a.final, return_inverse=True)
     count = uniq.size
     while True:
         key, bound = block, count
@@ -223,19 +208,18 @@ def minimize(a: SyncDFA) -> SyncDFA:
     rep = np.empty(count, dtype=np.intp)
     rep[block] = np.arange(block.size)
     qt = block[t[rep]]
-    number = np.full(count, -1, dtype=np.intp)
-    frontier = np.array([block[index[a.initial]]])
-    number[frontier] = 0
-    order = [frontier]
-    done = 1
-    while frontier.size:
-        frontier = _first_new(qt[frontier].ravel(), number)
-        number[frontier] = np.arange(done, done + frontier.size)
-        done += frontier.size
-        order.append(frontier)
-    order = np.concatenate(order)
+    succ = qt.tolist()
+    order = [int(block[a.initial])]
+    seen = set(order)
+    for b in order:  # appending while iterating: a queue
+        for nxt in succ[b]:
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    number = np.empty(count, dtype=np.intp)
+    number[order] = np.arange(len(order))
     return SyncDFA(a.arity, number[qt[order]].astype(np.int32), 0,
-                   acc[rep[order]])
+                   a.final[rep[order]])
 
 
 def moore_state_count(a: SyncDFA) -> int:
@@ -290,37 +274,27 @@ _PRODUCT_MODES = {"and": (False, False, False, True),
 def _walk(parts: tuple[SyncDFA, ...], accept) -> SyncDFA:
     """Reachable part of the synchronous product of `parts`, not minimized.
 
-    A state is a tuple of part states, coded as one mixed-radix int64;
-    the walk runs one BFS frontier at a time.  accept(flags) decides the
-    states from the tuple of per-part acceptance arrays.
+    A state is the tuple of its part states; a BFS over the parts'
+    transition tables, as lists, numbers them in order of discovery.
+    accept(flags) decides the states from the tuple of per-part
+    acceptance arrays.
     """
-    sizes = [p.n_states for p in parts]
-    if math.prod(sizes) > np.iinfo(np.int64).max:
-        raise ValueError("product too large to code in int64")
-    start = 0
-    for p, n in zip(parts, sizes):
-        start = start * n + p.initial
-    frontier = known = np.array([start], dtype=np.int64)
-    levels, rows, states = [], [], []
-    while frontier.size:
-        levels.append(frontier)
-        qs, rest = [], frontier
-        for n in reversed(sizes):
-            rest, q = np.divmod(rest, n)
-            qs.append(q)
-        qs.reverse()
-        states.append(qs)
-        nxt = np.zeros((frontier.size, parts[0].n_symbols), dtype=np.int64)
-        for p, n, q in zip(parts, sizes, qs):
-            nxt = nxt * n + p.transitions[q]
-        rows.append(nxt)
-        frontier = np.setdiff1d(nxt, known)
-        known = np.union1d(known, frontier)
-    order = np.argsort(np.concatenate(levels))  # known[j] is state order[j]
-    t = order[np.searchsorted(known, np.concatenate(rows))]
-    flags = tuple(p.final[np.concatenate([qs[i] for qs in states])]
-                  for i, p in enumerate(parts))
-    return SyncDFA(parts[0].arity, t.astype(np.int32), 0, accept(flags))
+    tables = [p.transitions.tolist() for p in parts]
+    start = tuple(p.initial for p in parts)
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for key in order:  # appending while iterating: a queue
+        row = []
+        for nxt in zip(*map(operator.getitem, tables, key)):
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(j)
+        rows.append(row)
+    flags = tuple(p.final[list(qs)] for p, qs in zip(parts, zip(*order)))
+    return _dfa(parts[0].arity, rows, 0, accept(flags))
 
 
 def product(a: SyncDFA, b: SyncDFA, mode: str) -> SyncDFA:
@@ -386,22 +360,19 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
     if a.arity == 0:
         raise ValueError("cannot project an arity-0 automaton")
     new_arity = a.arity - 1
-    n_sym_new = 1 << new_arity
     low_mask = (1 << track) - 1
-    table = a.transitions.tolist()
-
-    def olds(s_new: int) -> tuple[int, int]:
-        low = s_new & low_mask
-        high = s_new >> track
-        base = low | (high << (track + 1))
-        return base, base | (1 << track)
+    base = [s & low_mask | (s >> track) << (track + 1)
+            for s in range(1 << new_arity)]
+    # cols[s_new][q]: the successors of q on the two old symbols that
+    # erase to s_new; s_new = 0 gives the closure steps
+    cols = np.stack([a.transitions[:, base],
+                     a.transitions[:, [s | 1 << track for s in base]]],
+                    axis=2).transpose(1, 0, 2).tolist()
 
     start = {a.initial}
     frontier = [a.initial]
     while frontier:
-        q = frontier.pop()
-        for sym in (0, 1 << track):
-            nxt = table[q][sym]
+        for nxt in cols[0][frontier.pop()]:
             if nxt not in start:
                 start.add(nxt)
                 frontier.append(nxt)
@@ -409,22 +380,20 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
     start_key = frozenset(start)
     index: dict[frozenset[int], int] = {start_key: 0}
     sets = [start_key]
-    rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(sets):
-        cur = sets[i]
+    rows: list[list[int]] = []
+    for cur in sets:  # appending while iterating: a queue
         row = []
-        for s_new in range(n_sym_new):
-            s0, s1 = olds(s_new)
-            nxt = frozenset(table[q][s] for q in cur for s in (s0, s1))
+        for col in cols:
+            group = set()
+            for q in cur:
+                group.update(col[q])
+            nxt = frozenset(group)
             j = index.get(nxt)
             if j is None:
-                j = len(sets)
-                index[nxt] = j
+                j = index[nxt] = len(sets)
                 sets.append(nxt)
             row.append(j)
-        rows.append(tuple(row))
-        i += 1
+        rows.append(row)
     accepting = frozenset(np.flatnonzero(a.final).tolist())
     return minimize(_dfa(new_arity, rows, 0,
                          [bool(group & accepting) for group in sets]))
@@ -625,74 +594,117 @@ _RELATIONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def constrain(a: SyncDFA, coeffs: tuple[int, ...], rel: str, c: int,
-              bound: int | None = None) -> SyncDFA:
+def _least_over_lengths(a: int, b: int) -> int | None:
+    """min over s >= 0 of G_s = a*F_{s+2} + b*F_{s+1}, or None if it is -inf.
+
+    G_{s+1} = G_s + G_{s-1}, so once two consecutive terms are both >= 0
+    the sequence never falls again, and once both are <= 0 and not both
+    zero it falls without bound.  The phi^s part of G_s soon outweighs
+    the psi^s part, so one of the two comes after O(log(|a| + |b|)) steps.
+    """
+    x, y = a + b, 2 * a + b  # G_0, G_1
+    least = min(x, y)
+    while True:
+        if x >= 0 and y >= 0:
+            return least
+        if x <= 0 and y <= 0:
+            return None
+        x, y = y, x + y
+        least = min(least, y)
+
+
+def _carry_verdict(holds, c: int, pos: int, neg: int, u: int, v: int
+                   ) -> bool | None:
+    """holds(sum, c) if every canonical continuation of carry (u, v) gives
+    the same verdict, else None.
+
+    With s canonical digits left the final sum lies in [lo_s, hi_s] with
+    lo_s = (u-neg)*F_{s+2} + v*F_{s+1} + neg and hi_s = (u+pos)*F_{s+2} +
+    v*F_{s+1} - pos, where pos and neg are the sums of the positive and
+    negative coefficients.  Every sum over every s lies in [lo, hi], the
+    infimum of lo_s and the supremum of hi_s.  A relation to c is
+    constant on each of x <= c-1, x = c and x >= c+1, so its values on
+    [lo, hi] are its values at c-1, c and c+1 clamped into [lo, hi];
+    for that an unbounded lo acts as c-1 and an unbounded hi as c+1.
+    """
+    lo = _least_over_lengths(u - neg, v)
+    hi = _least_over_lengths(-u - pos, -v)
+    lo = c - 1 if lo is None else lo + neg
+    hi = c + 1 if hi is None else -hi - pos
+    verdicts = {holds(min(max(x, lo), hi), c) for x in (c - 1, c, c + 1)}
+    return verdicts.pop() if len(verdicts) == 1 else None
+
+
+def constrain(a: SyncDFA, coeffs: tuple[int, ...], rel: str, c: int) -> SyncDFA:
     """The tuples `a` accepts that also satisfy sum(coeffs[i]*x_i) rel c.
 
     Precondition: `a` is canonical (no adjacent 1 digits) on every track
     with a nonzero coefficient.
 
-    Only reachable pairs (state of `a`, carry (u, v)) are built.  With s
-    digits left, the digits read so far are worth u*F_{s+2} + v*F_{s+1},
-    so a column whose digits weigh d = sum(coeffs[i]*digit_i) steps
+    Only reachable pairs (state of `a`, carry) are built.  With s digits
+    left, the digits read so far are worth u*F_{s+2} + v*F_{s+1}, so a
+    column whose digits weigh d = sum(coeffs[i]*digit_i) steps the carry
     (u, v) -> (u + v + d, u), and the sum is u + v at the end.  Pairs
     whose state of `a` is not live share one dead state.
 
-    With s digits left the sum is u*F_{s+2} + v*F_{s+1} + R, where
-    R in [-N(F_{s+2}-1), P(F_{s+2}-1)] and P, N are the sums of the
-    positive and negative coefficients.  So carries with u, v >= B =
-    max(P, N) + |c| + 1 end above c whatever follows, and those with
-    u, v <= -B end below it; they collapse to (B, B) and (-B, -B), which
-    step to themselves.  And u*phi + v grows by a factor phi each step
-    while u*psi + v shrinks, so only finitely many carries stay
-    undecided.  Any bound >= B gives the same language.
+    Each new carry is decided once (`_carry_verdict`).  If the relation
+    holds whatever canonical digits follow, the carry becomes True and
+    (q, True) follows `a` alone; if it fails whatever follows, the pair
+    is the dead state.  Only undecided carries are walked on, and they
+    are finitely many.  A carry with u, v >= B = max(pos, neg) + |c| + 1
+    ends above c, and one with u, v <= -B below it, so both are decided.
+    A step maps u*phi + v to phi*(u*phi + v + d) and u*psi + v to
+    psi*(u*psi + v + d), so only finitely many carries are reached
+    before u and v are both >= B or both <= -B.
     """
     if len(coeffs) != a.arity:
         raise ValueError(f"expected {a.arity} coefficients, got {len(coeffs)}")
     holds = _RELATIONS.get(rel)
     if holds is None:
         raise ValueError(f"unknown relation {rel!r}")
-    least = max(sum(x for x in coeffs if x > 0),
-                -sum(x for x in coeffs if x < 0)) + abs(c) + 1
-    if bound is None:
-        bound = least
-    elif bound < least:
-        raise ValueError(f"bound {bound} is below the sound bound {least}")
+    pos = sum(x for x in coeffs if x > 0)
+    neg = -sum(x for x in coeffs if x < 0)
     weight = [sum(x for i, x in enumerate(coeffs) if s >> i & 1)
               for s in range(a.n_symbols)]
+    resolved: dict[tuple[int, int], tuple[int, int] | bool] = {}
+
+    def resolve(carry: tuple[int, int]) -> tuple[int, int] | bool:
+        if carry not in resolved:
+            verdict = _carry_verdict(holds, c, pos, neg, *carry)
+            resolved[carry] = carry if verdict is None else verdict
+        return resolved[carry]
+
+    # steps[carry][s]: the resolved carry after symbol s; False is dead
+    steps = {True: [True] * a.n_symbols}
     live = live_states(a).tolist()
     table = a.transitions.tolist()
-    start = (a.initial, 0, 0) if live[a.initial] else None
-    index: dict[tuple[int, int, int] | None, int] = {start: 0}
+    start = resolve((0, 0))
+    start = (a.initial, start) if live[a.initial] and start is not False else None
+    index: dict[tuple | None, int] = {start: 0}
     order = [start]
-    rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(order):
-        key = order[i]
+    rows: list[list[int]] = []
+    for key in order:  # appending while iterating: a queue
+        if key is None:
+            rows.append([index[None]] * a.n_symbols)
+            continue
+        q, carry = key
+        nexts = steps.get(carry)
+        if nexts is None:
+            u, v = carry
+            nexts = steps[carry] = [resolve((u + v + w, u)) for w in weight]
         row = []
-        for s in range(a.n_symbols):
-            nxt = None
-            if key is not None:
-                q, u, v = key
-                q2 = table[q][s]
-                if live[q2]:
-                    u, v = u + v + weight[s], u
-                    if u >= bound and v >= bound:
-                        u = v = bound
-                    elif u <= -bound and v <= -bound:
-                        u = v = -bound
-                    nxt = (q2, u, v)
+        for q2, carry2 in zip(table[q], nexts):
+            nxt = (q2, carry2) if live[q2] and carry2 is not False else None
             j = index.get(nxt)
             if j is None:
-                j = len(order)
-                index[nxt] = j
+                j = index[nxt] = len(order)
                 order.append(nxt)
             row.append(j)
-        rows.append(tuple(row))
-        i += 1
+        rows.append(row)
     return minimize(_dfa(a.arity, rows, 0,
                          [key is not None and bool(a.final[key[0]])
-                          and holds(key[1] + key[2], c) for key in order]))
+                          and (key[1] is True or holds(sum(key[1]), c))
+                          for key in order]))
 
 
 @lru_cache(maxsize=None)

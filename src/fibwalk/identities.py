@@ -231,10 +231,6 @@ def lemma4_report(k_max: int) -> dict:
             "items": items}
 
 
-def check_lemma4(k_max: int) -> bool:
-    return lemma4_report(k_max)["verdict"]
-
-
 def check_monotonicity(i_max: int) -> bool:
     """Six growth claims, each via its displayed difference identity.
 

@@ -14,13 +14,11 @@ against both.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import IO
 
 import numpy as np
 
@@ -195,10 +193,6 @@ def partition_report(n_max: int) -> dict:
             "failures": failures[:20]}
 
 
-def verify_partition(n_max: int) -> bool:
-    return partition_report(n_max)["verdict"]
-
-
 def lemma1_report(n_max: int) -> dict:
     """String-level period check for every B1 witness pair up to n_max.
 
@@ -342,19 +336,6 @@ def largest_index_below(p: int, q: int,
 
 # ---------------------------------------------------------------------------
 # reports
-
-
-def classification_csv(n_max: int, out: IO[str]) -> None:
-    """Rows (n, class, i, j, x, y, exponent) for n in [2, n_max]."""
-    ensure_table(n_max)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "class", "i", "j", "x", "y", "exponent"])
-    for n in range(2, n_max + 1):
-        c = classify(n)
-        rec = _TABLE[n - 1]
-        i, j = c.witness if c.cls != "G" else ("", "")
-        writer.writerow([n, c.cls, i, j, rec.x, rec.y,
-                         f"{rec.x}/{rec.y}"])
 
 
 def verification_report_json(reports: list[dict]) -> str:

@@ -49,26 +49,114 @@ def least_bound(coeffs, c):
     return max(pos, neg) + abs(c) + 1
 
 
-def constrain_at_bounds(coeffs, rel, c):
-    v = au.validity_automaton(len(coeffs))
-    b = least_bound(coeffs, c)
-    return [au.constrain(v, coeffs, rel, c, bound) for bound in (b, b + 3, 2 * b)]
+def reference_constrain(a, coeffs, rel, c):
+    """The reference for constrain, not minimized: the same (state, carry)
+    walk, but a carry is never decided; it collapses to (B, B) or (-B, -B)
+    once both parts are past the bound B = least_bound(coeffs, c)."""
+    holds, bound = RELATIONS[rel], least_bound(coeffs, c)
+    weight = [sum(x for i, x in enumerate(coeffs) if s >> i & 1)
+              for s in range(a.n_symbols)]
+    live = au.live_states(a).tolist()
+    table = a.transitions.tolist()
+    start = (a.initial, 0, 0) if live[a.initial] else None
+    index, order, rows = {start: 0}, [start], []
+    for key in order:
+        row = []
+        for s in range(a.n_symbols):
+            nxt = None
+            if key is not None and live[table[key[0]][s]]:
+                q, u, v = key
+                u, v = u + v + weight[s], u
+                if u >= bound and v >= bound:
+                    u = v = bound
+                elif u <= -bound and v <= -bound:
+                    u = v = -bound
+                nxt = (table[q][s], u, v)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        rows.append(row)
+    final = [key is not None and bool(a.final[key[0]])
+             and holds(key[1] + key[2], c) for key in order]
+    return au.SyncDFA(a.arity, np.array(rows, dtype=np.int32), 0,
+                      np.array(final, dtype=bool))
 
 
-def test_adder_bound_independent():
-    # the derived carry bound is already stable: larger ones change nothing
-    built = constrain_at_bounds((1, 1, -1), "=", 0)
-    assert built[0] == built[1] == built[2] == au.adder()
+def assert_matches_reference(a, coeffs, rel, c):
+    want = au.minimize(reference_constrain(a, coeffs, rel, c))
+    assert au.constrain(a, coeffs, rel, c) == want, (coeffs, rel, c)
 
 
-def test_constrain_bound_independent():
+def test_constrain_matches_reference():
+    assert_matches_reference(au.validity_automaton(3), (1, 1, -1), "=", 0)
     for coeffs, rel, c in [((2, -3), "<=", 4), ((5, -12), "<", 0),
                            ((1, 1, -2), "=", -3), ((-4, 1, 3), "!=", 7),
                            ((7,), ">", 20)]:
-        built = constrain_at_bounds(coeffs, rel, c)
-        assert built[0] == built[1] == built[2], (coeffs, rel, c)
+        assert_matches_reference(au.validity_automaton(len(coeffs)),
+                                 coeffs, rel, c)
     with pytest.raises(ValueError):
-        au.constrain(au.validity_automaton(2), (2, -3), "<=", 4, 7)
+        au.constrain(au.validity_automaton(2), (2, -3, 1), "<=", 4)
+    with pytest.raises(ValueError):
+        au.constrain(au.validity_automaton(2), (2, -3), "=<", 4)
+
+
+@pytest.mark.parametrize("k", range(6, 13))
+def test_constrain_suff_matches_reference(env, k):
+    # the comparison of ratio_reach_automaton, q*x >= p*y on suff(n, x, y)
+    p, q = fib(k + 1) - 1, fib(k - 1)
+    assert_matches_reference(env.lookup("suff").dfa, (0, q, -p), ">=", 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rel=st.sampled_from(sorted(RELATIONS)),
+       c=st.integers(-20, 20), on_adder=st.booleans())
+def test_constrain_matches_reference_random(data, rel, c, on_adder):
+    arity = 3 if on_adder else data.draw(st.integers(1, 3))
+    coeffs = tuple(data.draw(st.lists(st.integers(-13, 13), min_size=arity,
+                                      max_size=arity)))
+    a = au.adder() if on_adder else au.validity_automaton(arity)
+    assert_matches_reference(a, coeffs, rel, c)
+
+
+def test_least_over_lengths_is_exact():
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            terms = [a * fib(s + 2) + b * fib(s + 1) for s in range(40)]
+            least = au._least_over_lengths(a, b)
+            if least is None:  # falls without bound
+                assert terms[-1] < terms[-2] < -abs(a) - abs(b), (a, b)
+            else:
+                assert least == min(terms), (a, b)
+
+
+def continuation_sums(coeffs, length):
+    """Every value of sum(coeffs[i]*x_i) over canonical digit strings x_i
+    of the given length, i.e. over 0 <= x_i < F_{length+2}."""
+    sums = np.zeros(1, dtype=np.int64)
+    for x in coeffs:
+        sums = np.unique(np.add.outer(sums, x * np.arange(fib(length + 2))))
+    return sums.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.integers(-13, 13), min_size=1, max_size=3),
+       rel=st.sampled_from(sorted(RELATIONS)), c=st.integers(-20, 20),
+       u=st.integers(-60, 60), v=st.integers(-60, 60))
+def test_carry_verdict_is_sound(coeffs, rel, c, u, v):
+    holds = RELATIONS[rel]
+    pos = sum(x for x in coeffs if x > 0)
+    neg = -sum(x for x in coeffs if x < 0)
+    verdict = au._carry_verdict(holds, c, pos, neg, u, v)
+    bound = least_bound(coeffs, c)
+    if min(u, v) >= bound or max(u, v) <= -bound:
+        assert verdict is not None  # every carry the bound collapses
+    if verdict is None:
+        return
+    for length in range(9):
+        head = u * fib(length + 2) + v * fib(length + 1)
+        got = {holds(head + r, c) for r in continuation_sums(coeffs, length)}
+        assert got == {verdict}, length
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,6 +436,41 @@ def test_minimize_on_random_dfas(pair, data):
     assert m == au.minimize(base)  # same language, same canonical object
     for word in data.draw(words(a.arity)):
         assert run_word(m, word) == run_word(a, word)
+
+
+def reachable_restriction(a):
+    seen = [a.initial]
+    for q in seen:
+        seen += [r for r in dict.fromkeys(a.transitions[q].tolist())
+                 if r not in seen]
+    index = {q: i for i, q in enumerate(seen)}
+    rows = [[index[r] for r in a.transitions[q].tolist()] for q in seen]
+    return au.SyncDFA(a.arity, np.array(rows, dtype=np.int32), 0,
+                      a.final[seen])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=inflated_dfas(), data=st.data())
+def test_minimize_ignores_unreachable_states(pair, data):
+    # appended states nothing reaches: copies of states of `a`, which are
+    # equivalent to them, and random states, which may be equivalent to none
+    a, base = pair
+    n, m = a.n_states, a.n_symbols
+    copied = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    k = data.draw(st.integers(0, 8))
+    total = n + len(copied) + k
+    extra = data.draw(st.lists(st.integers(0, total - 1),
+                               min_size=k * m, max_size=k * m))
+    rows = np.concatenate([a.transitions, a.transitions[copied],
+                           np.array(extra, dtype=np.int32).reshape(k, m)])
+    final = np.concatenate([a.final, a.final[copied],
+                            data.draw(st.lists(st.booleans(), min_size=k,
+                                               max_size=k))]).astype(bool)
+    wide = au.SyncDFA(a.arity, rows, a.initial, final)
+    got = au.minimize(wide)
+    assert got == au.minimize(reachable_restriction(wide))
+    assert got == au.minimize(base)
+    assert got.n_states == au.moore_state_count(wide)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,12 +8,12 @@ import pytest
 from fibwalk import identities as idn
 from fibwalk.identities import (ALPHA, ALPHA2, BETA, SQRT5, CrossoverTable,
                                 QuadInt, binet_fib, binet_lucas, check_eq1,
-                                check_lemma3, check_lemma4,
-                                check_monotonicity, closed_forms_report,
-                                crossover, crossover_csv, e_lower_bound_report,
-                                f_val, g_val, identities_report, lemma4_report,
-                                psi, psi_bracket_ok, quadint_sign_sanity,
-                                r_val, rho, s_val)
+                                check_lemma3, check_monotonicity,
+                                closed_forms_report, crossover, crossover_csv,
+                                e_lower_bound_report, f_val, g_val,
+                                identities_report, lemma4_report, psi,
+                                psi_bracket_ok, quadint_sign_sanity, r_val,
+                                rho, s_val)
 from fibwalk.numeration import fib, lucas
 
 
@@ -132,7 +132,7 @@ def test_lemma4_thresholds_and_sharpness():
         assert item["holds"] is True
         assert item["sharp"] is True
     assert rep["items"]["i"]["threshold"] == 4  # fails at k = 3
-    assert check_lemma4(60)
+    assert lemma4_report(60)["verdict"] is True
 
 
 def test_monotonicity_identities():

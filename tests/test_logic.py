@@ -347,9 +347,9 @@ def recorded(env, monkeypatch):
         built.append((coeffs, rel, c))
         return linear(coeffs, rel, c)
 
-    def recorded_constrain(a, coeffs, rel, c, bound=None):
+    def recorded_constrain(a, coeffs, rel, c):
         constrained.append((coeffs, rel, c))
-        return constrain(a, coeffs, rel, c, bound)
+        return constrain(a, coeffs, rel, c)
 
     monkeypatch.setattr(au, "linear", recorded_linear)
     monkeypatch.setattr(au, "constrain", recorded_constrain)

@@ -1,6 +1,5 @@
 """Prefix-length classification, threshold automata, verification sweeps."""
 
-import io
 import warnings
 from fractions import Fraction
 
@@ -70,7 +69,7 @@ def test_partition_report():
     assert rep["verdict"] is True
     counts = rep["counts"]
     assert counts["G"] + counts["B1"] + counts["B2"] == 299
-    assert rp.verify_partition(100)
+    assert rp.partition_report(100)["verdict"] is True
 
 
 def test_lemma1_report():
@@ -176,16 +175,6 @@ def test_largest_index_below_guards():
         rp.largest_index_below(1, 1)
     with pytest.raises(ValueError):
         rp.largest_index_below(8, 3)  # 8/3 > alpha^2
-
-
-def test_classification_csv():
-    buf = io.StringIO()
-    rp.classification_csv(12, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "n,class,i,j,x,y,exponent"
-    assert len(lines) == 12  # header + n = 2..12
-    assert lines[1].startswith("2,B1,5,3,")
-    assert lines[-1].startswith("12,B1,8,6,")
 
 
 def test_verification_report_json_round_trip():

@@ -49,11 +49,13 @@ def least_bound(coeffs, c):
     return max(pos, neg) + abs(c) + 1
 
 
-def reference_constrain(a, coeffs, rel, c):
+def reference_constrain(a, coeffs, rel, c, bound=None):
     """The reference for constrain, not minimized: the same (state, carry)
     walk, but a carry is never decided; it collapses to (B, B) or (-B, -B)
-    once both parts are past the bound B = least_bound(coeffs, c)."""
-    holds, bound = RELATIONS[rel], least_bound(coeffs, c)
+    once both parts are past the bound B, by default least_bound(coeffs, c).
+    Any larger B builds the same language."""
+    holds = RELATIONS[rel]
+    bound = least_bound(coeffs, c) if bound is None else bound
     weight = [sum(x for i, x in enumerate(coeffs) if s >> i & 1)
               for s in range(a.n_symbols)]
     live = au.live_states(a).tolist()
@@ -86,6 +88,30 @@ def reference_constrain(a, coeffs, rel, c):
 def assert_matches_reference(a, coeffs, rel, c):
     want = au.minimize(reference_constrain(a, coeffs, rel, c))
     assert au.constrain(a, coeffs, rel, c) == want, (coeffs, rel, c)
+
+
+def references_at_bounds(a, coeffs, rel, c):
+    least = least_bound(coeffs, c)
+    return [au.minimize(reference_constrain(a, coeffs, rel, c, bound))
+            for bound in (least, least + 1, 2 * least + 3)]
+
+
+def test_adder_bound_independent():
+    # the least carry bound is already stable: larger ones change nothing
+    built = references_at_bounds(au.validity_automaton(3), (1, 1, -1), "=", 0)
+    assert built[0] == built[1] == built[2] == au.adder()
+    assert au.constrain(au.validity_automaton(3), (1, 1, -1), "=", 0) \
+        == au.adder()
+
+
+def test_constrain_bound_independent():
+    for coeffs, rel, c in [((2, -3), "<=", 4), ((5, -12), "<", 0),
+                           ((1, 1, -2), "=", -3), ((-4, 1, 3), "!=", 7),
+                           ((7,), ">", 20)]:
+        a = au.validity_automaton(len(coeffs))
+        built = references_at_bounds(a, coeffs, rel, c)
+        assert built[0] == built[1] == built[2], (coeffs, rel, c)
+        assert au.constrain(a, coeffs, rel, c) == built[0], (coeffs, rel, c)
 
 
 def test_constrain_matches_reference():

@@ -7,15 +7,15 @@ Identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import cache
 
 from . import automata as au
-from . import identities as idn
 from . import logic
 from . import repetitions as rp
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fibwalk")
     sub = p.add_subparsers(dest="command", required=True)
@@ -110,6 +110,7 @@ def _verify_reports(target: str, max_n: int | None) -> list[dict]:
     if target in ("theorem", "all"):
         reports.append(rp.verify_theorem(bound(20000)))
     if target in ("identities", "all"):
+        from . import identities as idn
         reports.extend(idn.identities_report(bound(200)))
     return reports
 
@@ -174,6 +175,7 @@ def _cmd_export_dfa(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
+    from . import identities as idn
     try:
         table = idn.crossover(args.i, args.family)
     except ValueError as e:

@@ -27,7 +27,7 @@ from . import logic
 from .exact import below_alpha2, exceeds_alpha_squared, theorem_margin_sign
 from .fibword import (ExponentRecord, exponent_record_fast, exponent_table,
                       generate_prefix, has_period)
-from .numeration import fib, fib_index
+from .numeration import fib
 
 
 def script_text(name: str) -> str:
@@ -70,7 +70,7 @@ def b2_set_automaton() -> au.SyncDFA:
 # oracle table, grown on demand
 
 
-_TABLE: list[ExponentRecord] = []  # _TABLE[n-1] = record for n
+_TABLE = np.zeros((0, 2), dtype=np.int64)  # row n-1 = (x, y) of e(n)
 
 
 def _check_range(claim: str, n_max: int, low: int) -> None:
@@ -79,17 +79,26 @@ def _check_range(claim: str, n_max: int, low: int) -> None:
         raise ValueError(f"{claim} needs n_max >= {low}, got {n_max}")
 
 
-def ensure_table(n_max: int) -> list[ExponentRecord]:
-    """e(n) records for n = 1..n_max from a grow-only shared cache."""
+def ensure_table(n_max: int) -> np.ndarray:
+    """Rows (x, y) of e(n) for n = 1..n_max, row n-1 for n.
+
+    A read-only view of a grow-only shared table; growing it computes
+    only the rows it does not hold yet.
+    """
+    global _TABLE
     _check_range("the e(n) table", n_max, 1)
     if n_max > len(_TABLE):
-        _TABLE.extend(exponent_table(n_max, start=len(_TABLE) + 1))
+        grown = np.concatenate(
+            (_TABLE, exponent_table(n_max, start=len(_TABLE) + 1)))
+        grown.flags.writeable = False
+        _TABLE = grown
     return _TABLE[:n_max]
 
 
 def exponent_record(n: int) -> ExponentRecord:
     if 1 <= n <= len(_TABLE):
-        return _TABLE[n - 1]
+        x, y = _TABLE[n - 1].tolist()
+        return ExponentRecord(n, x, y)
     return exponent_record_fast(n)
 
 
@@ -97,28 +106,46 @@ def exponent_record(n: int) -> ExponentRecord:
 # witnesses and classification
 
 
-def b1_witnesses(n: int) -> list[tuple[int, int]]:
-    """All (i, j) with n = F_i - F_j - 1, i >= 5, 3 <= j <= i - 2."""
+def b1_pairs(n_max: int) -> list[tuple[int, int, int]]:
+    """Every (n, i, j) with n = F_i - F_j - 1 <= n_max, i >= 5 and
+    3 <= j <= i - 2, by (n, i)."""
     out = []
     i = 5
-    while fib(i - 1) <= n + 1:  # F_j <= F_{i-2} forces F_{i-1} <= n + 1
-        j = fib_index(fib(i) - n - 1)
-        if j is not None and 3 <= j <= i - 2:
-            out.append((i, j))
+    while fib(i - 1) - 1 <= n_max:  # the least n of i, at j = i - 2
+        for j in range(i - 2, 2, -1):  # n grows as j falls
+            n = fib(i) - fib(j) - 1
+            if n > n_max:
+                break
+            out.append((n, i, j))
         i += 1
+    out.sort()
     return out
+
+
+def b2_pairs(n_max: int) -> list[tuple[int, int, int]]:
+    """Every (n, i, j) with n = F_i - F_{2j+1} <= n_max, i >= 5 and
+    1 <= j <= (i - 3) / 2, by (n, i)."""
+    out = []
+    i = 5
+    while fib(i - 1) <= n_max:  # F_{2j+1} <= F_{i-2} gives n >= F_{i-1}
+        for j in range((i - 3) // 2, 0, -1):  # n grows as j falls
+            n = fib(i) - fib(2 * j + 1)
+            if n > n_max:
+                break
+            out.append((n, i, j))
+        i += 1
+    out.sort()
+    return out
+
+
+def b1_witnesses(n: int) -> list[tuple[int, int]]:
+    """All (i, j) with n = F_i - F_j - 1, i >= 5, 3 <= j <= i - 2."""
+    return [(i, j) for m, i, j in b1_pairs(n) if m == n]
 
 
 def b2_witnesses(n: int) -> list[tuple[int, int]]:
     """All (i, j) with n = F_i - F_{2j+1}, i >= 5, 1 <= j <= (i - 3) / 2."""
-    out = []
-    i = 5
-    while fib(i - 1) <= n:  # F_{2j+1} <= F_{i-2} forces F_{i-1} <= n
-        k = fib_index(fib(i) - n)
-        if k is not None and k % 2 == 1 and 3 <= k <= i - 2:
-            out.append((i, (k - 1) // 2))
-        i += 1
-    return out
+    return [(i, j) for m, i, j in b2_pairs(n) if m == n]
 
 
 @dataclass(frozen=True)
@@ -168,22 +195,22 @@ def classify(n: int) -> ClassifiedIndex:
 def partition_report(n_max: int) -> dict:
     """Totality and unambiguity of the three-way split on [2, n_max]."""
     _check_range("partition", n_max, 2)
-    ensure_table(n_max)
-    ns = np.arange(2, n_max + 1, dtype=np.int64)
-    in_good = au.accepts_batch(good_automaton(), ns.reshape(-1, 1))
-    in_b1 = au.accepts_batch(b1_set_automaton(), ns.reshape(-1, 1))
-    in_b2 = au.accepts_batch(b2_set_automaton(), ns.reshape(-1, 1))
+    xs, ys = ensure_table(n_max)[1:].T.tolist()
+    ns = np.arange(2, n_max + 1, dtype=np.int64).reshape(-1, 1)
+    in_good = au.accepts_batch(good_automaton(), ns).tolist()
+    in_b1 = au.accepts_batch(b1_set_automaton(), ns).tolist()
+    in_b2 = au.accepts_batch(b2_set_automaton(), ns).tolist()
+    with_b1 = {n for n, _, _ in b1_pairs(n_max)}
+    with_b2 = {n for n, _, _ in b2_pairs(n_max)}
     failures = []
     counts = {"G": 0, "B1": 0, "B2": 0}
-    for pos, n in enumerate(int(v) for v in ns):
-        g, b1, b2 = bool(in_good[pos]), bool(in_b1[pos]), bool(in_b2[pos])
-        record = _TABLE[n - 1]
-        oracle_g = exceeds_alpha_squared(record.x, record.y)
-        ok = (g == oracle_g
+    for n, g, b1, b2, x, y in zip(range(2, n_max + 1), in_good, in_b1, in_b2,
+                                  xs, ys):
+        ok = (g == exceeds_alpha_squared(x, y)
               and g != (b1 or b2)
               and not (b1 and b2)
-              and (not b1 or bool(b1_witnesses(n)))
-              and (not b2 or bool(b2_witnesses(n))))
+              and (not b1 or n in with_b1)
+              and (not b2 or n in with_b2))
         if ok:
             counts["G" if g else ("B1" if b1 else "B2")] += 1
         else:
@@ -201,22 +228,20 @@ def lemma1_report(n_max: int) -> dict:
     """
     _check_range("lemma1", n_max, 2)
     prefix = generate_prefix(n_max)
-    checked = 0
+    pairs = b1_pairs(n_max)
     failures = []
     both = 0
-    for n in range(2, n_max + 1):
-        for i, j in b1_witnesses(n):
-            w = prefix[:n]
-            first = has_period(w, fib(i - 2))
-            tail = w[n - (fib(j) - 1):] if fib(j) - 1 <= n else ""
-            second = bool(tail) and has_period(tail, fib(j - 2))
-            checked += 1
-            if first and second:
-                both += 1
-            if not (first or second):
-                failures.append([n, i, j])
+    for n, i, j in pairs:
+        w = prefix[:n]
+        first = has_period(w, fib(i - 2))
+        tail = w[n - (fib(j) - 1):] if fib(j) - 1 <= n else ""
+        second = bool(tail) and has_period(tail, fib(j - 2))
+        if first and second:
+            both += 1
+        if not (first or second):
+            failures.append([n, i, j])
     return {"claim": "lemma1", "range": [2, n_max], "verdict": not failures,
-            "witness_pairs": checked, "both_alternatives": both,
+            "witness_pairs": len(pairs), "both_alternatives": both,
             "failures": failures[:20]}
 
 
@@ -224,42 +249,42 @@ def lemma2_report(n_max: int) -> dict:
     """Period F_{i-2} for every B2 witness; the extra suffix claim for j >= 2."""
     _check_range("lemma2", n_max, 2)
     prefix = generate_prefix(n_max)
-    checked = 0
+    pairs = b2_pairs(n_max)
     failures = []
-    for n in range(2, n_max + 1):
-        for i, j in b2_witnesses(n):
-            w = prefix[:n]
-            ok = has_period(w, fib(i - 2))
-            if ok and j >= 2:
-                tail = w[n - fib(2 * j + 1):]
-                ok = has_period(tail, fib(2 * j - 1))
-            checked += 1
-            if not ok:
-                failures.append([n, i, j])
+    for n, i, j in pairs:
+        w = prefix[:n]
+        ok = has_period(w, fib(i - 2))
+        if ok and j >= 2:
+            tail = w[n - fib(2 * j + 1):]
+            ok = has_period(tail, fib(2 * j - 1))
+        if not ok:
+            failures.append([n, i, j])
     return {"claim": "lemma2", "range": [2, n_max], "verdict": not failures,
-            "witness_pairs": checked, "failures": failures[:20]}
+            "witness_pairs": len(pairs), "failures": failures[:20]}
 
 
 def verify_theorem(n_max: int) -> dict:
     """Exact check of e(n) >= alpha^2 - 3/sqrt(n) for 1 <= n <= n_max.
 
-    The verdict path never touches floats; the reported slack is a float
-    rendering of e(n) - (alpha^2 - 3/sqrt(n)) for display only.
+    Where e(n) > alpha^2 the margin is positive outright, so the square
+    roots are taken only where e(n) <= alpha^2, and for the first 21 n
+    on their own.  The verdict path never touches floats; the reported
+    slack is a float rendering of e(n) - (alpha^2 - 3/sqrt(n)) for
+    display only.
     """
     _check_range("theorem", n_max, 1)
-    table = ensure_table(n_max)
+    xs, ys = ensure_table(n_max).T.tolist()
     failures = []
     min_slack = None
     argmin = None
-    for rec in table:
-        sign = theorem_margin_sign(rec.x, rec.y, rec.n)
-        if sign < 0:
-            failures.append(rec.n)
-        slack = rec.x / rec.y - (2.618033988749895 - 3.0 / rec.n ** 0.5)
+    for n, x, y in zip(range(1, n_max + 1), xs, ys):
+        if not exceeds_alpha_squared(x, y) and theorem_margin_sign(x, y, n) < 0:
+            failures.append(n)
+        slack = x / y - (2.618033988749895 - 3.0 / n ** 0.5)
         if min_slack is None or slack < min_slack:
-            min_slack, argmin = slack, rec.n
-    base_pass = all(theorem_margin_sign(r.x, r.y, r.n) > 0
-                    for r in table[:min(21, n_max)])
+            min_slack, argmin = slack, n
+    base_pass = all(theorem_margin_sign(x, y, n) > 0
+                    for n, x, y in zip(range(1, 22), xs, ys))
     return {"claim": "theorem", "range": [1, n_max],
             "verdict": not failures, "base_range_pass": base_pass,
             "min_slack": min_slack, "argmin": argmin,
@@ -322,13 +347,13 @@ def largest_index_below(p: int, q: int,
     n_star = au.word_to_values(words[0], 1)[0]
     if cross_check_margin:
         table = ensure_table(n_star + cross_check_margin)
-        rec = table[n_star - 1]
+        xs, ys = table[n_star - 1:].T.tolist()
         # e = x/y < p/q, in integers since y and q are positive
-        if not rec.x * q < p * rec.y:
+        if not xs[0] * q < p * ys[0]:
             raise AssertionError(f"oracle refutes e({n_star}) < {p}/{q}")
-        for m in range(n_star + 1, n_star + cross_check_margin + 1):
-            rec = table[m - 1]
-            if rec.x * q < p * rec.y:
+        for m, x, y in zip(range(n_star + 1, n_star + cross_check_margin + 1),
+                           xs[1:], ys[1:]):
+            if x * q < p * y:
                 raise AssertionError(
                     f"oracle found e({m}) < {p}/{q} beyond the answer")
     return n_star

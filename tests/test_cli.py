@@ -1,9 +1,12 @@
 """The batch front end: subcommands, exit codes, output stability."""
 
+import io
 import json
 import os
+import subprocess
+import sys
 
-from fibwalk import logic
+from fibwalk import cli, logic
 from fibwalk import repetitions as rp
 from fibwalk.cli import main
 
@@ -201,6 +204,12 @@ def test_crossover_csv_and_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "crossover", "2", "--family", "b2",
                          "--csv", str(tmp_path / "c2.csv"))
     assert code == 2
+    # the CSV is the table the identities layer writes for the same i
+    from fibwalk import identities as idn
+    want = io.StringIO(newline="")
+    idn.crossover_csv(idn.crossover(20, "b1"), want)
+    with open(target, newline="") as fh:
+        assert fh.read() == want.getvalue()
 
 
 def test_usage_errors(capsys):
@@ -208,6 +217,23 @@ def test_usage_errors(capsys):
     assert main(["enumerate", "good"]) == 2  # missing --limit
     assert main(["verify", "nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "verify", "nonsense")[0] == 2
+    code, out, err = run(capsys, "en", "13")
+    assert (code, out, err) == (0, "e(13) = 8/3 (suffix length 8, period 3)\n", "")
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_cli_import_leaves_identities_out():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, fibwalk.cli; print('fibwalk.identities' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_entry_point_matches_manifest():

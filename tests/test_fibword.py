@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibwalk import fibword
 from fibwalk.fibword import (ExponentRecord, _LCE, _run_records, _runs,
                              _sweep_chunk,
                              check_periods_fibonacci, e_of_n,
@@ -69,6 +70,10 @@ def test_exponent_and_has_period():
     assert has_period("010010", 3)
     assert not has_period("010010", 2)
     assert has_period("01", 5)  # vacuous beyond the length
+    for w in ("", "0", "010010", "0" * 7 + "1", generate_prefix(60)):
+        for p in range(1, len(w) + 3):
+            assert has_period(w, p) == all(w[i] == w[i + p]
+                                           for i in range(len(w) - p)), (w, p)
     with pytest.raises(ValueError):
         has_period("01", 0)
 
@@ -99,13 +104,19 @@ def _table(n_max):
     return exponent_table(n_max)
 
 
+def _kmp_rows(w, start):
+    """The failure-array records of w[:n], n = start..len(w), as rows."""
+    n = len(w)
+    return [list(r) for r in _sweep_chunk(w[::-1], n, start, n + 1)]
+
+
 def test_exponent_record_ties_prefer_short_suffix():
     # the record keeps the shortest suffix attaining the best exponent,
     # with its least period, in the scan and in the table alike
     table = _table(1500)
     for n in range(1, 120):
         rec = e_of_n(n)
-        assert table[n - 1] == rec
+        assert table[n - 1].tolist() == [rec.x, rec.y]
         prefix = generate_prefix(n)
         best = rec.exponent
         assert rec.y == least_period(prefix[n - rec.x:])
@@ -122,11 +133,11 @@ def test_exponent_record_fast_matches_scan():
 
 def test_exponent_table_matches_pointwise():
     table = exponent_table(200)
-    assert len(table) == 200
-    for rec in table:
-        slow = e_of_n(rec.n)
-        assert (rec.x, rec.y) == (slow.x, slow.y)
-        assert rec.verify()
+    assert table.shape == (200, 2) and table.dtype == np.int64
+    for n, (x, y) in enumerate(table.tolist(), start=1):
+        slow = e_of_n(n)
+        assert (x, y) == (slow.x, slow.y)
+        assert ExponentRecord(n, x, y).verify()
 
 
 def test_exponent_table_matches_kmp_sweep():
@@ -136,18 +147,19 @@ def test_exponent_table_matches_kmp_sweep():
     rev = generate_prefix(n_max)[::-1]
     pairs = _sweep_chunk(rev, n_max, 1, n_max + 1)
     assert len(table) == len(pairs) == n_max
-    for n, (rec, (x, y)) in enumerate(zip(table, pairs), start=1):
-        assert (rec.n, rec.x, rec.y) == (n, x, y)
+    for n, (row, (x, y)) in enumerate(zip(table.tolist(), pairs), start=1):
+        assert row == [x, y], n
     for n in (1, 2, 89, 1597, n_max):
-        assert exponent_record_fast(n) == table[n - 1]
+        assert exponent_record_fast(n) == ExponentRecord(n, *table[n - 1].tolist())
 
 
 def test_exponent_table_start_is_tail():
     full = exponent_table(700)
     for s in (1, 2, 3, 55, 377, 699, 700):
-        assert exponent_table(700, start=s) == full[s - 1:], s
-    assert exponent_table(1, start=1) == [ExponentRecord(1, 1, 1)]
-    assert exponent_table(5, start=6) == []
+        assert exponent_table(700, start=s).tolist() == full[s - 1:].tolist(), s
+    assert exponent_table(1, start=1).tolist() == [[1, 1]]
+    empty = exponent_table(5, start=6)
+    assert empty.shape == (0, 2) and empty.dtype == np.int64
     with pytest.raises(ValueError):
         exponent_table(5, start=0)
 
@@ -163,8 +175,8 @@ def test_run_records_match_kmp_on_any_word(w, data):
     # of runs that end before it
     n = len(w)
     start = data.draw(st.integers(1, n))
-    assert _run_records(w, 1) == _sweep_chunk(w[::-1], n, 1, n + 1)
-    assert _run_records(w, start) == _sweep_chunk(w[::-1], n, start, n + 1)
+    assert _run_records(w, 1).tolist() == _kmp_rows(w, 1)
+    assert _run_records(w, start).tolist() == _kmp_rows(w, start)
 
 
 def _square_free_ternary(length):
@@ -182,14 +194,14 @@ def _square_free_ternary(length):
 def test_run_records_on_structured_words(w):
     n = len(w)
     for start in (1, 2, 3, 17, n // 2, n - 1, n):
-        assert _run_records(w, start) == _sweep_chunk(w[::-1], n, start, n + 1)
+        assert _run_records(w, start).tolist() == _kmp_rows(w, start)
 
 
 def test_square_free_word_takes_the_direct_path():
     w = _square_free_ternary(240)
     assert all(w[i:i + p] != w[i + p:i + 2 * p]
                for p in range(1, 121) for i in range(len(w) - 2 * p + 1))
-    records = _run_records(w, 1)
+    records = _run_records(w, 1).tolist()
     assert all(x < 2 * y for x, y in records)
     assert max(Fraction(x, y) for x, y in records) > 1
 
@@ -211,6 +223,26 @@ def test_lce_matches_direct_comparison(w, data):
                 k += 1
             want.append(k)
         assert fn(a, b).tolist() == want
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_lce_lifts_in_chunks_of_any_size(monkeypatch, chunk):
+    # the LCP array is lifted in chunks of adjacent suffix pairs; a pair
+    # lost or repeated at a chunk boundary shows on words longer than a chunk
+    monkeypatch.setattr(fibword, "_LIFT", chunk)
+    for w in (generate_prefix(90), _square_free_ternary(60) + "0" * 9,
+              "0" * 30 + "1" + "0" * 29):
+        n = len(w)
+        a, b = np.triu_indices(n + 1, 1)
+        want = []
+        for i, j in zip(a.tolist(), b.tolist()):
+            k = 0
+            while j + k < n and w[i + k] == w[j + k]:
+                k += 1
+            want.append(k)
+        f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+        assert _LCE(f)(a, b).tolist() == want, w
+        assert _run_records(w, 1).tolist() == _kmp_rows(w, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,15 +272,16 @@ def test_workload_growth_is_the_full_tail():
     # k = 6..9 and under verify up to 10,000
     full = _table(10000)
     for steps in ((2080, 2219, 2588, 3562), (5000, 10000)):
-        assert exponent_table(steps[0]) == full[:steps[0]]
+        assert exponent_table(steps[0]).tolist() == full[:steps[0]].tolist()
         for lo, hi in zip(steps, steps[1:]):
-            assert exponent_table(hi, start=lo + 1) == full[lo:hi], (lo, hi)
+            assert exponent_table(hi, start=lo + 1).tolist() == \
+                full[lo:hi].tolist(), (lo, hi)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 1500))
 def test_exponent_table_record_is_e_of_n(n):
-    rec = _table(1500)[n - 1]
+    rec = ExponentRecord(n, *_table(1500)[n - 1].tolist())
     assert rec == e_of_n(n)
     assert rec.verify()
 

@@ -1,14 +1,17 @@
 """Prefix-length classification, threshold automata, verification sweeps."""
 
+import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fibwalk import automata as au
 from fibwalk import repetitions as rp
+from fibwalk.exact import exceeds_alpha_squared, theorem_margin_sign
 from fibwalk.fibword import e_of_n, exponent_table
-from fibwalk.numeration import fib
+from fibwalk.numeration import fib, fib_index
 
 G_THROUGH_43 = [13, 14, 22, 23, 24, 26, 27, 34, 35, 36, 37, 38, 39, 40, 43]
 B1_THROUGH_33 = [2, 4, 5, 7, 9, 10, 12, 15, 17, 18, 20, 25, 28, 30, 31, 33]
@@ -40,6 +43,46 @@ def test_witness_search():
     assert rp.b2_witnesses(16) == [(8, 2)]  # 16 = F_8 - F_5 = 21 - 5
     assert rp.b1_witnesses(13) == []
     assert rp.b2_witnesses(13) == []
+
+
+def _scan_b1(n_max):
+    """(n, i, j) of B1 by a search over i for each n, by Fibonacci index."""
+    out = []
+    for n in range(n_max + 1):
+        i = 5
+        while fib(i - 1) <= n + 1:  # F_j <= F_{i-2} forces F_{i-1} <= n + 1
+            j = fib_index(fib(i) - n - 1)
+            if j is not None and 3 <= j <= i - 2:
+                out.append((n, i, j))
+            i += 1
+    return out
+
+
+def _scan_b2(n_max):
+    out = []
+    for n in range(n_max + 1):
+        i = 5
+        while fib(i - 1) <= n:  # F_{2j+1} <= F_{i-2} forces F_{i-1} <= n
+            k = fib_index(fib(i) - n)
+            if k is not None and k % 2 == 1 and 3 <= k <= i - 2:
+                out.append((n, i, (k - 1) // 2))
+            i += 1
+    return out
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 21, 2000, 5000])
+def test_pairs_match_the_per_n_scan(n_max):
+    # 2 and 4 are the least B1 index of i = 5 and 6, 3 and 21 the least
+    # B2 index of i = 5 and 8, so a loop bound off by one drops a pair
+    assert rp.b1_pairs(n_max) == _scan_b1(n_max)
+    assert rp.b2_pairs(n_max) == _scan_b2(n_max)
+
+
+def test_witnesses_filter_the_pairs():
+    b1, b2 = _scan_b1(300), _scan_b2(300)
+    for n in range(2, 301):
+        assert rp.b1_witnesses(n) == [(i, j) for m, i, j in b1 if m == n]
+        assert rp.b2_witnesses(n) == [(i, j) for m, i, j in b2 if m == n]
 
 
 def test_classify_goldens():
@@ -95,6 +138,47 @@ def test_verify_theorem_window():
     assert abs(rep["min_slack"] - 0.0412) < 5e-4
 
 
+@pytest.mark.parametrize("n", [13, 40])
+def test_verify_theorem_fails_a_lowered_g_row(monkeypatch, n):
+    # a G index takes no square root; lowered in the table until its
+    # margin fails, it must be reported, inside the base range or past it
+    table = rp.ensure_table(100).copy()
+    x, y = table[n - 1].tolist()
+    assert exceeds_alpha_squared(x, y)
+    while theorem_margin_sign(x, y, n) > 0:
+        x -= 1
+    table[n - 1] = x, y
+    monkeypatch.setattr(rp, "_TABLE", table)
+    rep = rp.verify_theorem(100)
+    assert rep["verdict"] is False and rep["failures"] == [n]
+    assert rep["base_range_pass"] is (n > 21)
+
+
+def test_verify_theorem_takes_roots_outside_g_only(monkeypatch):
+    calls = []
+
+    def counted(x, y, n):
+        calls.append(n)
+        return theorem_margin_sign(x, y, n)
+
+    monkeypatch.setattr(rp, "theorem_margin_sign", counted)
+    n_max = 3000
+    assert rp.verify_theorem(n_max)["verdict"] is True
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    in_good = au.accepts_batch(rp.good_automaton(), ns.reshape(-1, 1))
+    assert calls == ns[~in_good].tolist() + list(range(1, 22))
+
+
+def test_largest_index_law_k13_k14_with_oracle_margin():
+    # k = 14 with the default 2,000-wide margin needs the table to 198,040
+    t0 = time.perf_counter()
+    for k in (13, 14):
+        p, q = fib(k + 1) - 1, fib(k - 1)
+        assert rp.largest_index_below(p, q) == fib(2 * k - 1) - fib(k) - 1
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 20.0, f"k = 13, 14 took {elapsed:.1f}s"
+
+
 def test_exponent_record_table_and_fast_agree():
     rp.ensure_table(400)
     for n in (1, 7, 130, 399):
@@ -111,15 +195,24 @@ def test_ensure_table_grows_without_rebuilding(monkeypatch):
 
     def counted(n_max, start=1):
         out = exponent_table(n_max, start)
-        built.extend(rec.n for rec in out)
+        built.extend(range(start, start + len(out)))  # row r holds start + r
         return out
 
-    monkeypatch.setattr(rp, "_TABLE", [])
+    monkeypatch.setattr(rp, "_TABLE", np.zeros((0, 2), dtype=np.int64))
     monkeypatch.setattr(rp, "exponent_table", counted)
     rp.ensure_table(500)
     table = rp.ensure_table(1200)
     assert built == list(range(1, 1201))
-    assert table == exponent_table(1200)
+    assert table.tolist() == exponent_table(1200).tolist()
+
+
+def test_ensure_table_is_read_only():
+    table = rp.ensure_table(300)
+    with pytest.raises(ValueError, match="read-only"):
+        table[12, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        table[:, 1] += 1
+    assert rp.exponent_record(13) == e_of_n(13)
 
 
 def test_sweeps_reject_empty_ranges():

@@ -16,10 +16,13 @@ Symbols are integers: the digit of track t occupies bit t, so a column
 `linear` builders) and `compile_regex` return minimal automata in
 canonical numbering, so equal languages give equal objects.
 `expand_insert` and `remap_tracks` do not: they prepare operands for the
-one minimizing `product` of a formula node.
+one minimizing `product` or `constrain` of a formula node.
 
 The constructions walk only the raw states they reach, over transition
-tables as lists; only minimization refines whole arrays.
+tables as lists, and key each raw state by one Python int: a mixed-radix
+code of the part states in a product, carry id and state in a
+constraint, a bitmask in a subset construction.  Only minimization
+refines whole arrays.
 """
 
 from __future__ import annotations
@@ -274,26 +277,40 @@ _PRODUCT_MODES = {"and": (False, False, False, True),
 def _walk(parts: tuple[SyncDFA, ...], accept) -> SyncDFA:
     """Reachable part of the synchronous product of `parts`, not minimized.
 
-    A state is the tuple of its part states; a BFS over the parts'
-    transition tables, as lists, numbers them in order of discovery.
-    accept(flags) decides the states from the tuple of per-part
-    acceptance arrays.
+    A state (q_0, ..., q_{k-1}) is keyed by one mixed-radix int, the sum
+    of q_i * place_i, where place_i is the product of the state counts of
+    the parts after i.  Each part's transition table, as lists, is scaled
+    by its place value up front, so the codes of a state's successors are
+    the elementwise sums of its parts' rows.  A BFS numbers the codes in
+    order of discovery, as it would the tuples.  accept(flags) decides
+    the states from the tuple of per-part acceptance arrays.
     """
-    tables = [p.transitions.tolist() for p in parts]
-    start = tuple(p.initial for p in parts)
+    places, place = [], 1
+    for p in reversed(parts):
+        places.append(place)
+        place *= p.n_states
+    places.reverse()
+    radix = [([[q * w for q in row] for row in p.transitions.tolist()],
+              w, p.n_states) for p, w in zip(parts, places)]
+    start = sum(p.initial * w for p, w in zip(parts, places))
     index = {start: 0}
     order = [start]
     rows = []
-    for key in order:  # appending while iterating: a queue
+    for code in order:  # appending while iterating: a queue
+        succ = None
+        for table, w, n in radix:
+            row = table[code // w % n]
+            succ = row if succ is None else map(operator.add, succ, row)
         row = []
-        for nxt in zip(*map(operator.getitem, tables, key)):
+        for nxt in succ:
             j = index.get(nxt)
             if j is None:
                 j = index[nxt] = len(order)
                 order.append(nxt)
             row.append(j)
         rows.append(row)
-    flags = tuple(p.final[list(qs)] for p, qs in zip(parts, zip(*order)))
+    flags = tuple(p.final[[code // w % p.n_states for code in order]]
+                  for p, w in zip(parts, places))
     return _dfa(parts[0].arity, rows, 0, accept(flags))
 
 
@@ -338,7 +355,8 @@ def remap_tracks(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> Sync
 
 def expand_insert(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> SyncDFA:
     """remap_tracks plus validity on the inserted tracks, not minimized:
-    the reachable walk that the one minimizing `product` then takes."""
+    the reachable walk that the one minimizing `product` or `constrain`
+    then takes."""
     inserted = tuple(sorted(set(range(new_arity)) - set(positions)))
     wide = remap_tracks(a, new_arity, positions)
     if not inserted:
@@ -353,7 +371,10 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
     The NFA start set is everything reachable from the initial state by
     columns that are zero outside the erased track, which is exactly the
     closure needed so shorter representations of the remaining tracks
-    stay accepted when the witness needs more digits.
+    stay accepted when the witness needs more digits.  Subsets are int
+    bitmasks, bit q for state q, and for each new symbol a state's
+    successors are one mask, so a subset's successor is the OR of its
+    members' masks.
     """
     if not 0 <= track < a.arity:
         raise ValueError("track out of range")
@@ -364,39 +385,47 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
     base = [s & low_mask | (s >> track) << (track + 1)
             for s in range(1 << new_arity)]
     # cols[s_new][q]: the successors of q on the two old symbols that
-    # erase to s_new; s_new = 0 gives the closure steps
-    cols = np.stack([a.transitions[:, base],
-                     a.transitions[:, [s | 1 << track for s in base]]],
-                    axis=2).transpose(1, 0, 2).tolist()
+    # erase to s_new, as a bitmask; s_new = 0 gives the closure steps
+    table = a.transitions.tolist()
+    cols = [[1 << row[s] | 1 << row[s | 1 << track] for row in table]
+            for s in base]
 
-    start = {a.initial}
+    start = 1 << a.initial
     frontier = [a.initial]
     while frontier:
-        for nxt in cols[0][frontier.pop()]:
-            if nxt not in start:
-                start.add(nxt)
-                frontier.append(nxt)
+        new = cols[0][frontier.pop()] & ~start
+        start |= new
+        frontier += _members(new)
 
-    start_key = frozenset(start)
-    index: dict[frozenset[int], int] = {start_key: 0}
-    sets = [start_key]
+    index = {start: 0}
+    sets = [start]
     rows: list[list[int]] = []
     for cur in sets:  # appending while iterating: a queue
+        members = _members(cur)
         row = []
         for col in cols:
-            group = set()
-            for q in cur:
-                group.update(col[q])
-            nxt = frozenset(group)
+            nxt = 0
+            for q in members:
+                nxt |= col[q]
             j = index.get(nxt)
             if j is None:
                 j = index[nxt] = len(sets)
                 sets.append(nxt)
             row.append(j)
         rows.append(row)
-    accepting = frozenset(np.flatnonzero(a.final).tolist())
+    accepting = sum(1 << q for q in np.flatnonzero(a.final).tolist())
     return minimize(_dfa(new_arity, rows, 0,
-                         [bool(group & accepting) for group in sets]))
+                         [bool(m & accepting) for m in sets]))
+
+
+def _members(mask: int) -> list[int]:
+    """The states of a subset given as a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def decide_true(a: SyncDFA) -> bool:
@@ -656,6 +685,10 @@ def constrain(a: SyncDFA, coeffs: tuple[int, ...], rel: str, c: int) -> SyncDFA:
     A step maps u*phi + v to phi*(u*phi + v + d) and u*psi + v to
     psi*(u*psi + v + d), so only finitely many carries are reached
     before u and v are both >= B or both <= -B.
+
+    The walk is keyed by ints: the True carry has id 0, each undecided
+    carry the next id when it is first reached, and the pair (q, carry
+    id i) is i*n_states + q.
     """
     if len(coeffs) != a.arity:
         raise ValueError(f"expected {a.arity} coefficients, got {len(coeffs)}")
@@ -666,45 +699,61 @@ def constrain(a: SyncDFA, coeffs: tuple[int, ...], rel: str, c: int) -> SyncDFA:
     neg = -sum(x for x in coeffs if x < 0)
     weight = [sum(x for i, x in enumerate(coeffs) if s >> i & 1)
               for s in range(a.n_symbols)]
-    resolved: dict[tuple[int, int], tuple[int, int] | bool] = {}
+    n = a.n_states
+    # carries[i]: the carry of id i, True for one decided to hold; a
+    # carry decided to fail has no id.  code[carry]: its id times n, or
+    # -1 for a failed carry.  steps[i]: the codes of the carries after
+    # each symbol, filled when id i is first walked.
+    carries: list[tuple[int, int] | bool] = [True]
+    code: dict[tuple[int, int], int] = {}
+    steps: list[list[int] | None] = [[0] * a.n_symbols]
 
-    def resolve(carry: tuple[int, int]) -> tuple[int, int] | bool:
-        if carry not in resolved:
+    def resolve(carry: tuple[int, int]) -> int:
+        k = code.get(carry)
+        if k is None:
             verdict = _carry_verdict(holds, c, pos, neg, *carry)
-            resolved[carry] = carry if verdict is None else verdict
-        return resolved[carry]
+            if verdict is None:
+                k = len(carries) * n
+                carries.append(carry)
+                steps.append(None)
+            else:
+                k = 0 if verdict else -1
+            code[carry] = k
+        return k
 
-    # steps[carry][s]: the resolved carry after symbol s; False is dead
-    steps = {True: [True] * a.n_symbols}
+    # a pair (q, carry id i) is i*n + q; every pair whose state is not
+    # live (-1 in table) or whose carry failed is the dead state, -1
     live = live_states(a).tolist()
-    table = a.transitions.tolist()
+    table = [[q2 if live[q2] else -1 for q2 in row]
+             for row in a.transitions.tolist()]
     start = resolve((0, 0))
-    start = (a.initial, start) if live[a.initial] and start is not False else None
-    index: dict[tuple | None, int] = {start: 0}
+    start = start + a.initial if start >= 0 and live[a.initial] else -1
+    index = {start: 0}
     order = [start]
     rows: list[list[int]] = []
-    for key in order:  # appending while iterating: a queue
-        if key is None:
-            rows.append([index[None]] * a.n_symbols)
+    for pair in order:  # appending while iterating: a queue
+        if pair < 0:
+            rows.append([index[-1]] * a.n_symbols)
             continue
-        q, carry = key
-        nexts = steps.get(carry)
+        i, q = divmod(pair, n)
+        nexts = steps[i]
         if nexts is None:
-            u, v = carry
-            nexts = steps[carry] = [resolve((u + v + w, u)) for w in weight]
+            u, v = carries[i]
+            nexts = steps[i] = [resolve((u + v + w, u)) for w in weight]
         row = []
-        for q2, carry2 in zip(table[q], nexts):
-            nxt = (q2, carry2) if live[q2] and carry2 is not False else None
+        for q2, k in zip(table[q], nexts):
+            nxt = k + q2 if q2 >= 0 <= k else -1
             j = index.get(nxt)
             if j is None:
                 j = index[nxt] = len(order)
                 order.append(nxt)
             row.append(j)
         rows.append(row)
+    final = a.final.tolist()
+    accepting = [True] + [holds(sum(carry), c) for carry in carries[1:]]
     return minimize(_dfa(a.arity, rows, 0,
-                         [key is not None and bool(a.final[key[0]])
-                          and (key[1] is True or holds(sum(key[1]), c))
-                          for key in order]))
+                         [pair >= 0 and final[pair % n]
+                          and accepting[pair // n] for pair in order]))
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def sqrt_bounds(r: int, bits: int) -> tuple[int, int]:
     """Integer bounds (lo, hi) with lo <= sqrt(r)*2^bits <= hi, hi-lo <= 1.
@@ -79,6 +81,27 @@ def cmp_ratio_alpha2(x: int, y: int) -> int:
 def exceeds_alpha_squared(x: int, y: int) -> bool:
     """True iff the rational x/y exceeds alpha^2 (y >= 1)."""
     return cmp_ratio_alpha2(x, y) > 0
+
+
+_MASK_LIMIT = 1 << 30  # below it, exceeds_alpha_squared_mask fits int64
+
+
+def exceeds_alpha_squared_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """exceeds_alpha_squared on each row of two integer columns, exactly.
+
+    With |x| and y below 2^30, d = 2x - 3y > 0 is below 2^31, so d*d
+    and 5*y*y are below 2^63 and the squaring test runs in int64.  Where
+    any value is larger, every row takes the scalar test instead.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if y.size and y.min() < 1:
+        raise ValueError("denominator must be >= 1")
+    if ((x >= _MASK_LIMIT) | (x <= -_MASK_LIMIT) | (y >= _MASK_LIMIT)).any():
+        return np.array([exceeds_alpha_squared(a, b)
+                         for a, b in zip(x.tolist(), y.tolist())], dtype=bool)
+    d = np.maximum(2 * x - 3 * y, 0)
+    return (d > 0) & (d * d > 5 * y * y)
 
 
 def below_alpha2(p: int, q: int) -> bool:

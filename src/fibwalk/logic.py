@@ -720,18 +720,25 @@ def _conjoin_linear(rel: Rel | None, form: tuple[dict[str, int], int],
                     op: str) -> Rel:
     """rel conjoined with `form op 0` (alone when rel is None).
 
-    When rel binds every variable of form, the constraint is applied to
-    rel by automata.constrain, so it is only built where rel can hold.
-    Otherwise the cached atom automata.linear over form's variables is
-    conjoined with it; a zero coefficient keeps its variable's track.
+    The constraint is applied to rel by automata.constrain, so it is only
+    built where rel can hold.  A variable of form that rel does not bind
+    first gets a track of its own (automata.expand_insert, which keeps it
+    canonical); a zero coefficient keeps its variable's track.  Only with
+    no rel at all is the cached atom automata.linear built.
     """
     coeffs, const = form
-    if rel is not None and set(coeffs) <= set(rel.names):
-        aligned = tuple(coeffs.get(v, 0) for v in rel.names)
-        return Rel(au.constrain(rel.dfa, aligned, op, -const), rel.names)
-    names = tuple(sorted(coeffs))
-    atom = Rel(au.linear(tuple(coeffs[v] for v in names), op, -const), names)
-    return atom if rel is None else _boolean(rel, atom, "and")
+    if rel is None:
+        names = tuple(sorted(coeffs))
+        return Rel(au.linear(tuple(coeffs[v] for v in names), op, -const),
+                   names)
+    names, dfa = rel.names, rel.dfa
+    if not coeffs.keys() <= set(names):
+        names = tuple(sorted(set(names) | coeffs.keys()))
+        pos = {v: i for i, v in enumerate(names)}
+        dfa = au.expand_insert(dfa, len(names),
+                               tuple(pos[v] for v in rel.names))
+    aligned = tuple(coeffs.get(v, 0) for v in names)
+    return Rel(au.constrain(dfa, aligned, op, -const), names)
 
 
 _CONNECTIVES = {Or: "or", Imp: "imp", Iff: "iff"}
@@ -750,10 +757,11 @@ class _Compiler:
     Every linear term is lowered by _form, and every linear constraint is
     conjoined by _conjoin_linear.  An & chain is one conjunction: first
     its other conjuncts, then each comparison followed by the guards of
-    its natural differences.  A comparison whose variables the
-    conjunction already binds constrains it, so it is only built where
-    the rest can hold; built on its own, its size grows with its
-    constants.  Either way gives the same automaton.
+    its natural differences.  Each comparison constrains the conjunction
+    built so far, widened by the variables it does not bind yet, so it is
+    only built where the rest can hold; built on its own, its size would
+    grow with its constants.  A chain of comparisons alone starts from
+    the first one's own automaton.
 
     A call or word atom starts from the predicate's automaton.  Each
     argument other than a fresh variable (a repeated variable, a

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import automata as au
 from . import logic
-from .exact import below_alpha2, exceeds_alpha_squared, theorem_margin_sign
+from .exact import (below_alpha2, exceeds_alpha_squared,
+                    exceeds_alpha_squared_mask, theorem_margin_sign)
 from .fibword import (ExponentRecord, exponent_record_fast, exponent_table,
                       generate_prefix, has_period)
 from .numeration import fib
@@ -195,29 +196,24 @@ def classify(n: int) -> ClassifiedIndex:
 def partition_report(n_max: int) -> dict:
     """Totality and unambiguity of the three-way split on [2, n_max]."""
     _check_range("partition", n_max, 2)
-    xs, ys = ensure_table(n_max)[1:].T.tolist()
-    ns = np.arange(2, n_max + 1, dtype=np.int64).reshape(-1, 1)
-    in_good = au.accepts_batch(good_automaton(), ns).tolist()
-    in_b1 = au.accepts_batch(b1_set_automaton(), ns).tolist()
-    in_b2 = au.accepts_batch(b2_set_automaton(), ns).tolist()
-    with_b1 = {n for n, _, _ in b1_pairs(n_max)}
-    with_b2 = {n for n, _, _ in b2_pairs(n_max)}
-    failures = []
-    counts = {"G": 0, "B1": 0, "B2": 0}
-    for n, g, b1, b2, x, y in zip(range(2, n_max + 1), in_good, in_b1, in_b2,
-                                  xs, ys):
-        ok = (g == exceeds_alpha_squared(x, y)
-              and g != (b1 or b2)
-              and not (b1 and b2)
-              and (not b1 or n in with_b1)
-              and (not b2 or n in with_b2))
-        if ok:
-            counts["G" if g else ("B1" if b1 else "B2")] += 1
-        else:
-            failures.append(n)
+    x, y = ensure_table(n_max)[1:].T
+    ns = np.arange(2, n_max + 1, dtype=np.int64)
+    g = au.accepts_batch(good_automaton(), ns)
+    b1 = au.accepts_batch(b1_set_automaton(), ns)
+    b2 = au.accepts_batch(b2_set_automaton(), ns)
+    with_b1 = np.isin(ns, [n for n, _, _ in b1_pairs(n_max)])
+    with_b2 = np.isin(ns, [n for n, _, _ in b2_pairs(n_max)])
+    ok = ((g == exceeds_alpha_squared_mask(x, y))
+          & (g != (b1 | b2))
+          & ~(b1 & b2)
+          & (~b1 | with_b1)
+          & (~b2 | with_b2))
+    counts = {"G": int((ok & g).sum()),
+              "B1": int((ok & ~g & b1).sum()),
+              "B2": int((ok & ~g & ~b1).sum())}
     return {"claim": "partition", "range": [2, n_max],
-            "verdict": not failures, "counts": counts,
-            "failures": failures[:20]}
+            "verdict": bool(ok.all()), "counts": counts,
+            "failures": ns[~ok][:20].tolist()}
 
 
 def lemma1_report(n_max: int) -> dict:
@@ -267,27 +263,29 @@ def verify_theorem(n_max: int) -> dict:
     """Exact check of e(n) >= alpha^2 - 3/sqrt(n) for 1 <= n <= n_max.
 
     Where e(n) > alpha^2 the margin is positive outright, so the square
-    roots are taken only where e(n) <= alpha^2, and for the first 21 n
+    roots are taken only where e(n) <= alpha^2, found for the whole
+    column at once by exceeds_alpha_squared_mask, and for the first 21 n
     on their own.  The verdict path never touches floats; the reported
     slack is a float rendering of e(n) - (alpha^2 - 3/sqrt(n)) for
-    display only.
+    display only, and its minimum is the first one.
     """
     _check_range("theorem", n_max, 1)
-    xs, ys = ensure_table(n_max).T.tolist()
-    failures = []
-    min_slack = None
-    argmin = None
-    for n, x, y in zip(range(1, n_max + 1), xs, ys):
-        if not exceeds_alpha_squared(x, y) and theorem_margin_sign(x, y, n) < 0:
-            failures.append(n)
-        slack = x / y - (2.618033988749895 - 3.0 / n ** 0.5)
-        if min_slack is None or slack < min_slack:
-            min_slack, argmin = slack, n
-    base_pass = all(theorem_margin_sign(x, y, n) > 0
-                    for n, x, y in zip(range(1, 22), xs, ys))
+    table = ensure_table(n_max)
+    x, y = table.T
+    rows = np.flatnonzero(~exceeds_alpha_squared_mask(x, y))
+    failures = [n for n, (x_n, y_n) in zip((rows + 1).tolist(),
+                                           table[rows].tolist())
+                if theorem_margin_sign(x_n, y_n, n) < 0]
+    # n ** 0.5 is C pow, which differs from np.sqrt in the last bit at
+    # some n (2921 is the first); the display keeps to the former
+    roots = np.array([n ** 0.5 for n in range(1, n_max + 1)])
+    slack = x / y - (2.618033988749895 - 3.0 / roots)
+    argmin = int(np.argmin(slack))
+    base_pass = all(theorem_margin_sign(x_n, y_n, n) > 0
+                    for n, (x_n, y_n) in enumerate(table[:21].tolist(), 1))
     return {"claim": "theorem", "range": [1, n_max],
             "verdict": not failures, "base_range_pass": base_pass,
-            "min_slack": min_slack, "argmin": argmin,
+            "min_slack": float(slack[argmin]), "argmin": argmin + 1,
             "failures": failures[:20]}
 
 

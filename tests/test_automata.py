@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -530,3 +531,170 @@ def test_sync_dfa_arrays_are_read_only():
     with pytest.raises(ValueError):
         au.SyncDFA(1, np.zeros((2, 2), dtype=np.int64), 0, np.zeros(2, bool))
     assert hash(au.minimize(a)) == hash(a) and au.minimize(a) == a
+
+
+# ---------------------------------------------------------------------------
+# the int-keyed walks against their tuple- and set-keyed references
+
+
+def reference_walk(parts, accept):
+    """_walk keyed by tuples of part states: the same BFS, not minimized."""
+    tables = [p.transitions.tolist() for p in parts]
+    start = tuple(p.initial for p in parts)
+    index, order, rows = {start: 0}, [start], []
+    for key in order:
+        row = []
+        for nxt in zip(*map(operator.getitem, tables, key)):
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        rows.append(row)
+    flags = tuple(p.final[list(qs)] for p, qs in zip(parts, zip(*order)))
+    return au.SyncDFA(parts[0].arity, np.array(rows, dtype=np.int32), 0,
+                      np.array(accept(flags), dtype=bool))
+
+
+def reference_project(a, track):
+    """project's subset construction over frozensets, not minimized."""
+    low = (1 << track) - 1
+    base = [s & low | (s >> track) << (track + 1)
+            for s in range(1 << (a.arity - 1))]
+    table = a.transitions.tolist()
+    cols = [[(row[s], row[s | 1 << track]) for row in table] for s in base]
+    start, frontier = {a.initial}, [a.initial]
+    while frontier:
+        for nxt in cols[0][frontier.pop()]:
+            if nxt not in start:
+                start.add(nxt)
+                frontier.append(nxt)
+    start = frozenset(start)
+    index, sets, rows = {start: 0}, [start], []
+    for cur in sets:
+        row = []
+        for col in cols:
+            nxt = frozenset(r for q in cur for r in col[q])
+            if nxt not in index:
+                index[nxt] = len(sets)
+                sets.append(nxt)
+            row.append(index[nxt])
+        rows.append(row)
+    final = [any(a.final[q] for q in group) for group in sets]
+    return au.SyncDFA(a.arity - 1, np.array(rows, dtype=np.int32), 0,
+                      np.array(final, dtype=bool))
+
+
+def reference_exact_constrain(a, coeffs, rel, c):
+    """constrain keyed by (state, carry) pairs, None for the dead pair,
+    with carries decided by _carry_verdict: the same walk, not minimized."""
+    holds = RELATIONS[rel]
+    pos = sum(x for x in coeffs if x > 0)
+    neg = -sum(x for x in coeffs if x < 0)
+    weight = [sum(x for i, x in enumerate(coeffs) if s >> i & 1)
+              for s in range(a.n_symbols)]
+
+    def resolve(u, v):
+        verdict = au._carry_verdict(holds, c, pos, neg, u, v)
+        return (u, v) if verdict is None else verdict
+
+    live = au.live_states(a).tolist()
+    table = a.transitions.tolist()
+
+    def pair(q, carry):
+        return (q, carry) if live[q] and carry is not False else None
+
+    start = pair(a.initial, resolve(0, 0))
+    index, order, rows = {start: 0}, [start], []
+    for key in order:
+        row = []
+        for s in range(a.n_symbols):
+            nxt = None
+            if key is not None:
+                q, carry = key
+                if carry is not True:
+                    u, v = carry
+                    carry = resolve(u + v + weight[s], u)
+                nxt = pair(table[q][s], carry)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        rows.append(row)
+    final = [key is not None and bool(a.final[key[0]])
+             and (key[1] is True or holds(sum(key[1]), c)) for key in order]
+    return au.SyncDFA(a.arity, np.array(rows, dtype=np.int32), 0,
+                      np.array(final, dtype=bool))
+
+
+def raw(monkeypatch, build, *args, walk=None):
+    """What build(*args) walks before its one minimize; with `walk`, the
+    product walks run through it instead of automata._walk."""
+    with monkeypatch.context() as m:
+        m.setattr(au, "minimize", lambda a: a)
+        if walk is not None:
+            m.setattr(au, "_walk", walk)
+        return build(*args)
+
+
+def random_dfa(rng, arity, max_states=30):
+    n = rng.randint(1, max_states)
+    rows = [[rng.randrange(n) for _ in range(1 << arity)] for _ in range(n)]
+    final = [rng.random() < 0.4 for _ in range(n)]
+    return au.SyncDFA(arity, np.array(rows, dtype=np.int32).reshape(n, -1),
+                      rng.randrange(n), np.array(final, dtype=bool))
+
+
+def test_walk_matches_tuple_keyed_reference(env, monkeypatch):
+    suff, ffactoreq = env.lookup("suff").dfa, env.lookup("ffactoreq").dfa
+    valid = au.validity_automaton(3)
+    first, both = operator.itemgetter(0), np.logical_and.reduce
+    for parts, accept in [((suff,), first), ((suff, valid), both),
+                          ((suff, ffactoreq, valid), both)]:
+        got = au._walk(parts, accept)
+        assert got == reference_walk(parts, accept)
+        assert got.n_states > 1
+    # the 3-part products: imp and iff walk validity along with both operands
+    for mode in ("and", "or", "imp", "iff"):
+        assert (raw(monkeypatch, au.product, suff, ffactoreq, mode)
+                == raw(monkeypatch, au.product, suff, ffactoreq, mode,
+                       walk=reference_walk)), mode
+    assert (raw(monkeypatch, au.expand_insert, suff, 5, (0, 2, 4))
+            == raw(monkeypatch, au.expand_insert, suff, 5, (0, 2, 4),
+                   walk=reference_walk))
+
+
+def test_walks_match_references_on_seeded_random_dfas(monkeypatch):
+    rng = random.Random(14)
+    for _ in range(60):
+        arity = rng.randint(0, 3)
+        parts = tuple(random_dfa(rng, arity) for _ in range(rng.randint(1, 3)))
+        flags = np.logical_or.reduce if rng.random() < 0.5 \
+            else np.logical_and.reduce
+        assert au._walk(parts, flags) == reference_walk(parts, flags)
+        a = parts[0]
+        if arity:
+            track = rng.randrange(arity)
+            assert (raw(monkeypatch, au.project, a, track)
+                    == reference_project(a, track))
+        coeffs = tuple(rng.randint(-6, 6) for _ in range(arity))
+        rel, c = rng.choice(sorted(RELATIONS)), rng.randint(-9, 9)
+        assert (raw(monkeypatch, au.constrain, a, coeffs, rel, c)
+                == reference_exact_constrain(a, coeffs, rel, c))
+
+
+def test_constrain_and_project_match_references_on_a_seeded_sample(
+        env, monkeypatch):
+    rng = random.Random(1404)
+    preds = [env.lookup(n).validated() for n in env.names()]
+    for _ in range(40):
+        a = rng.choice(preds)
+        if a.arity == 0:
+            continue
+        coeffs = tuple(rng.randint(-13, 13) for _ in range(a.arity))
+        rel, c = rng.choice(sorted(RELATIONS)), rng.randint(-20, 20)
+        assert (raw(monkeypatch, au.constrain, a, coeffs, rel, c)
+                == reference_exact_constrain(a, coeffs, rel, c)), \
+            (coeffs, rel, c)
+        track = rng.randrange(a.arity)
+        assert (raw(monkeypatch, au.project, a, track)
+                == reference_project(a, track))

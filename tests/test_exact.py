@@ -3,11 +3,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fibwalk import exact
+from fibwalk import repetitions as rp
 from fibwalk.exact import (below_alpha2, cmp_ratio_alpha2,
-                           exceeds_alpha_squared, min_ceil_multiple,
-                           sign_sqrt_sum, sqrt_bounds, theorem_margin_sign)
+                           exceeds_alpha_squared, exceeds_alpha_squared_mask,
+                           min_ceil_multiple, sign_sqrt_sum, sqrt_bounds,
+                           theorem_margin_sign)
+from fibwalk.numeration import fib
 
 ALPHA2 = (3 + math.sqrt(5)) / 2
 
@@ -62,6 +67,54 @@ def test_cmp_ratio_alpha2_brackets_the_constant():
     assert not below_alpha2(21, 8)
     with pytest.raises(ValueError):
         cmp_ratio_alpha2(1, 0)
+
+
+def assert_mask_matches_scalar(x, y):
+    got = exceeds_alpha_squared_mask(np.array(x, dtype=np.int64),
+                                     np.array(y, dtype=np.int64))
+    assert got.dtype == bool and got.shape == (len(x),)
+    assert got.tolist() == [exceeds_alpha_squared(a, b)
+                            for a, b in zip(x, y)]
+
+
+def test_mask_matches_scalar_on_the_oracle_table():
+    x, y = rp.ensure_table(20000).T.tolist()
+    assert_mask_matches_scalar(x, y)
+
+
+def test_mask_matches_scalar_beside_alpha_squared():
+    # F_{k+2}/F_k tends to alpha^2 from alternate sides; one off either way
+    rows = [(fib(k + 2) + d, fib(k)) for k in range(1, 41) for d in (-1, 0, 1)]
+    assert_mask_matches_scalar(*zip(*rows))
+    assert len({exceeds_alpha_squared(*r) for r in rows}) == 2
+
+
+def test_mask_at_and_past_the_int64_guard(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return cmp_ratio_alpha2(x, y) > 0
+
+    monkeypatch.setattr(exact, "exceeds_alpha_squared", counted)
+    top = (1 << 30) - 1  # the largest value the int64 test takes
+    y = 410_000_000  # alpha^2 * y is just below 2^30
+    below = (3 * y + math.isqrt(5 * y * y)) // 2
+    edge = [(top, 1), (top, top), (-top, 1), (top, y), (below, y),
+            (below + 1, y)]
+    assert_mask_matches_scalar(*zip(*edge))
+    del calls[:]
+    exceeds_alpha_squared_mask(*np.array(edge).T)
+    assert calls == []  # all below the guard: no scalar test
+    # past it, each row takes the scalar test, exactly
+    rows = [(fib(k + 2) + d, fib(k)) for k in range(41, 89) for d in (-1, 0, 1)]
+    rows += [(1 << 30, 1), (5, 1 << 30), (-(1 << 30), 3), (1 << 62, 1)]
+    assert_mask_matches_scalar(*zip(*rows))
+    del calls[:]
+    exceeds_alpha_squared_mask(*np.array(edge + rows[-1:]).T)
+    assert len(calls) == len(edge) + 1
+    with pytest.raises(ValueError):
+        exceeds_alpha_squared_mask(np.array([3]), np.array([0]))
 
 
 def test_convergents_straddle_alpha2():

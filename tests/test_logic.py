@@ -430,6 +430,80 @@ FREE = ("n", "x", "y")
 CMP_OPS = ["=", "!=", "<", "<=", ">", ">="]
 
 
+def reference_conjoin_linear(rel, form, op):
+    """rel and `form op 0` by another route: the constraint built on its
+    own by automata.linear, then conjoined with rel by one full product."""
+    coeffs, const = form
+    names = tuple(sorted(coeffs))
+    atom = logic.Rel(au.linear(tuple(coeffs[v] for v in names), op, -const),
+                     names)
+    return logic._boolean(rel, atom, "and")
+
+
+SCRIPTS = ("good_partition.wal", "lemma_checks.wal", "largest_index.wal")
+
+
+def test_every_constraint_of_the_scripts_matches_the_product_route(
+        monkeypatch):
+    calls = []
+    conjoin = logic._conjoin_linear
+
+    def recorded(rel, form, op):
+        out = conjoin(rel, form, op)
+        calls.append((rel, form, op, out))
+        return out
+
+    built = []
+    linear = au.linear
+    monkeypatch.setattr(logic, "_conjoin_linear", recorded)
+    monkeypatch.setattr(au, "linear", lambda *a: built.append(a) or linear(*a))
+    logic.clear_compile_memo()
+    try:
+        for name in SCRIPTS:
+            run_session(rp.script_text(name))
+    finally:
+        logic.clear_compile_memo()
+    on_rel = [(rel, form, op, out) for rel, form, op, out in calls
+              if rel is not None]
+    # linear is built only for a constraint with nothing to constrain
+    assert len(built) == len(calls) - len(on_rel) > 0
+    widened = 0
+    for rel, form, op, out in on_rel:
+        assert out == reference_conjoin_linear(rel, form, op), (form, op)
+        widened += not form[0].keys() <= set(rel.names)
+    # the helper equations of the calls bring in variables, e.g. suff's
+    # #1 = (n+y)-x brings in y
+    assert widened >= 3
+
+
+@st.composite
+def linear_cases(draw):
+    """(rel, form, op): a bundled predicate on sorted names drawn from
+    a..e, and a form over names drawn from the same pool."""
+    env = rp.session_env()
+    name = draw(st.sampled_from(["isfib", "adjfib", "ffactoreq", "suff",
+                                 "phi2n", "b1", "b2"]))
+    dfa = env.lookup(name).validated()
+    pool = "abcde"
+    names = tuple(sorted(draw(st.lists(st.sampled_from(pool), unique=True,
+                                       min_size=dfa.arity,
+                                       max_size=dfa.arity))))
+    variables = draw(st.lists(st.sampled_from(pool), unique=True,
+                              min_size=1, max_size=3))
+    coeffs = {v: draw(st.integers(-4, 4)) for v in variables}
+    const, op = draw(st.integers(-8, 8)), draw(st.sampled_from(CMP_OPS))
+    return logic.Rel(dfa, names), (coeffs, const), op
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=linear_cases())
+def test_conjoin_linear_matches_the_product_route(case):
+    rel, form, op = case
+    got = logic._conjoin_linear(rel, form, op)
+    assert got == reference_conjoin_linear(rel, form, op)
+    assert got.names == tuple(sorted(set(rel.names) | form[0].keys()))
+
+
 @st.composite
 def terms(draw, scope, subtract=True):
     v, w = draw(st.sampled_from(scope)), draw(st.sampled_from(scope))

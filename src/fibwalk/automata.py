@@ -12,9 +12,10 @@ length.  Constructed automata keep two invariants:
 Symbols are integers: the digit of track t occupies bit t, so a column
 (d_0, ..., d_{k-1}) is sum(d_t << t).
 
-`minimize`, `product`, `complement`, `project`, `constrain` (with the
-`linear` builders) and `compile_regex` return minimal automata in
-canonical numbering, so equal languages give equal objects.
+`minimize`, `product`, `complement`, `project`, `constrain` (with
+`linear` and its instances `adder`, `const_add` and `const_multiple`)
+and `compile_regex` return minimal automata in canonical numbering, so
+equal languages give equal objects.
 `expand_insert` and `remap_tracks` do not: they prepare operands for the
 one minimizing `product` or `constrain` of a formula node.
 
@@ -769,18 +770,6 @@ def adder() -> SyncDFA:
 
 
 @lru_cache(maxsize=None)
-def comparator(rel: str) -> SyncDFA:
-    """Two-track order relation x rel y."""
-    return linear((1, -1), rel, 0)
-
-
-@lru_cache(maxsize=None)
-def const_equal(c: int) -> SyncDFA:
-    """One-track relation {x = c} for a natural c."""
-    return linear((1,), "=", _natural(c))
-
-
-@lru_cache(maxsize=None)
 def const_add(c: int) -> SyncDFA:
     """Two-track relation y = x + c for a natural c."""
     return linear((1, -1), "=", -_natural(c))
@@ -824,11 +813,15 @@ def enumerate_accepted(a: SyncDFA, limit: int, chunk: int = 1 << 14) -> list:
     return out
 
 
-def first_accepted_words(a: SyncDFA, k: int, max_len: int = 4000) -> list[list[int]]:
+_MAX_WORD_LEN = 4000  # first_accepted_words looks no further
+
+
+def first_accepted_words(a: SyncDFA, k: int) -> list[list[int]]:
     """First k accepted canonical words in length-then-lex (numeric) order.
 
     A canonical word is empty or starts with a nonzero column.  Stops
-    early when no live state remains reachable.
+    early when no live state remains reachable, and after words of
+    _MAX_WORD_LEN columns.
     """
     if a.arity == 0:
         raise ValueError("needs arity >= 1")
@@ -840,7 +833,7 @@ def first_accepted_words(a: SyncDFA, k: int, max_len: int = 4000) -> list[list[i
     exact = [mask]  # exact[r][q]: accepting reachable in exactly r steps
     frontier = {int(t[a.initial, s]) for s in range(1, a.n_symbols)}
     length = 1
-    while len(found) < k and length <= max_len:
+    while len(found) < k and length <= _MAX_WORD_LEN:
         exact.append(exact[-1][t].any(axis=1))
         if not any(live[q] for q in frontier):
             break

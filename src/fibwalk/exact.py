@@ -26,17 +26,21 @@ def sqrt_bounds(r: int, bits: int) -> tuple[int, int]:
     return lo, hi
 
 
-def sign_sqrt_sum(terms: Sequence[tuple[int, int]], start_bits: int = 32,
+_START_BITS = 32  # sign_sqrt_sum's first working precision
+
+
+def sign_sqrt_sum(terms: Sequence[tuple[int, int]],
                   max_bits: int = 4096) -> int:
     """Sign of sum c*sqrt(r) over (c, r) pairs: -1, 0, or +1.
 
-    Doubles the working precision until the enclosing interval excludes 0.
+    Doubles the working precision from _START_BITS bits until the
+    enclosing interval excludes 0.
     Returns 0 only when every radicand with a nonzero coefficient is a
     perfect square and the exact total is 0; if the true value is an
     irrational 0-crossing mix the caller must have ruled out equality,
     otherwise the precision cap is hit and ArithmeticError is raised.
     """
-    bits = start_bits
+    bits = _START_BITS
     while bits <= max_bits:
         lo_total = 0
         hi_total = 0
@@ -130,21 +134,12 @@ def theorem_margin_sign(x: int, y: int, n: int) -> int:
 def min_ceil_multiple(a: int, b: int, r: int, c: int, p: int) -> int:
     """ceil(((a + b*sqrt(r)) / c) * p): least m with m*c >= a*p + b*p*sqrt(r).
 
-    All of b, c, p must be >= 0 with c, p >= 1.  Exact: the defining
-    inequality squares to integers.
+    All of b, c, p, r must be >= 0 with c, p >= 1.  Exact: m*c - a*p is
+    an integer, so it is >= b*p*sqrt(r) iff it is >= that root's ceiling.
     """
-    if c < 1 or p < 1 or b < 0:
-        raise ValueError("need c >= 1, p >= 1, b >= 0")
-    big_a = a * p
-    big_b = b * p
-
-    def at_least(m: int) -> bool:
-        d = m * c - big_a
-        if d < 0:
-            return False
-        return d * d >= big_b * big_b * r
-
-    m = int(math.ceil((a + b * math.sqrt(r)) / c * p)) - 3
-    while not at_least(m):
-        m += 1
-    return m
+    if c < 1 or p < 1 or b < 0 or r < 0:
+        raise ValueError("need c >= 1, p >= 1, b >= 0, r >= 0")
+    square = b * b * p * p * r
+    root = math.isqrt(square)
+    root += root * root < square
+    return -(-(a * p + root) // c)

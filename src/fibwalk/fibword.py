@@ -13,12 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import min_ceil_multiple
-from .numeration import zeck_encode
-
-# quadratics (a, b, r, c) meaning (a + b*sqrt(r)) / c
-ALPHA = (1, 1, 5, 2)
-ALPHA_SQUARED = (3, 1, 5, 2)
-SQRT2 = (0, 1, 2, 1)
+from .numeration import fib_index, zeck_encode
 
 
 def generate_prefix(n: int) -> str:
@@ -90,21 +85,15 @@ def has_period(w: str, p: int) -> bool:
     return p >= len(w) or w[p:] == w[:-p]
 
 
-def is_alpha_power(w: str, alpha) -> bool:
+def is_alpha_power(w: str, alpha: tuple[int, int, int, int]) -> bool:
     """|w| == ceil(alpha * per(w)) for alpha >= 1 given exactly.
 
-    alpha may be an int, a Fraction, or an (a, b, r, c) quadratic tuple
-    denoting (a + b*sqrt(r))/c.
+    alpha is a quadratic (a, b, r, c) denoting (a + b*sqrt(r))/c, with
+    b >= 0 and c >= 1; a rational alpha is (a, 0, 0, c).
     """
     if not w:
         raise ValueError("is_alpha_power of empty word")
-    if isinstance(alpha, int):
-        quad = (alpha, 0, 0, 1)
-    elif isinstance(alpha, Fraction):
-        quad = (alpha.numerator, 0, 0, alpha.denominator)
-    else:
-        quad = tuple(alpha)
-    a, b, r, c = quad
+    a, b, r, c = alpha
     return len(w) == min_ceil_multiple(a, b, r, c, least_period(w))
 
 
@@ -397,38 +386,15 @@ def exponent_table(n_max: int, start: int = 1) -> np.ndarray:
 
 def check_periods_fibonacci(n_max: int) -> bool:
     """Every factor of f[0..n_max-1] has a Fibonacci least period."""
-    return periods_found(n_max) <= _fib_set_upto(n_max)
+    return all(fib_index(p) is not None for p in periods_found(n_max))
 
 
 def periods_found(n_max: int) -> set[int]:
     """All least periods over factors f[i..j], j < n_max.
 
-    For each start i one incremental failure pass covers every end j.
+    For each start i one failure pass over f[i..] covers every end j:
+    f[i..i+t] has least period t + 1 - pi[t].
     """
     prefix = generate_prefix(n_max)
-    found: set[int] = set()
-    for i in range(n_max):
-        w = prefix[i:]
-        m = len(w)
-        pi = [0] * m
-        k = 0
-        found.add(1)
-        for t in range(1, m):
-            c = w[t]
-            while k and w[k] != c:
-                k = pi[k - 1]
-            if w[k] == c:
-                k += 1
-            pi[t] = k
-            found.add(t + 1 - k)
-    return found
-
-
-def _fib_set_upto(limit: int) -> set[int]:
-    s = set()
-    a, b = 1, 2
-    while a <= limit:
-        s.add(a)
-        a, b = b, a + b
-    return s
-
+    return {t + 1 - k for i in range(n_max)
+            for t, k in enumerate(failure_function(prefix[i:]))}

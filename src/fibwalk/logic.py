@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iter_product
 
-import numpy as np
-
 from . import automata as au
 from .automata import SyncDFA
 from .fibword import fib_word_dfao, symbol_at
@@ -642,17 +640,9 @@ def _reg_automaton(cmd: RegCmd) -> SyncDFA:
 def sequence_atom_automaton() -> SyncDFA:
     """Two-track relation {(s, t): word symbol at s equals symbol at t}."""
     dfao = fib_word_dfao()
-    trans = dfao["transition"]
-    out = dfao["output"]
-    n = dfao["states"]
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    index = {p: k for k, p in enumerate(pairs)}
-    rows = [[index[(trans[i][sym & 1], trans[j][sym >> 1])] for sym in range(4)]
-            for i, j in pairs]
-    raw = SyncDFA(2, np.array(rows, dtype=np.int32),
-                  index[(dfao["initial"], dfao["initial"])],
-                  np.array([out[i] == out[j] for i, j in pairs]))
-    return au.product(raw, au.validity_automaton(2), "and")
+    word = au._dfa(1, dfao["transition"], dfao["initial"], dfao["output"])
+    return au.product(au.remap_tracks(word, 2, (0,)),
+                      au.remap_tracks(word, 2, (1,)), "iff")
 
 
 def _boolean(a: Rel, b: Rel, mode: str) -> Rel:

@@ -318,13 +318,15 @@ def m_gamma_automaton(p: int, q: int) -> au.SyncDFA:
     return ratio_reach_automaton(p, q)
 
 
-def largest_index_below(p: int, q: int,
-                        cross_check_margin: int = 2000) -> int:
+_ORACLE_MARGIN = 2000  # indices past the answer that the oracle checks
+
+
+def largest_index_below(p: int, q: int) -> int:
     """The largest n with e(n) < p/q, for 1 <= p/q < alpha^2.
 
     Computed from the automata; then the exponent oracle confirms
     e(n) < p/q at the answer and e(m) >= p/q for the next
-    cross_check_margin values of m.
+    _ORACLE_MARGIN values of m.
     """
     if q < 1:
         raise ValueError("denominator must be >= 1")
@@ -343,17 +345,15 @@ def largest_index_below(p: int, q: int,
         raise AssertionError(f"largest-index automaton for {p}/{q} accepts "
                              f"{len(words)} values, expected exactly 1")
     n_star = au.word_to_values(words[0], 1)[0]
-    if cross_check_margin:
-        table = ensure_table(n_star + cross_check_margin)
-        xs, ys = table[n_star - 1:].T.tolist()
-        # e = x/y < p/q, in integers since y and q are positive
-        if not xs[0] * q < p * ys[0]:
-            raise AssertionError(f"oracle refutes e({n_star}) < {p}/{q}")
-        for m, x, y in zip(range(n_star + 1, n_star + cross_check_margin + 1),
-                           xs[1:], ys[1:]):
-            if x * q < p * y:
-                raise AssertionError(
-                    f"oracle found e({m}) < {p}/{q} beyond the answer")
+    xs, ys = ensure_table(n_star + _ORACLE_MARGIN)[n_star - 1:].T.tolist()
+    # e = x/y < p/q, in integers since y and q are positive
+    if not xs[0] * q < p * ys[0]:
+        raise AssertionError(f"oracle refutes e({n_star}) < {p}/{q}")
+    for m, x, y in zip(range(n_star + 1, n_star + _ORACLE_MARGIN + 1),
+                       xs[1:], ys[1:]):
+        if x * q < p * y:
+            raise AssertionError(
+                f"oracle found e({m}) < {p}/{q} beyond the answer")
     return n_star
 
 

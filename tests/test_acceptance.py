@@ -201,7 +201,7 @@ def test_criterion_10_relation_automata_vs_integer_oracles():
     for name, op in [("<", operator.lt), ("<=", operator.le),
                      ("=", operator.eq), (">", operator.gt),
                      (">=", operator.ge)]:
-        got = batch_ok(au.comparator(name), pairs)
+        got = batch_ok(au.linear((1, -1), name, 0), pairs)
         want = op(a_flat, b_flat)
         assert (got == want).all(), name
 

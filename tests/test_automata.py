@@ -215,7 +215,7 @@ def test_comparators_against_oracle():
     ops = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
            ">": operator.gt, ">=": operator.ge}
     for name, op in ops.items():
-        dfa = au.comparator(name)
+        dfa = au.linear((1, -1), name, 0)
         for a in range(0, 130):
             for b in range(0, 130):
                 assert au.accepts(dfa, (a, b)) == op(a, b), (name, a, b)
@@ -223,7 +223,7 @@ def test_comparators_against_oracle():
 
 def test_const_equal_and_const_add():
     for c in [0, 1, 2, 7, 100]:
-        eq = au.const_equal(c)
+        eq = au.linear((1,), "=", c)
         hits = [n for n in range(300) if au.accepts(eq, (n,))]
         assert hits == [c]
     for c in [0, 1, 5, 21]:
@@ -264,7 +264,7 @@ def test_accepts_batch_matches_accepts():
 
 
 def test_accepts_batch_rejects_out_of_range():
-    eq = au.comparator("=")
+    eq = au.linear((1, -1), "=", 0)
     with pytest.raises(ValueError):
         au.accepts(eq, (-3, 0))
     with pytest.raises(ValueError):
@@ -275,8 +275,8 @@ def test_accepts_batch_rejects_out_of_range():
 
 
 def test_minimize_idempotent_and_canonical():
-    samples = [au.adder(), au.comparator("<"), au.validity_automaton(2),
-               au.const_multiple(3)]
+    samples = [au.adder(), au.linear((1, -1), "<", 0),
+               au.validity_automaton(2), au.const_multiple(3)]
     for a in samples:
         m = au.minimize(a)
         assert au.minimize(m) == m
@@ -285,16 +285,16 @@ def test_minimize_idempotent_and_canonical():
 
 
 def test_minimize_matches_moore_count():
-    for a in [au.adder(), au.comparator("<="), au.const_multiple(5)]:
+    for a in [au.adder(), au.linear((1, -1), "<=", 0), au.const_multiple(5)]:
         m = au.minimize(a)
         assert au.moore_state_count(a) == m.n_states
 
 
 def test_structural_equality_decides_language():
     # x < y built two ways: directly, and as (x <= y) and not (x = y)
-    lt = au.minimize(au.comparator("<"))
-    le = au.comparator("<=")
-    eq = au.comparator("=")
+    lt = au.minimize(au.linear((1, -1), "<", 0))
+    le = au.linear((1, -1), "<=", 0)
+    eq = au.linear((1, -1), "=", 0)
     combo = au.minimize(au.product(le, au.complement(eq), "and"))
     # complement leaves the all-words universe, so re-restrict to validity
     combo = au.minimize(au.product(combo, au.validity_automaton(2), "and"))
@@ -305,7 +305,7 @@ def test_structural_equality_decides_language():
 def test_leading_zero_invariance():
     # prepending all-zero symbols never changes acceptance
     cases = [(au.adder(), [(0, 0, 0), (3, 5, 8), (13, 8, 21), (2, 2, 5)]),
-             (au.comparator("<"), [(3, 5), (8, 8), (13, 2)]),
+             (au.linear((1, -1), "<", 0), [(3, 5), (8, 8), (13, 2)]),
              (au.const_multiple(3), [(4, 12), (4, 13), (0, 0)])]
     for a, tuples in cases:
         for vals in tuples:
@@ -316,7 +316,7 @@ def test_leading_zero_invariance():
 
 
 def test_remap_and_expand_tracks():
-    lt = au.comparator("<")
+    lt = au.linear((1, -1), "<", 0)
     gt = au.remap_tracks(lt, 2, (1, 0))  # swap arguments
     for a in range(60):
         for b in range(60):
@@ -336,7 +336,7 @@ def test_project_existential():
     univ = au.minimize(au.validity_automaton(2))
     assert pairs == univ
     # project x from x < y: all y >= 1 remain
-    some_below = au.project(au.comparator("<"), 0)
+    some_below = au.project(au.linear((1, -1), "<", 0), 0)
     for y in range(100):
         assert au.accepts(some_below, (y,)) == (y >= 1)
 
@@ -345,14 +345,14 @@ def test_enumerate_accepted_value_bound():
     isfib = au.compile_regex("0*10*", 1)
     got = au.enumerate_accepted(isfib, 100)
     assert got == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
-    lt = au.comparator("<")
+    lt = au.linear((1, -1), "<", 0)
     pairs = au.enumerate_accepted(lt, 4)
     assert pairs == [(a, b) for a in range(5) for b in range(5) if a < b]
     # lexicographic order holds across chunk boundaries of the tuple grid
     want = [(x, y, x + y) for x in range(13) for y in range(13) if x + y <= 12]
     for chunk in (7, 1 << 14):
         assert au.enumerate_accepted(au.adder(), 12, chunk) == want
-    assert au.enumerate_accepted(au.const_equal(4), 9, 3) == [4]
+    assert au.enumerate_accepted(au.linear((1,), "=", 4), 9, 3) == [4]
     assert au.enumerate_accepted(au.adder(), 0) == [(0, 0, 0)]
     with pytest.raises(ValueError, match="limit must be >= 0"):
         au.enumerate_accepted(au.adder(), -2)
@@ -394,7 +394,7 @@ def test_compile_regex_errors():
 
 
 def test_to_dot_and_to_text_render():
-    good = au.const_equal(3)
+    good = au.linear((1,), "=", 3)
     dot = au.to_dot(good)
     assert dot.startswith("digraph")
     assert "->" in dot

@@ -1,12 +1,14 @@
 """Certified integer-only comparisons against quadratic irrationals."""
 
+import ast
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fibwalk import exact
+from fibwalk import exact, numeration
 from fibwalk import repetitions as rp
 from fibwalk.exact import (below_alpha2, cmp_ratio_alpha2,
                            exceeds_alpha_squared, exceeds_alpha_squared_mask,
@@ -165,3 +167,53 @@ def test_min_ceil_multiple_alpha_powers():
         min_ceil_multiple(1, 1, 5, 0, 1)
     with pytest.raises(ValueError):
         min_ceil_multiple(1, -1, 5, 1, 1)
+
+
+def test_min_ceil_multiple_past_float_precision():
+    # m is least with m*c >= a*p + b*p*sqrt(r), also past 2^53, where a
+    # float of the right side is off by more than 1
+    def at_least(m, a, b, r, c, p):
+        d = m * c - a * p
+        return d >= 0 and d * d >= b * b * p * p * r
+
+    for k in range(1, 90):
+        for p in (2 ** k - 1, 2 ** k + 1):
+            for a, b, r, c in [(3, 1, 5, 2), (1, 1, 5, 2), (0, 1, 2, 1)]:
+                m = min_ceil_multiple(a, b, r, c, p)
+                assert at_least(m, a, b, r, c, p), (k, p, a, b, r, c)
+                assert not at_least(m - 1, a, b, r, c, p), (k, p, a, b, r, c)
+    assert min_ceil_multiple(3, 1, 5, 2, 2 ** 55 - 1) == 94324615169418556
+    with pytest.raises(ValueError):
+        min_ceil_multiple(1, 0, -5, 1, 1)
+
+
+_FLOAT_MATH = {"sqrt", "ceil", "floor"}
+
+
+def _float_sites(module) -> list[str]:
+    """Lines of a module's code that divide, write a float, call float()
+    or take math.sqrt, math.ceil or math.floor."""
+    path = module.__file__
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.Div)
+        elif isinstance(node, ast.Constant):
+            hit = isinstance(node.value, float)
+        elif isinstance(node, ast.Name):
+            hit = node.id == "float"
+        elif isinstance(node, ast.Attribute):
+            hit = (isinstance(node.value, ast.Name) and node.value.id == "math"
+                   and node.attr in _FLOAT_MATH)
+        else:
+            hit = False
+        if hit:
+            sites.append(f"{os.path.basename(path)}:{node.lineno}")
+    return sites
+
+
+def test_exact_modules_use_no_floats():
+    # both module docstrings promise integer-only arithmetic
+    assert _float_sites(exact) + _float_sites(numeration) == []

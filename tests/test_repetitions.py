@@ -263,6 +263,27 @@ def test_largest_index_below_goldens():
     assert rp.largest_index_below(20, 8) == 219
 
 
+def test_largest_index_below_oracle_margin_fires(monkeypatch):
+    # the automata answer 80 for 12/5; a table that disagrees with them
+    # just past the answer, or at it, must stop the call
+    real = rp.ensure_table
+
+    def table_with(n, x, y):
+        def patched(n_max):
+            table = real(n_max).copy()
+            table[n - 1] = x, y
+            return table
+        return patched
+
+    monkeypatch.setattr(rp, "ensure_table", table_with(81, 2, 1))
+    with pytest.raises(AssertionError,
+                       match=r"e\(81\) < 12/5 beyond the answer"):
+        rp.largest_index_below(12, 5)
+    monkeypatch.setattr(rp, "ensure_table", table_with(80, 12, 5))
+    with pytest.raises(AssertionError, match=r"oracle refutes e\(80\)"):
+        rp.largest_index_below(12, 5)
+
+
 def test_largest_index_below_guards():
     with pytest.raises(ValueError):
         rp.largest_index_below(1, 1)

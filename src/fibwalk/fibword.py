@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import min_ceil_multiple
-from .numeration import fib_index, zeck_encode
+from .numeration import _fib_weights_upto, zeck_encode
 
 
 def generate_prefix(n: int) -> str:
@@ -174,219 +174,97 @@ def exponent_record_fast(n: int) -> ExponentRecord:
     return ExponentRecord(n, x, y)
 
 
-_BAND = 8192  # checkpoints per batch of LCE queries
-_LIFT = 1 << 16  # adjacent suffix pairs per lifting step
+_BLOCK = 1 << 16  # rows of the table per block
 
 
-class _LCE:
-    """Exact longest common extension over a byte array f of length N.
+def _last_mismatch(f: np.ndarray, p: int, end: int) -> int:
+    """The largest t in [p, end) with f[t] != f[t - p], or p - 1 if none.
 
-    Called on index arrays a and b, with a != b in 0..N (N is the empty
-    suffix), it gives the lengths of the longest common prefixes of f[a:]
-    and f[b:].  Each is a range minimum over the LCP array between the
-    two suffixes' ranks: the suffix array by prefix doubling, the LCP
-    array by binary lifting over the doubling rounds' ranks, and a sparse
-    table whose level comes from an integer log table.  Every kept array
-    is int32.
+    Searched backward a block at a time, so it reads only back to the
+    last mismatch.
     """
-
-    def __init__(self, f: np.ndarray):
-        n = len(f)
-        present = np.zeros(256, dtype=np.int32)
-        present[f] = 1
-        rank = (np.cumsum(present, dtype=np.int32) - 1)[f]  # dense from 0
-        sa = np.argsort(rank)
-        # levels[k][i] ranks f[i:i + 2^k], cut at the end of f, so equal
-        # ranks mean equal factors; the -1 at index N ends every match
-        levels = []
-        k = 1
-        while rank[sa[-1]] < n - 1:  # ties left; at the latest once 2k >= N
-            levels.append(np.append(rank, np.int32(-1)))
-            key = rank.astype(np.int64) * (n + 1)  # (rank, second + 1)
-            key[:n - k] += rank[k:]
-            key[:n - k] += 1
-            sa = np.argsort(key)
-            key = key[sa]
-            rank = np.empty(n, dtype=np.int32)
-            rank[sa[0]] = 0
-            rank[sa[1:]] = np.cumsum(key[1:] != key[:-1], dtype=np.int32)
-            del key
-            k *= 2
-        # lcp[r] = LCP(f[sa[r-1]:], f[sa[r]:]), lifted from the top level
-        # down: the level of 2^j symbols adds 2^j where the next 2^j
-        # symbols after the part already matched agree.  Distinct suffixes
-        # differ within the 2k symbols the last round ranked, so the sum
-        # is exact, and it never reaches past the sentinel.  lcp[0] and
-        # lcp[N], the empty suffix's rank, stay 0.  Each level is dropped
-        # once used, and pairs are lifted in chunks of `_LIFT`.
-        lcp = np.zeros(n + 1, dtype=np.int32)
-        while levels:
-            level = levels.pop()
-            k //= 2
-            for lo in range(1, n, _LIFT):
-                hi = min(lo + _LIFT, n)
-                h = lcp[lo:hi]
-                a, b = sa[lo - 1:hi - 1] + h, sa[lo:hi] + h
-                h[level[a] == level[b]] += k
-            del level
-        del sa
-        self.rank = np.append(rank, np.int32(n))
-        levels = n.bit_length()  # a query range spans at most N entries
-        self.table = np.zeros((levels, n + 1), dtype=np.int32)
-        self.table[0] = lcp
-        for k in range(1, levels):  # table[k, i] = min lcp[i:i + 2^k]
-            w = 1 << (k - 1)
-            np.minimum(self.table[k - 1, :-w], self.table[k - 1, w:],
-                       out=self.table[k, :-w])
-        self.log = np.zeros(n + 1, dtype=np.int32)
-        for k in range(1, levels):
-            self.log[1 << k:] += 1
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ra, rb = self.rank[a], self.rank[b]
-        lo = np.minimum(ra, rb) + 1
-        hi = np.maximum(ra, rb)
-        k = self.log[hi - lo + 1]
-        return np.minimum(self.table[k, lo],
-                          self.table[k, hi + 1 - (np.int32(1) << k)])
-
-
-def _improve(best_x: np.ndarray, best_y: np.ndarray, i: np.ndarray,
-             x: np.ndarray, p: int) -> None:
-    """Records i (distinct) take (x, p) where x/p is strictly larger."""
-    better = x * best_y[i] > best_x[i] * p
-    best_x[i[better]] = x[better]
-    best_y[i[better]] = p
-
-
-def _runs(fwd: _LCE, bwd: _LCE, n_max: int, start: int) -> np.ndarray:
-    """Maximal p-periodic intervals [s, e) with e - s >= 2p and e >= start.
-
-    Rows (p, s, e), one per interval, by ascending p.  Queried at
-    checkpoints j = i*p in bands of `_BAND`; an interval ending at e has
-    one at some j >= e - 2p, so checkpoints below start - 2p are skipped.
-    An interval is kept at its first checkpoint (B < p), or at the first
-    one queried when the checkpoints before it were skipped.
-    """
-    p = np.arange(1, n_max // 2 + 1, dtype=np.int32)
-    first = np.maximum((start - p - 1) // p, 0)
-    count = np.maximum((n_max - p - 1) // p + 1 - first, 0)
-    ends = np.cumsum(count)
-    found = [np.zeros((3, 0), dtype=np.int32)]
-    for lo in range(0, int(ends[-1]) if ends.size else 0, _BAND):
-        g = np.arange(lo, min(lo + _BAND, int(ends[-1])))
-        k = np.searchsorted(ends, g, side="right")
-        per = p[k]
-        i = g - ends[k] + count[k] + first[k]
-        j = (i * per).astype(np.int32)
-        fw = fwd(j, j + per)
-        bw = bwd(n_max - j, n_max - j - per)
-        run = np.stack([per, j - bw, j + per + fw])
-        once = (bw < per) | (i == first[k])
-        found.append(run[:, (fw + bw >= per) & once & (run[2] >= start)])
-    return np.concatenate(found, axis=1)
-
-
-def _run_records(w: str, start: int) -> np.ndarray:
-    """(x, y) records of w[:n] for n = start..len(w), from the runs of w.
-
-    w is any word over one-byte symbols; `exponent_table` gives the
-    argument.  X_p(n) = n - s on each run [s, e) for n in [s + 2p, e],
-    and X_p(n) = p + min(LCS(n, n - p), n - p) for the records left
-    below exponent 2, where LCS is the longest common suffix of w[:n]
-    and w[:n - p].
-    """
-    n_max = len(w)
-    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-    fwd, bwd = _LCE(f), _LCE(f[::-1])  # bwd(N - a, N - b) = LCS(a, b)
-    best_x = np.ones(n_max + 1 - start, dtype=np.int64)  # indexed by n - start
-    best_y = np.ones(n_max + 1 - start, dtype=np.int64)
-    runs = _runs(fwd, bwd, n_max, start)
-    del fwd  # only bwd is queried below
-    period_at = np.flatnonzero(np.diff(runs[0])) + 1
-    for p, s, e in np.split(runs, period_at, axis=1) if runs.size else ():
-        p = int(p[0])
-        lo = np.maximum(s + 2 * p, start)
-        size = e + 1 - lo
-        offset = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
-        n = np.repeat(lo, size) + offset
-        _improve(best_x, best_y, n - start, n - np.repeat(s, size), p)
-    low = np.flatnonzero(best_x < 2 * best_y) + start  # no square suffix
-    for p in range(1, int(low[-1]) if low.size else 0):
-        n = low[low > p]
-        x = p + np.minimum(bwd(n_max - n, n_max - n + p), n - p)
-        _improve(best_x, best_y, n - start, x, p)
-    return np.column_stack((best_x, best_y))
+    hi = end
+    while hi > p:
+        lo = max(p, hi - _BLOCK)
+        t = np.flatnonzero(f[lo:hi] != f[lo - p:hi - p])
+        if t.size:
+            return lo + int(t[-1])
+        hi = lo
+    return p - 1
 
 
 def exponent_table(n_max: int, start: int = 1) -> np.ndarray:
-    """e(n) records for n = start..n_max, from the runs of the prefix.
+    """e(n) records for n = start..n_max, from the Fibonacci periods.
 
     One int64 row (x, y) per n, in order: the record of n is row
     n - start.
 
-    For a period p < n, let X_p(n) be the length of the longest suffix of
-    f[0..n-1] with period p.  Lengths n <= p give exponent <= 1, which
-    the record (1, 1) of the one-symbol suffix already attains.  Every
-    suffix, of length x and least period q, has x <= X_q(n), so the
-    largest X_p(n)/p is e(n).
+    For a period p, let X_p(n) be the length of the longest suffix of
+    f[0..n-1] with period p.  With `last` the largest t < n such that
+    t >= p and f[t] != f[t - p], or p - 1 if there is none, X_p(n) =
+    n + p - 1 - last; it is n when p >= n.  Every suffix, of length x
+    and least period q, has x <= X_q(n), and the suffix of length
+    X_p(n) has exponent at least X_p(n)/p, so e(n) is the largest
+    X_q(n)/q over the least periods q that occur.
 
-    Checkpoints.  A run is a maximal p-periodic interval [s, e) of length
-    >= 2p.  It holds a multiple j of p in [s, s + p), and j + p < e; with
-    F = LCE(j, j + p) forward and B the common extension backward from
-    j and j + p, the run is [j - B, j + p + F), and F + B = e - s - p >= p.
-    Conversely any checkpoint with F + B >= p gives a run.  So querying
-    j = i*p for every p <= N/2 finds every run; a run is taken once, at
-    its first checkpoint, the one with B < p.  Two runs of one period
-    overlap in fewer than p positions, so each n lies in [s + 2p, e] for
-    at most one of them, where X_p(n) = n - s.
-
-    Below exponent 2.  The runs give X_p(n) only where X_p(n) >= 2p.
-    Where e(n) >= 2 that loses nothing, as a ratio below 2 can neither
-    beat nor tie the record.  An n whose record stays below 2 has no
-    square suffix, and its best X_p(n)/p lies in no run; its record is
-    taken directly from X_p(n) = p + min(LCS(n, n - p), n - p) over
-    every p < n, LCS being the backward LCE.  On the Fibonacci word
-    these n are 1, 2, 3 and 5.
+    Premise.  Every factor of the Fibonacci word has a Fibonacci least
+    period (Currie and Saari, 2009, for the factors of Sturmian words).
+    The bundled `fib_periods.wal` proves it by automaton for every
+    factor (`fibper`), and `periods_found` checks it by string on a
+    range.  So p runs over the Fibonacci numbers below n_max only, about
+    log_alpha(n_max) of them.  Without the premise each X_p(n)/p is still
+    the exponent of a suffix over one of its periods, so each row is
+    still a sound lower bound on e(n).
 
     Ties.  The record keeps the largest ratio, compared cross-multiplied
-    in int64, and among ties the smallest X_p: p ascends and only a
-    larger ratio replaces the record, so the smallest tied p, whose
-    X_p = e(n)*p is smallest, stays.  A suffix of length x with x/q =
-    e(n) has X_q = x, as X_q/q cannot exceed e(n); so the smallest tied
-    X_p is the shortest suffix of exponent e(n).  Its least period q <= p
-    has X_q >= X_p, so X_q/q >= e(n) forces q = p.  This is the record
-    `_sweep_chunk` keeps: the shortest suffix of the largest exponent,
-    with y its least period.
+    in int64, and among ties the smallest p: p ascends and only a
+    strictly larger ratio replaces the record, which starts as (1, 1),
+    the one-symbol suffix.  A tied p has X_p = e(n)*p, and the least
+    period q <= p of that suffix is a Fibonacci number with X_q/q >=
+    e(n), so q = p.  The shortest suffix of exponent e(n), of length x
+    and least period q, has X_q = x, as X_q/q cannot exceed e(n); so
+    the smallest tied p is its q.  This is the record `_sweep_chunk`
+    keeps: the shortest suffix of the largest exponent, with y its least
+    period.
 
-    Cost.  Each call builds forward and backward LCE over f[0..n_max-1]:
-    the suffix array in O(log N) rounds of one argsort each, keeping each
-    round's int32 ranks; the LCP array from those ranks by binary
-    lifting, one vectorized step per round, dropping each round's ranks
-    once used; and then a sparse table of (log2 N + 1) x (N + 1) int32
-    entries, the largest allocation.  There are about N ln N
-    checkpoints, each one O(1) query, made in bands of `_BAND` so the
-    query arrays stay small.  Applying the runs costs one step per
-    (n, p) with a square suffix of period p; on the Fibonacci word,
-    whose periods are Fibonacci numbers, that is O(N log N).  The direct
-    path costs n queries for each n it serves.  The records are two
-    int64 columns, with no Python object per n: to 10^6 the call takes
-    about 7.5 s and peaks near 245 MB (13 s and 325 MB with Kasai's scan
-    and a list of records), on one core of a shared 2-core x86-64 box.
-    Checkpoints whose runs end before `start` are skipped, and runs are
-    maximal in the whole prefix, so a table started at `start` equals
-    the tail of the full table.
+    Cost.  The rows are built in blocks of `_BLOCK` values of n, and each
+    block takes one numpy pass per period: the mismatches f[t] !=
+    f[t - p], their running maximum by `np.maximum.accumulate` from the
+    last mismatch carried over from the block before, and the
+    cross-multiplied comparison.  That is O(N log N) work, and the memory
+    is the table's 16 bytes per row plus O(`_BLOCK`) per pass.  A table
+    from `start` first finds each period's last mismatch before it with
+    `_last_mismatch`, and then computes only its own rows, so it equals
+    the tail of the full table.  To 10^6 the call takes about 0.4 s and
+    the process peaks near 50 MB, on one core of a shared 2-core x86-64
+    box.
     """
     if start < 1:
         raise ValueError("e(n) needs n >= 1")
     if n_max < start:
         return np.zeros((0, 2), dtype=np.int64)
-    return _run_records(generate_prefix(n_max), start)
-
-
-def check_periods_fibonacci(n_max: int) -> bool:
-    """Every factor of f[0..n_max-1] has a Fibonacci least period."""
-    return all(fib_index(p) is not None for p in periods_found(n_max))
+    f = np.frombuffer(generate_prefix(n_max).encode("ascii"), dtype=np.uint8)
+    periods = _fib_weights_upto(n_max - 1)  # 1, 2, 3, 5, ... < n_max
+    last = [_last_mismatch(f, p, start - 1) for p in periods]
+    table = np.ones((n_max + 1 - start, 2), dtype=np.int64)
+    for lo in range(start - 1, n_max, _BLOCK):  # symbols f[lo:hi], n = t + 1
+        hi = min(lo + _BLOCK, n_max)
+        n = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        best_x, best_y = table[lo + 1 - start:hi + 1 - start].T
+        for k, p in enumerate(periods):
+            if p >= hi:  # X_p(n) = n <= p: a ratio of at most 1
+                break
+            mark = np.full(hi - lo, last[k], dtype=np.int64)
+            s = max(lo, p)
+            t = np.flatnonzero(f[s:hi] != f[s - p:hi - p]) + s
+            mark[t - lo] = t
+            np.maximum.accumulate(mark, out=mark)
+            last[k] = int(mark[-1])
+            x = n + (p - 1) - mark
+            better = x * best_y > best_x * p
+            best_x[better] = x[better]
+            best_y[better] = p
+    return table
 
 
 def periods_found(n_max: int) -> set[int]:

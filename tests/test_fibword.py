@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibwalk import fibword
-from fibwalk.fibword import (ExponentRecord, _LCE, _run_records, _runs,
-                             _sweep_chunk,
-                             check_periods_fibonacci, e_of_n,
+from fibwalk import fibword, logic
+from fibwalk import repetitions as rp
+from fibwalk.fibword import (ExponentRecord, _sweep_chunk, e_of_n,
                              exponent, exponent_record_fast, exponent_table,
                              failure_function, fib_word_dfao, generate_prefix,
                              has_period, is_alpha_power, least_period,
@@ -104,12 +103,6 @@ def _table(n_max):
     return exponent_table(n_max)
 
 
-def _kmp_rows(w, start):
-    """The failure-array records of w[:n], n = start..len(w), as rows."""
-    n = len(w)
-    return [list(r) for r in _sweep_chunk(w[::-1], n, start, n + 1)]
-
-
 def test_exponent_record_ties_prefer_short_suffix():
     # the record keeps the shortest suffix attaining the best exponent,
     # with its least period, in the scan and in the table alike
@@ -164,107 +157,24 @@ def test_exponent_table_start_is_tail():
         exponent_table(5, start=0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(w=st.sampled_from(["01", "01a"]).flatmap(
-    lambda sigma: st.text(alphabet=sigma, min_size=1, max_size=120)),
-    data=st.data())
-def test_run_records_match_kmp_on_any_word(w, data):
-    # arbitrary words have ties at the largest exponent, records with
-    # long periods and n with no square suffix, which the Fibonacci
-    # prefixes above mostly lack; a start past 1 skips the checkpoints
-    # of runs that end before it
-    n = len(w)
-    start = data.draw(st.integers(1, n))
-    assert _run_records(w, 1).tolist() == _kmp_rows(w, 1)
-    assert _run_records(w, start).tolist() == _kmp_rows(w, start)
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_exponent_table_in_blocks_of_any_size(monkeypatch, block):
+    # each period's last mismatch is carried from block to block, and a
+    # table from start searches back for it block by block; a mismatch
+    # lost at a block boundary shows on tables longer than a block
+    full = _table(1500)[:400]
+    monkeypatch.setattr(fibword, "_BLOCK", block)
+    for s in (1, 2, 3, 55, 200, 377, 399, 400):
+        assert exponent_table(400, start=s).tolist() == full[s - 1:].tolist(), s
 
 
-def _square_free_ternary(length):
-    # the number of 1s between consecutive 0s of the Thue-Morse word
-    zeros = [i for i in range(4 * length) if bin(i).count("1") % 2 == 0]
-    return "".join(str(b - a - 1) for a, b in zip(zeros, zeros[1:]))[:length]
-
-
-@pytest.mark.parametrize("w", [
-    _square_free_ternary(240),  # every n has no square suffix
-    "0" * 150,  # one run of period 1 covering the word
-    "001" * 50 + "0",
-    "0" * 40 + "1" + "0" * 40,
-], ids=["square-free", "unary", "(001)^k0", "0^k10^k"])
-def test_run_records_on_structured_words(w):
-    n = len(w)
-    for start in (1, 2, 3, 17, n // 2, n - 1, n):
-        assert _run_records(w, start).tolist() == _kmp_rows(w, start)
-
-
-def test_square_free_word_takes_the_direct_path():
-    w = _square_free_ternary(240)
-    assert all(w[i:i + p] != w[i + p:i + 2 * p]
-               for p in range(1, 121) for i in range(len(w) - 2 * p + 1))
-    records = _run_records(w, 1).tolist()
-    assert all(x < 2 * y for x, y in records)
-    assert max(Fraction(x, y) for x, y in records) > 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(w=st.text(alphabet="01a", min_size=1, max_size=80), data=st.data())
-def test_lce_matches_direct_comparison(w, data):
-    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-    n = len(w)
-    pairs = data.draw(st.lists(
-        st.tuples(st.integers(0, n), st.integers(0, n)).filter(
-            lambda ab: ab[0] != ab[1]), min_size=1, max_size=30))
-    a, b = (np.array(c) for c in zip(*pairs))
-    for fn, word in ((_LCE(f), w), (_LCE(f[::-1]), w[::-1])):
-        want = []
-        for i, j in pairs:
-            k = 0
-            while max(i, j) + k < n and word[i + k] == word[j + k]:
-                k += 1
-            want.append(k)
-        assert fn(a, b).tolist() == want
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-def test_lce_lifts_in_chunks_of_any_size(monkeypatch, chunk):
-    # the LCP array is lifted in chunks of adjacent suffix pairs; a pair
-    # lost or repeated at a chunk boundary shows on words longer than a chunk
-    monkeypatch.setattr(fibword, "_LIFT", chunk)
-    for w in (generate_prefix(90), _square_free_ternary(60) + "0" * 9,
-              "0" * 30 + "1" + "0" * 29):
-        n = len(w)
-        a, b = np.triu_indices(n + 1, 1)
-        want = []
-        for i, j in zip(a.tolist(), b.tolist()):
-            k = 0
-            while j + k < n and w[i + k] == w[j + k]:
-                k += 1
-            want.append(k)
-        f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-        assert _LCE(f)(a, b).tolist() == want, w
-        assert _run_records(w, 1).tolist() == _kmp_rows(w, 1)
-
-
-@settings(max_examples=100, deadline=None)
-@given(w=st.text(alphabet="01a", min_size=1, max_size=80), data=st.data())
-def test_runs_are_the_maximal_repetitions(w, data):
-    # each maximal p-periodic [s, e) of length >= 2p that ends at or after
-    # start, found by scanning every period, comes out exactly once
-    n = len(w)
-    start = data.draw(st.integers(1, n))
-    want = []
-    for p in range(1, n // 2 + 1):
-        s = 0
-        while s + p < n:
-            e = s + p
-            while e < n and w[e] == w[e - p]:
-                e += 1
-            if e - s >= 2 * p and e >= start:
-                want.append((p, s, e))
-            s = max(s + 1, e - p)
-    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-    got = _runs(_LCE(f), _LCE(f[::-1]), n, start)
-    assert list(zip(*got.tolist())) == want
+@pytest.mark.parametrize("n", [130, 952, 6675, 46134, 317200])
+def test_exponent_table_matches_fast_records_far_out(n):
+    # n = 130 and F_{4m} - F_{2m+1} - 1, where sqrt(n)*(alpha^2 - e(n)) is
+    # largest; exponent_record_fast scans every suffix with no theory of
+    # which periods occur
+    row = _table(317200)[n - 1].tolist()
+    assert exponent_record_fast(n) == ExponentRecord(n, *row)
 
 
 def test_workload_growth_is_the_full_tail():
@@ -294,10 +204,33 @@ def test_record_verify_rejects_wrong_claims():
 
 
 def test_periods_are_fibonacci():
-    assert check_periods_fibonacci(500)
     found = periods_found(500)
     assert found <= {fib(k) for k in range(2, 16)}
     assert {1, 2, 3, 5} <= found
+
+
+def test_fib_periods_script_proves_the_premise():
+    # every factor has a least period, and every least period is a
+    # Fibonacci number: the premise of exponent_table, for every factor
+    report = logic.run_session(rp.script_text("fib_periods.wal"))
+    data = {e.data["name"]: e.data for e in report.entries}
+    assert data["per"]["states"] == 42 and data["lper"]["states"] == 19
+    assert data["haslper"]["verdict"] is True
+    assert data["fibper"]["verdict"] is True
+
+
+@pytest.mark.parametrize("old, new, claim", [
+    # with q <= p no p is least, so lper is empty and fibper holds
+    # vacuously; haslper is the eval that fails
+    ("q>=1 & q<p", "q>=1 & q<=p", "haslper"),
+    ("Ai,m,p $lper(i,m,p)", "Ai,m,p $per(i,m,p)", "fibper"),
+])
+def test_fib_periods_script_fails_when_broken(old, new, claim):
+    text = rp.script_text("fib_periods.wal")
+    assert text.count(old) == 1
+    report = logic.run_session(text.replace(old, new))
+    verdicts = {e.data["name"]: e.data.get("verdict") for e in report.entries}
+    assert verdicts[claim] is False
 
 
 def test_dfao_outputs_match_word():

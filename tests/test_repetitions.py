@@ -170,13 +170,14 @@ def test_verify_theorem_takes_roots_outside_g_only(monkeypatch):
 
 
 def test_largest_index_law_k13_k14_with_oracle_margin():
-    # k = 14 with the default 2,000-wide margin needs the table to 198,040
+    # k = 14, 15 and 16 with the default 2,000-wide margin need the table
+    # to 198,040, 515,618 and 1,347,281
     t0 = time.perf_counter()
-    for k in (13, 14):
+    for k in (13, 14, 15, 16):
         p, q = fib(k + 1) - 1, fib(k - 1)
         assert rp.largest_index_below(p, q) == fib(2 * k - 1) - fib(k) - 1
     elapsed = time.perf_counter() - t0
-    assert elapsed < 20.0, f"k = 13, 14 took {elapsed:.1f}s"
+    assert elapsed < 20.0, f"k = 13..16 took {elapsed:.1f}s"
 
 
 def test_exponent_record_table_and_fast_agree():

@@ -168,6 +168,46 @@ def test_exponent_table_in_blocks_of_any_size(monkeypatch, block):
         assert exponent_table(400, start=s).tolist() == full[s - 1:].tolist(), s
 
 
+def _suffix_run(w, end, p):
+    """Longest suffix of w[:end] with period p, by backward comparison."""
+    k = 0
+    while end - 1 - k - p >= 0 and w[end - 1 - k] == w[end - 1 - k - p]:
+        k += 1
+    return min(end, k + p)
+
+
+def _square_free_ternary(length):
+    # the number of 1s between consecutive 0s of the Thue-Morse word
+    zeros = [i for i in range(4 * length) if bin(i).count("1") % 2 == 0]
+    return "".join(str(b - a - 1) for a, b in zip(zeros, zeros[1:]))[:length]
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.text(alphabet="01a", min_size=1, max_size=80), data=st.data())
+def test_lce_matches_direct_comparison(w, data):
+    # X_p(end) = end + p - 1 - last is the backward common extension of
+    # end - 1 and end - 1 - p, plus p; the mismatch search holds on any word
+    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+    end = data.draw(st.integers(0, len(w)))
+    for p in range(1, len(w) + 2):
+        got = end + p - 1 - fibword._last_mismatch(f, p, end)
+        assert got == _suffix_run(w, end, p), (end, p)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_lce_lifts_in_chunks_of_any_size(monkeypatch, chunk):
+    # the last mismatch is searched back a block at a time; one lost or
+    # misplaced at a block boundary shows on words longer than a block
+    monkeypatch.setattr(fibword, "_BLOCK", chunk)
+    for w in (generate_prefix(90), _square_free_ternary(60) + "0" * 9,
+              "0" * 30 + "1" + "0" * 29):
+        f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+        for end in range(len(w) + 1):
+            for p in range(1, end + 2):
+                got = end + p - 1 - fibword._last_mismatch(f, p, end)
+                assert got == _suffix_run(w, end, p), (w, end, p)
+
+
 @pytest.mark.parametrize("n", [130, 952, 6675, 46134, 317200])
 def test_exponent_table_matches_fast_records_far_out(n):
     # n = 130 and F_{4m} - F_{2m+1} - 1, where sqrt(n)*(alpha^2 - e(n)) is

@@ -15,9 +15,14 @@ Symbols are integers: the digit of track t occupies bit t, so a column
 `minimize`, `product`, `complement`, `project`, `constrain` (with
 `linear` and its instances `adder`, `const_add` and `const_multiple`)
 and `compile_regex` return minimal automata in canonical numbering, so
-equal languages give equal objects.
+equal languages give equal objects.  `project` has two modes: it erases
+a track existentially, or universally with every=True, in one subset
+construction either way.
 `expand_insert` and `remap_tracks` do not: they prepare operands for the
 one minimizing `product` or `constrain` of a formula node.
+`expand_insert` also makes the inserted tracks canonical; the compiler
+needs that only for the operands of `or` and for a track that a linear
+constraint adds.
 
 The constructions walk only the raw states they reach, over transition
 tables as lists, and key each raw state by one Python int: a mixed-radix
@@ -366,16 +371,25 @@ def expand_insert(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> Syn
                  np.logical_and.reduce)
 
 
-def project(a: SyncDFA, track: int) -> SyncDFA:
-    """Existential quantification: erase one track, keep leading-zero closure.
+def project(a: SyncDFA, track: int, every: bool = False) -> SyncDFA:
+    """Erase one track: existential (E) quantification, or universal (A)
+    with every=True; keep leading-zero closure.
 
     The NFA start set is everything reachable from the initial state by
     columns that are zero outside the erased track, which is exactly the
     closure needed so shorter representations of the remaining tracks
     stay accepted when the witness needs more digits.  Subsets are int
-    bitmasks, bit q for state q, and for each new symbol a state's
-    successors are one mask, so a subset's successor is the OR of its
-    members' masks.
+    bitmasks, and for each new symbol a member's successors are one mask,
+    so a subset's successor is the OR of its members' masks.
+
+    Existentially the members are the states q of `a`, bit q, and a
+    subset accepts when some member accepts.  Universally they are the
+    pairs (q, last digit d of the erased track), bit 2q + d; a witness
+    that would read 11 on the erased track is dropped, and a subset
+    accepts when every member accepts.  So the result accepts a tuple
+    when `a` accepts it with every natural on the erased track, which is
+    complement(project(complement(a), track)) when `a` is canonical on
+    every track.
     """
     if not 0 <= track < a.arity:
         raise ValueError("track out of range")
@@ -385,14 +399,25 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
     low_mask = (1 << track) - 1
     base = [s & low_mask | (s >> track) << (track + 1)
             for s in range(1 << new_arity)]
-    # cols[s_new][q]: the successors of q on the two old symbols that
-    # erase to s_new, as a bitmask; s_new = 0 gives the closure steps
+    # cols[s_new][member]: the successors of a member on the two old
+    # symbols that erase to s_new, as a bitmask; s_new = 0 gives the
+    # closure steps
     table = a.transitions.tolist()
-    cols = [[1 << row[s] | 1 << row[s | 1 << track] for row in table]
-            for s in base]
+    final = a.final.tolist()
+    if every:
+        cols = [[m for row in table
+                 for m in (1 << 2 * row[s] | 2 << 2 * row[s | 1 << track],
+                           1 << 2 * row[s])]
+                for s in base]
+        initial = 2 * a.initial
+        rejecting = sum(3 << 2 * q for q, f in enumerate(final) if not f)
+    else:
+        cols = [[1 << row[s] | 1 << row[s | 1 << track] for row in table]
+                for s in base]
+        initial = a.initial
 
-    start = 1 << a.initial
-    frontier = [a.initial]
+    start = 1 << initial
+    frontier = [initial]
     while frontier:
         new = cols[0][frontier.pop()] & ~start
         start |= new
@@ -414,9 +439,12 @@ def project(a: SyncDFA, track: int) -> SyncDFA:
                 sets.append(nxt)
             row.append(j)
         rows.append(row)
-    accepting = sum(1 << q for q in np.flatnonzero(a.final).tolist())
-    return minimize(_dfa(new_arity, rows, 0,
-                         [bool(m & accepting) for m in sets]))
+    if every:
+        accept = [not m & rejecting for m in sets]
+    else:
+        accepting = sum(1 << q for q, f in enumerate(final) if f)
+        accept = [bool(m & accepting) for m in sets]
+    return minimize(_dfa(new_arity, rows, 0, accept))
 
 
 def _members(mask: int) -> list[int]:

@@ -646,24 +646,29 @@ def sequence_atom_automaton() -> SyncDFA:
 
 
 def _boolean(a: Rel, b: Rel, mode: str) -> Rel:
-    """a mode b over the union of their tracks: align both, one product."""
+    """a mode b over the union of their tracks: align both, one product.
+
+    Only "or" needs its operands made canonical on the tracks they lack
+    (automata.expand_insert).  For "and" each track is canonical in the
+    operand that owns it, and "imp" and "iff" hold only where product's
+    own validity_automaton does, so a plain remap_tracks serves them.
+    """
     names = tuple(sorted(set(a.names) | set(b.names)))
     pos = {v: i for i, v in enumerate(names)}
-    wa = au.expand_insert(a.dfa, len(names), tuple(pos[v] for v in a.names))
-    wb = au.expand_insert(b.dfa, len(names), tuple(pos[v] for v in b.names))
+    align = au.expand_insert if mode == "or" else au.remap_tracks
+    wa = align(a.dfa, len(names), tuple(pos[v] for v in a.names))
+    wb = align(b.dfa, len(names), tuple(pos[v] for v in b.names))
     return Rel(au.product(wa, wb, mode), names)
 
 
-def _negate(a: Rel) -> Rel:
-    return Rel(au.complement(a.dfa), a.names)
-
-
-def _project_name(a: Rel, name: str) -> Rel:
+def _project_name(a: Rel, name: str, every: bool = False) -> Rel:
+    """E name (A name with every=True) over a; a itself if name is not free."""
     if name not in a.names:
         return a
     t = a.names.index(name)
     rest = a.names[:t] + a.names[t + 1:]
-    return Rel(au.project(a.dfa, t), rest)
+    dfa = au.project(a.dfa, t, every=True) if every else au.project(a.dfa, t)
+    return Rel(dfa, rest)
 
 
 def _combine(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int],
@@ -759,6 +764,15 @@ class _Compiler:
     equation t - argument = 0 ties to the argument's variables before t
     is projected away.  A natural t already implies the guard of an
     argument a - b itself, so only the guards nested inside it are added.
+    The equations are tied one at a time, each next the one with the
+    fewest variables that are not yet tracks of the Rel built so far,
+    the later argument on a tie: for $ffactoreq(n-x,(n+y)-x,x-y) that is
+    x-y, then (n+y)-x, then n-x, so each constraint widens the Rel by
+    as few tracks as it can.  The order reads only the formula and the
+    tracks, and the result does not depend on it.
+
+    E projects each of its variables existentially, and A universally
+    (automata.project with every=True), with no complement around it.
     """
 
     def __init__(self, env: PredicateEnv):
@@ -766,7 +780,8 @@ class _Compiler:
 
     def compile(self, f) -> Rel:
         if isinstance(f, Not):
-            return _negate(self.compile(f.body))
+            rel = self.compile(f.body)
+            return Rel(au.complement(rel.dfa), rel.names)
         if isinstance(f, (And, Cmp)):
             acc = None
             parts = _conjuncts(f)
@@ -786,16 +801,11 @@ class _Compiler:
         mode = _CONNECTIVES.get(type(f))
         if mode is not None:
             return _boolean(self.compile(f.left), self.compile(f.right), mode)
-        if isinstance(f, Exists):
+        if isinstance(f, (Exists, Forall)):
             rel = self.compile(f.body)
             for v in f.names:
-                rel = _project_name(rel, v)
+                rel = _project_name(rel, v, every=isinstance(f, Forall))
             return rel
-        if isinstance(f, Forall):
-            rel = _negate(self.compile(f.body))
-            for v in f.names:
-                rel = _project_name(rel, v)
-            return _negate(rel)
         if isinstance(f, (Call, SeqEq)):
             return self._atom(f)
         raise TypeError(f"not a formula node: {f!r}")
@@ -830,7 +840,11 @@ class _Compiler:
             dfa = au.minimize(au.remap_tracks(
                 dfa, len(names), tuple(pos[v] for v in names)))
         rel = Rel(dfa, ordered)
-        for t, equation, guards in helpers:
+        while helpers:  # fewest unbound variables, the later on a tie
+            bound = set(rel.names)
+            k = min(range(len(helpers)), key=lambda k: (
+                len(helpers[k][1][0].keys() - bound), -k))
+            t, equation, guards = helpers.pop(k)
             rel = _project_name(_conjoin_linear(rel, equation, "="), t)
             for guard in guards:
                 rel = _conjoin_linear(rel, guard, ">=")

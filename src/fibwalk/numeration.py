@@ -9,6 +9,7 @@ Everything here is pure integer arithmetic, no floats.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,15 +50,21 @@ def lucas(n: int) -> int:
     return fib(n + 1) + fib(n - 1)
 
 
-@lru_cache(maxsize=None)
+# F_2, F_3, ...: only ever replaced by a longer tuple, so the process
+# keeps one copy of the weights, not one per value encoded
+_WEIGHTS: tuple[int, ...] = (1, 2)
+
+
 def _fib_weights_upto(limit: int) -> tuple[int, ...]:
     """Ascending weights F_2, F_3, ... while F_k <= limit (at least F_2)."""
-    ws = [1]
-    a, b = 1, 2
-    while b <= limit:
-        ws.append(b)
-        a, b = b, a + b
-    return tuple(ws)
+    global _WEIGHTS
+    ws = _WEIGHTS
+    if ws[-1] <= limit:
+        grown = list(ws)
+        while grown[-1] <= limit:
+            grown.append(grown[-1] + grown[-2])
+        _WEIGHTS = ws = tuple(grown)
+    return ws[:max(1, bisect_right(ws, limit))]
 
 
 def zeck_encode(n: int) -> "ZeckRep":

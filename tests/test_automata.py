@@ -698,3 +698,27 @@ def test_constrain_and_project_match_references_on_a_seeded_sample(
         track = rng.randrange(a.arity)
         assert (raw(monkeypatch, au.project, a, track)
                 == reference_project(a, track))
+
+
+def test_universal_project_matches_the_complement_route(env):
+    # canonical automata drawn as in the test above: bundled predicates,
+    # constrain results on them, and the complements of both, for which
+    # A is seldom empty
+    rng = random.Random(1404)
+    preds = [env.lookup(n).validated() for n in env.names()]
+    nonempty = 0
+    for _ in range(40):
+        a = rng.choice(preds)
+        if a.arity == 0:
+            continue
+        if rng.random() < 0.5:
+            coeffs = tuple(rng.randint(-13, 13) for _ in range(a.arity))
+            a = au.constrain(a, coeffs, rng.choice(sorted(RELATIONS)),
+                             rng.randint(-20, 20))
+        if rng.random() < 0.5:
+            a = au.complement(a)
+        track = rng.randrange(a.arity)
+        got = au.project(a, track, every=True)
+        assert got == au.complement(au.project(au.complement(a), track))
+        nonempty += bool(got.final.any())
+    assert nonempty >= 10

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import random
 import re
 import time
 from pathlib import Path
@@ -573,6 +574,87 @@ def test_call_argument_aliasing():
     rel2 = compile_predicate(env, "?msd_fib $adjfib(n+1,n)")
     got2 = [n for n in range(200) if au.accepts(rel2.dfa, (n,))]
     assert got2 == [1, 2]  # (2,1) and (3,2) only
+
+
+def linear_argument(rng, fresh):
+    """(argument, the equation that names it `fresh`): a sum of 1-3 of x,
+    y, z, perhaps plus 1, or a natural difference of two such sums, which
+    fresh + subtrahend = minuend states exactly."""
+    def total(names):
+        return "+".join(names + ["1"] * rng.randint(0, 1))
+    names = rng.sample("xyz", rng.randint(1, 3))
+    if len(names) == 1 or rng.random() < 0.5:
+        arg = total(names)
+        return arg, f"{fresh}={arg}"
+    cut = rng.randint(1, len(names) - 1)
+    minuend, subtrahend = total(names[:cut]), total(names[cut:])
+    return f"({minuend})-({subtrahend})", f"{fresh}+{subtrahend}={minuend}"
+
+
+def test_planned_call_atoms_match_explicit_variables(env, script_run):
+    # the argument order the planner picks must not change the relation:
+    # Ea,b,c $ffactoreq(a,b,c) & a+x=n & ... is the call with each
+    # argument named and constrained by hand
+    scoped = env.copy()
+    scoped.define("per", "def", script_run("fib_periods.wal")[1]
+                  .lookup("per").dfa)
+    rng = random.Random(17)
+    for callee in ("ffactoreq", "b1", "per", "F"):
+        for _ in range(3):
+            fresh = "ab" if callee == "F" else "abc"
+            n_linear = rng.randint(2, len(fresh))
+            args, equations = [], []
+            for i, a in enumerate(fresh):
+                if i < n_linear:
+                    arg, equation = linear_argument(rng, a)
+                else:
+                    arg = rng.choice("xyz")
+                    equation = f"{a}={arg}"
+                args.append(arg)
+                equations.append(equation)
+            if callee == "F":
+                call = "F[{}]=F[{}]".format(*args)
+                named = "F[{}]=F[{}]".format(*fresh)
+            else:
+                call = f"${callee}({','.join(args)})"
+                named = f"${callee}({','.join(fresh)})"
+            explicit = (f"?msd_fib E{','.join(fresh)} {named} & "
+                        + " & ".join(equations))
+            got = logic.compile_formula(parse_formula("?msd_fib " + call),
+                                        scoped)
+            want = logic.compile_formula(parse_formula(explicit), scoped)
+            assert got == want, (call, explicit)
+
+
+def test_suff_ties_its_smallest_argument_first(env, monkeypatch):
+    # $ffactoreq(n-x,(n+y)-x,x-y): x-y brings in two variables, as n-x
+    # does, and is the later one; then (n+y)-x and n-x bring in only n
+    equations = []
+    conjoin = logic._conjoin_linear
+
+    def recorded(rel, form, op):
+        if op == "=":
+            equations.append({v: c for v, c in form[0].items()
+                              if not v.startswith("#")})
+        return conjoin(rel, form, op)
+
+    monkeypatch.setattr(logic, "_conjoin_linear", recorded)
+    src = "?msd_fib n>=x & x>=y & y>=1 & $ffactoreq(n-x,(n+y)-x,x-y)"
+    rel = logic.compile_formula(parse_formula(src), env)
+    assert equations == [{"x": -1, "y": 1}, {"n": -1, "y": -1, "x": 1},
+                         {"n": -1, "x": 1}]
+    assert rel.dfa == env.lookup("suff").dfa
+
+
+def test_forall_builds_no_complement(env, monkeypatch):
+    calls = []
+    complement = au.complement
+    monkeypatch.setattr(au, "complement",
+                        lambda a: calls.append(a) or complement(a))
+    rel = logic.compile_formula(
+        parse_formula("?msd_fib At (t<n) => F[i+t]=F[j+t]"), PredicateEnv())
+    assert calls == []
+    assert rel.dfa == env.lookup("ffactoreq").dfa
 
 
 # ---------------------------------------------------------------------------

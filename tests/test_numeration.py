@@ -1,6 +1,8 @@
 """Fibonacci/Lucas values, the Zeckendorf codec, exact floor functions."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -48,6 +50,21 @@ def test_zeck_roundtrip_canonical():
         assert not z.digits.startswith("0")
         assert z.value == n
         assert zeck_decode(z.digits) == n
+
+
+def test_zeck_encode_retains_no_memory_per_value():
+    # the weights are kept once, not once per value encoded
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(50_000):
+            zeck_encode(n)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 def test_zeck_examples():

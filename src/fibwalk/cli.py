@@ -66,10 +66,13 @@ def _lookup_pred(name: str) -> au.SyncDFA:
 
 def _cmd_session(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         print(f"fibwalk: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"fibwalk: {args.file}: not UTF-8 text: {e}", file=sys.stderr)
         return 2
     try:
         report = logic.run_session(text)

@@ -184,9 +184,9 @@ def _tokenize_formula(src: str) -> list[_Tok]:
         if c in " \t\r\n":
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII only: str.isdigit takes any script
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             toks.append(_Tok("num", src[i:j], i))
             i = j
@@ -522,7 +522,8 @@ class _ScriptScanner:
                 name, _ = self._word()
                 self._skip()
                 start = self.i
-                while self.i < len(self.text) and self.text[self.i].isdigit():
+                while (self.i < len(self.text)
+                       and "0" <= self.text[self.i] <= "9"):
                     self.i += 1
                 if self.i == start:
                     self._error("test needs a count", start)

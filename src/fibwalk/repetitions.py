@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -24,10 +23,10 @@ import numpy as np
 
 from . import automata as au
 from . import logic
-from .exact import (below_alpha2, exceeds_alpha_squared,
-                    exceeds_alpha_squared_mask, theorem_margin_sign)
-from .fibword import (ExponentRecord, exponent_record_fast, exponent_table,
-                      generate_prefix, has_period)
+from .exact import (below_alpha2, exceeds_alpha_squared_mask,
+                    theorem_margin_sign)
+from .fibword import (ExponentRecord, exponent_table, generate_prefix,
+                      has_period)
 from .numeration import fib
 
 
@@ -68,7 +67,7 @@ def b2_set_automaton() -> au.SyncDFA:
 
 
 # ---------------------------------------------------------------------------
-# oracle table, grown on demand
+# oracle table, rebuilt whole when more rows are asked for
 
 
 _TABLE = np.zeros((0, 2), dtype=np.int64)  # row n-1 = (x, y) of e(n)
@@ -83,28 +82,24 @@ def _check_range(claim: str, n_max: int, low: int) -> None:
 def ensure_table(n_max: int) -> np.ndarray:
     """Rows (x, y) of e(n) for n = 1..n_max, row n-1 for n.
 
-    A read-only view of a grow-only shared table; growing it computes
-    only the rows it does not hold yet.
+    A read-only view of a shared table, which one whole build replaces
+    when a caller asks for more rows than it holds.
     """
     global _TABLE
     _check_range("the e(n) table", n_max, 1)
     if n_max > len(_TABLE):
-        grown = np.concatenate(
-            (_TABLE, exponent_table(n_max, start=len(_TABLE) + 1)))
-        grown.flags.writeable = False
-        _TABLE = grown
+        _TABLE = exponent_table(n_max)
+        _TABLE.flags.writeable = False
     return _TABLE[:n_max]
 
 
 def exponent_record(n: int) -> ExponentRecord:
-    if 1 <= n <= len(_TABLE):
-        x, y = _TABLE[n - 1].tolist()
-        return ExponentRecord(n, x, y)
-    return exponent_record_fast(n)
+    x, y = ensure_table(n)[n - 1].tolist()
+    return ExponentRecord(n, x, y)
 
 
 # ---------------------------------------------------------------------------
-# witnesses and classification
+# witnesses
 
 
 def b1_pairs(n_max: int) -> list[tuple[int, int, int]]:
@@ -137,56 +132,6 @@ def b2_pairs(n_max: int) -> list[tuple[int, int, int]]:
         i += 1
     out.sort()
     return out
-
-
-def b1_witnesses(n: int) -> list[tuple[int, int]]:
-    """All (i, j) with n = F_i - F_j - 1, i >= 5, 3 <= j <= i - 2."""
-    return [(i, j) for m, i, j in b1_pairs(n) if m == n]
-
-
-def b2_witnesses(n: int) -> list[tuple[int, int]]:
-    """All (i, j) with n = F_i - F_{2j+1}, i >= 5, 1 <= j <= (i - 3) / 2."""
-    return [(i, j) for m, i, j in b2_pairs(n) if m == n]
-
-
-@dataclass(frozen=True)
-class ClassifiedIndex:
-    n: int
-    cls: str  # "G" | "B1" | "B2"
-    witness: object  # (i, j) for B1/B2, ExponentRecord for G
-
-
-def classify(n: int) -> ClassifiedIndex:
-    """Assign n >= 2 to G, B1, or B2 with a verified witness.
-
-    G membership is decided twice, by the compiled automaton and by the
-    exact comparison of the oracle's e(n) against alpha^2; they must
-    agree.
-    """
-    if n < 2:
-        raise ValueError("classification starts at n = 2")
-    by_automaton = bool(au.accepts(good_automaton(), (n,)))
-    record = exponent_record(n)
-    by_oracle = exceeds_alpha_squared(record.x, record.y)
-    if by_automaton != by_oracle:
-        raise AssertionError(
-            f"good automaton and oracle disagree at n={n}: "
-            f"{by_automaton} vs {by_oracle} (e={record.x}/{record.y})")
-    if by_automaton:
-        return ClassifiedIndex(n, "G", record)
-    w1 = b1_witnesses(n)
-    if w1:
-        i, j = w1[0]
-        if fib(i) - fib(j) - 1 != n:
-            raise AssertionError(f"witness arithmetic broken at n={n}")
-        return ClassifiedIndex(n, "B1", (i, j))
-    w2 = b2_witnesses(n)
-    if w2:
-        i, j = w2[0]
-        if fib(i) - fib(2 * j + 1) != n:
-            raise AssertionError(f"witness arithmetic broken at n={n}")
-        return ClassifiedIndex(n, "B2", (i, j))
-    raise AssertionError(f"n={n} fits no class; partition violated")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from fibwalk import cli, logic
 from fibwalk import repetitions as rp
 from fibwalk.cli import main
@@ -35,6 +37,25 @@ def test_session_missing_file(capsys):
     assert code == 2
     assert "fibwalk:" in err
 
+
+def test_session_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "binary.wal"
+    bad.write_bytes(b"reg isfib msd_fib \"0*\":\n\xd0\x00\xff\xfe")
+    code, out, err = run(capsys, "session", str(bad))
+    assert code == 2 and out == ""
+    assert "binary.wal: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("text", ['def a "?msd_fib x=\u00b2":',
+                                  'eval a "?msd_fib Ex x=\u0663":',
+                                  'reg isfib msd_fib "0*(10*)?":\n'
+                                  'test isfib \u00b2:'])
+def test_session_rejects_non_ascii_digits(tmp_path, capsys, text):
+    src = tmp_path / "digits.wal"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "session", str(src))
+    assert code == 2
+    assert "digits.wal" in err and ("offset" in err or "column" in err)
 
 def test_session_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.wal"

@@ -146,66 +146,14 @@ def test_exponent_table_matches_kmp_sweep():
         assert exponent_record_fast(n) == ExponentRecord(n, *table[n - 1].tolist())
 
 
-def test_exponent_table_start_is_tail():
-    full = exponent_table(700)
-    for s in (1, 2, 3, 55, 377, 699, 700):
-        assert exponent_table(700, start=s).tolist() == full[s - 1:].tolist(), s
-    assert exponent_table(1, start=1).tolist() == [[1, 1]]
-    empty = exponent_table(5, start=6)
-    assert empty.shape == (0, 2) and empty.dtype == np.int64
-    with pytest.raises(ValueError):
-        exponent_table(5, start=0)
-
-
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
 def test_exponent_table_in_blocks_of_any_size(monkeypatch, block):
-    # each period's last mismatch is carried from block to block, and a
-    # table from start searches back for it block by block; a mismatch
+    # each period's last mismatch is carried from block to block; one
     # lost at a block boundary shows on tables longer than a block
-    full = _table(1500)[:400]
+    full = _table(1500)
     monkeypatch.setattr(fibword, "_BLOCK", block)
-    for s in (1, 2, 3, 55, 200, 377, 399, 400):
-        assert exponent_table(400, start=s).tolist() == full[s - 1:].tolist(), s
-
-
-def _suffix_run(w, end, p):
-    """Longest suffix of w[:end] with period p, by backward comparison."""
-    k = 0
-    while end - 1 - k - p >= 0 and w[end - 1 - k] == w[end - 1 - k - p]:
-        k += 1
-    return min(end, k + p)
-
-
-def _square_free_ternary(length):
-    # the number of 1s between consecutive 0s of the Thue-Morse word
-    zeros = [i for i in range(4 * length) if bin(i).count("1") % 2 == 0]
-    return "".join(str(b - a - 1) for a, b in zip(zeros, zeros[1:]))[:length]
-
-
-@settings(max_examples=100, deadline=None)
-@given(w=st.text(alphabet="01a", min_size=1, max_size=80), data=st.data())
-def test_lce_matches_direct_comparison(w, data):
-    # X_p(end) = end + p - 1 - last is the backward common extension of
-    # end - 1 and end - 1 - p, plus p; the mismatch search holds on any word
-    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-    end = data.draw(st.integers(0, len(w)))
-    for p in range(1, len(w) + 2):
-        got = end + p - 1 - fibword._last_mismatch(f, p, end)
-        assert got == _suffix_run(w, end, p), (end, p)
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-def test_lce_lifts_in_chunks_of_any_size(monkeypatch, chunk):
-    # the last mismatch is searched back a block at a time; one lost or
-    # misplaced at a block boundary shows on words longer than a block
-    monkeypatch.setattr(fibword, "_BLOCK", chunk)
-    for w in (generate_prefix(90), _square_free_ternary(60) + "0" * 9,
-              "0" * 30 + "1" + "0" * 29):
-        f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-        for end in range(len(w) + 1):
-            for p in range(1, end + 2):
-                got = end + p - 1 - fibword._last_mismatch(f, p, end)
-                assert got == _suffix_run(w, end, p), (w, end, p)
+    for n_max in (1, 2, 3, 55, 200, 377, 399, 400):
+        assert exponent_table(n_max).tolist() == full[:n_max].tolist(), n_max
 
 
 @pytest.mark.parametrize("n", [130, 952, 6675, 46134, 317200])
@@ -217,15 +165,15 @@ def test_exponent_table_matches_fast_records_far_out(n):
     assert exponent_record_fast(n) == ExponentRecord(n, *row)
 
 
-def test_workload_growth_is_the_full_tail():
+def test_workload_growth_is_the_full_tail(monkeypatch):
     # the table grows in these steps under mgamma --largest-below for
     # k = 6..9 and under verify up to 10,000
     full = _table(10000)
     for steps in ((2080, 2219, 2588, 3562), (5000, 10000)):
-        assert exponent_table(steps[0]).tolist() == full[:steps[0]].tolist()
-        for lo, hi in zip(steps, steps[1:]):
-            assert exponent_table(hi, start=lo + 1).tolist() == \
-                full[lo:hi].tolist(), (lo, hi)
+        monkeypatch.setattr(rp, "_TABLE", np.zeros((0, 2), dtype=np.int64))
+        for n_max in steps:
+            assert rp.ensure_table(n_max).tolist() == \
+                full[:n_max].tolist(), n_max
 
 
 @settings(max_examples=30, deadline=None)

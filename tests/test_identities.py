@@ -216,6 +216,13 @@ def test_e_lower_bound_report_small():
     assert rep["checked"] > 0
 
 
+def test_e_lower_bound_report_default_range():
+    # i <= 26 on both families: records up to n = F_26 - 3, from the table
+    rep = e_lower_bound_report()
+    assert rep == {"claim": "e_lower_bounds", "checked": 378,
+                   "verdict": True, "failures": []}
+
+
 def test_e_lower_bound_b2_onset():
     # at i=5 the B2 pointwise bound fails: e(3) = 3/2 < 2
     from fibwalk.repetitions import exponent_record

@@ -132,6 +132,19 @@ def test_parse_errors_carry_position():
     assert "line 1" in str(ei.value)
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff17"])
+def test_constants_take_ascii_digits_only(digit):
+    # superscript two, Arabic-Indic three, fullwidth seven: str.isdigit
+    # takes each, and int() reads the last two as 3 and 7
+    src = f"?msd_fib x={digit}"
+    with pytest.raises(LogicError, match=f"{digit!r} in formula at offset 3"):
+        parse_formula(src)
+    with pytest.raises(LogicError, match=r"offset 4"):
+        parse_formula(f"?msd_fib x=1{digit}")
+    with pytest.raises(LogicError, match=r"test needs a count \(line 1, column 12\)"):
+        parse_script(f"test isfib {digit}:")
+    assert parse_script("test isfib 07:")[0].count == 7
+
 def test_parse_script_commands():
     cmds = parse_script(rp.script_text("good_partition.wal"))
     kinds = [type(c).__name__ for c in cmds]

@@ -10,7 +10,7 @@ import pytest
 from fibwalk import automata as au
 from fibwalk import repetitions as rp
 from fibwalk.exact import exceeds_alpha_squared, theorem_margin_sign
-from fibwalk.fibword import e_of_n, exponent_table
+from fibwalk.fibword import e_of_n, exponent_record_fast, exponent_table
 from fibwalk.numeration import fib, fib_index
 
 G_THROUGH_43 = [13, 14, 22, 23, 24, 26, 27, 34, 35, 36, 37, 38, 39, 40, 43]
@@ -39,10 +39,12 @@ def test_families_disjoint_and_cover():
 
 
 def test_witness_search():
-    assert rp.b1_witnesses(4) == [(6, 4)]  # 4 = F_6 - F_4 - 1 = 8 - 3 - 1
-    assert rp.b2_witnesses(16) == [(8, 2)]  # 16 = F_8 - F_5 = 21 - 5
-    assert rp.b1_witnesses(13) == []
-    assert rp.b2_witnesses(13) == []
+    def at(pairs, n):
+        return [(i, j) for m, i, j in pairs if m == n]
+    assert at(rp.b1_pairs(4), 4) == [(6, 4)]  # 4 = F_6 - F_4 - 1 = 8 - 3 - 1
+    assert at(rp.b2_pairs(16), 16) == [(8, 2)]  # 16 = F_8 - F_5 = 21 - 5
+    assert at(rp.b1_pairs(13), 13) == []
+    assert at(rp.b2_pairs(13), 13) == []
 
 
 def _scan_b1(n_max):
@@ -78,33 +80,28 @@ def test_pairs_match_the_per_n_scan(n_max):
     assert rp.b2_pairs(n_max) == _scan_b2(n_max)
 
 
-def test_witnesses_filter_the_pairs():
-    b1, b2 = _scan_b1(300), _scan_b2(300)
-    for n in range(2, 301):
-        assert rp.b1_witnesses(n) == [(i, j) for m, i, j in b1 if m == n]
-        assert rp.b2_witnesses(n) == [(i, j) for m, i, j in b2 if m == n]
-
-
-def test_classify_goldens():
-    c = rp.classify(13)
-    assert c.cls == "G"
-    assert (c.witness.x, c.witness.y) == (8, 3)  # suffix exponent 8/3
-    c = rp.classify(12)
-    assert c.cls == "B1" and c.witness == (8, 6)  # 12 = F_8 - F_6 - 1
-    c = rp.classify(3)
-    assert c.cls == "B2" and c.witness == (5, 1)  # 3 = F_5 - F_3, j = 1
-    c = rp.classify(2)
-    assert c.cls == "B1" and c.witness == (5, 3)
+def test_partition_goldens():
+    # the class of n is the count that grows from [2, n - 1] to [2, n]
+    def grown(n):
+        now = rp.partition_report(n)["counts"]
+        before = (rp.partition_report(n - 1)["counts"] if n > 2
+                  else dict.fromkeys(now, 0))
+        return [c for c in now if now[c] != before[c]]
+    assert grown(13) == ["G"]
+    assert rp.ensure_table(13)[12].tolist() == [8, 3]  # suffix exponent 8/3
+    assert grown(12) == ["B1"] and (12, 8, 6) in rp.b1_pairs(12)  # F_8 - F_6 - 1
+    assert grown(3) == ["B2"] and (3, 5, 1) in rp.b2_pairs(3)  # F_5 - F_3, j = 1
+    assert grown(2) == ["B1"] and (2, 5, 3) in rp.b1_pairs(2)
     with pytest.raises(ValueError):
-        rp.classify(1)
+        rp.partition_report(1)
 
 
-def test_classify_matches_exponent_threshold():
-    from fibwalk.exact import exceeds_alpha_squared
-    for n in range(2, 200):
+def test_good_automaton_matches_exponent_threshold():
+    ns = np.arange(2, 200, dtype=np.int64)
+    in_g = au.accepts_batch(rp.good_automaton(), ns).tolist()
+    for n, g in zip(ns.tolist(), in_g):
         rec = e_of_n(n)
-        in_g = rp.classify(n).cls == "G"
-        assert in_g == exceeds_alpha_squared(rec.x, rec.y)
+        assert g == exceeds_alpha_squared(rec.x, rec.y), n
 
 
 def test_partition_report():
@@ -181,29 +178,26 @@ def test_largest_index_law_k13_k14_with_oracle_margin():
 
 
 def test_exponent_record_table_and_fast_agree():
-    rp.ensure_table(400)
-    for n in (1, 7, 130, 399):
+    for n in (1, 7, 130, 399, 800):
         rec = rp.exponent_record(n)
-        slow = e_of_n(n)
-        assert (rec.x, rec.y) == (slow.x, slow.y)
-    # beyond the table the fast path serves
-    rec = rp.exponent_record(800)
-    assert rec.exponent == e_of_n(800).exponent
+        assert rec == exponent_record_fast(n) == e_of_n(n), n
 
 
-def test_ensure_table_grows_without_rebuilding(monkeypatch):
+def test_ensure_table_builds_whole_and_only_for_more_rows(monkeypatch):
     built = []
 
-    def counted(n_max, start=1):
-        out = exponent_table(n_max, start)
-        built.extend(range(start, start + len(out)))  # row r holds start + r
-        return out
+    def counted(n_max):
+        built.append(n_max)
+        return exponent_table(n_max)
 
     monkeypatch.setattr(rp, "_TABLE", np.zeros((0, 2), dtype=np.int64))
     monkeypatch.setattr(rp, "exponent_table", counted)
     rp.ensure_table(500)
+    rp.ensure_table(300)
+    assert rp.exponent_record(500) == e_of_n(500)
     table = rp.ensure_table(1200)
-    assert built == list(range(1, 1201))
+    assert rp.exponent_record(1100) == e_of_n(1100)
+    assert built == [500, 1200]
     assert table.tolist() == exponent_table(1200).tolist()
 
 

@@ -177,6 +177,24 @@ def exponent_record_fast(n: int) -> ExponentRecord:
 _BLOCK = 1 << 16  # rows of the table per block
 
 
+def _last_mismatches(f: np.ndarray, p: int, lo: int, hi: int,
+                     last: int) -> np.ndarray:
+    """Last mismatch of period p before each n in lo+1..hi, on any word f.
+
+    Entry n - lo - 1 is the largest t < n with t >= p and f[t] != f[t - p],
+    or `last` if there is none in [lo, n): the value for n = lo, carried
+    from the block before (p - 1 for the first block).  So the longest
+    suffix of f[0..n-1] with period p, X_p(n), is n + p - 1 minus it, and
+    the entry for n = hi is the carry into the next block.
+    """
+    mark = np.full(hi - lo, last, dtype=np.int64)
+    s = min(max(lo, p), hi)  # no t >= p in the block when p >= hi
+    t = np.flatnonzero(f[s:hi] != f[s - p:hi - p]) + s
+    mark[t - lo] = t
+    np.maximum.accumulate(mark, out=mark)
+    return mark
+
+
 def exponent_table(n_max: int) -> np.ndarray:
     """e(n) records for n = 1..n_max, from the Fibonacci periods.
 
@@ -212,9 +230,9 @@ def exponent_table(n_max: int) -> np.ndarray:
 
     Cost.  The rows are built in blocks of `_BLOCK` values of n, and each
     block takes one numpy pass per period: the mismatches f[t] !=
-    f[t - p], their running maximum by `np.maximum.accumulate` from the
-    last mismatch carried over from the block before, and the
-    cross-multiplied comparison.  That is O(N log N) work, and the memory
+    f[t - p] and their running maximum by `np.maximum.accumulate` from the
+    last mismatch carried over from the block before, in
+    `_last_mismatches`, then the cross-multiplied comparison.  That is O(N log N) work, and the memory
     is the table's 16 bytes per row plus O(`_BLOCK`) per pass.  Every
     call builds from n = 1.  To 10^4 it takes about 3 ms, and to 10^6
     about 0.4 s with the process peaking near 50 MB, on one core of a
@@ -231,11 +249,7 @@ def exponent_table(n_max: int) -> np.ndarray:
         for k, p in enumerate(periods):
             if p >= hi:  # X_p(n) = n <= p: a ratio of at most 1
                 break
-            mark = np.full(hi - lo, last[k], dtype=np.int64)
-            s = max(lo, p)
-            t = np.flatnonzero(f[s:hi] != f[s - p:hi - p]) + s
-            mark[t - lo] = t
-            np.maximum.accumulate(mark, out=mark)
+            mark = _last_mismatches(f, p, lo, hi, last[k])
             last[k] = int(mark[-1])
             x = n + (p - 1) - mark
             better = x * best_y > best_x * p

@@ -156,6 +156,54 @@ def test_exponent_table_in_blocks_of_any_size(monkeypatch, block):
         assert exponent_table(n_max).tolist() == full[:n_max].tolist(), n_max
 
 
+def _suffix_run(w, end, p):
+    """Longest suffix of w[:end] with period p, by backward comparison."""
+    k = 0
+    while end - 1 - k - p >= 0 and w[end - 1 - k] == w[end - 1 - k - p]:
+        k += 1
+    return min(end, k + p)
+
+
+def _square_free_ternary(length):
+    # the number of 1s between consecutive 0s of the Thue-Morse word
+    zeros = [i for i in range(4 * length) if bin(i).count("1") % 2 == 0]
+    return "".join(str(b - a - 1) for a, b in zip(zeros, zeros[1:]))[:length]
+
+
+def _suffix_runs_in_chunks(w, p, chunk):
+    """X_p(n) for n = 1..len(w), from `_last_mismatches` a chunk at a time."""
+    f = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+    last, runs = p - 1, []
+    for lo in range(0, len(w), chunk):
+        hi = min(lo + chunk, len(w))
+        mark = fibword._last_mismatches(f, p, lo, hi, last)
+        last = int(mark[-1])
+        runs += (np.arange(lo + 1, hi + 1) + (p - 1) - mark).tolist()
+    return runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.text(alphabet="01a", min_size=1, max_size=80))
+def test_lce_matches_direct_comparison(w):
+    # X_p(n) = n + p - 1 - last is the backward common extension of
+    # n - 1 and n - 1 - p, plus p; the mismatch pass holds on any word
+    for p in range(1, len(w) + 2):
+        assert _suffix_runs_in_chunks(w, p, len(w)) == \
+            [_suffix_run(w, end, p) for end in range(1, len(w) + 1)], p
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_lce_lifts_in_chunks_of_any_size(chunk):
+    # the last mismatch is carried from chunk to chunk; one lost or
+    # misplaced at a chunk boundary shows on words longer than a chunk
+    for w in (generate_prefix(90), _square_free_ternary(60) + "0" * 9,
+              "0" * 30 + "1" + "0" * 29):
+        for p in range(1, len(w) + 2):
+            assert _suffix_runs_in_chunks(w, p, chunk) == \
+                [_suffix_run(w, end, p) for end in range(1, len(w) + 1)], \
+                (w, p)
+
+
 @pytest.mark.parametrize("n", [130, 952, 6675, 46134, 317200])
 def test_exponent_table_matches_fast_records_far_out(n):
     # n = 130 and F_{4m} - F_{2m+1} - 1, where sqrt(n)*(alpha^2 - e(n)) is

@@ -3,7 +3,7 @@
 Subpackage map:
 
 - numeration: Fibonacci/Lucas numbers, Zeckendorf encode/decode, floors.
-- exact: integer-only comparisons against quadratic irrationals.
+- exact: integer-only signs in Q(sqrt 5), by squaring.
 - automata: synchronized DFAs, products, projection, minimization, regex.
 - logic: first-order predicate DSL compiled to automata, plus a brute-force
   interpreter used as an independent cross-check.

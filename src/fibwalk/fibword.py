@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import min_ceil_multiple
 from .numeration import _fib_weights_upto, zeck_encode
 
 
@@ -83,18 +82,6 @@ def has_period(w: str, p: int) -> bool:
     if p < 1:
         raise ValueError("period must be >= 1")
     return p >= len(w) or w[p:] == w[:-p]
-
-
-def is_alpha_power(w: str, alpha: tuple[int, int, int, int]) -> bool:
-    """|w| == ceil(alpha * per(w)) for alpha >= 1 given exactly.
-
-    alpha is a quadratic (a, b, r, c) denoting (a + b*sqrt(r))/c, with
-    b >= 0 and c >= 1; a rational alpha is (a, 0, 0, c).
-    """
-    if not w:
-        raise ValueError("is_alpha_power of empty word")
-    a, b, r, c = alpha
-    return len(w) == min_ceil_multiple(a, b, r, c, least_period(w))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 from typing import IO
 
+from .exact import sign_sqrt5
 from .numeration import fib, lucas
 
 
@@ -72,21 +73,9 @@ class QuadInt:
         return out
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(5), by cases on the coordinates."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 against 5 b^2 (both sides positive)
-        lead = 1 if a > 0 else -1
-        diff = a * a - 5 * b * b
-        if diff == 0:
-            raise ArithmeticError("sqrt(5) is irrational; a^2 = 5 b^2 "
-                                  "with a, b nonzero cannot happen")
-        return lead if diff > 0 else -lead
+        """Exact sign of a + b*sqrt(5), with both denominators cleared."""
+        return sign_sqrt5(self.a.numerator * self.b.denominator,
+                          self.b.numerator * self.a.denominator)
 
     def __lt__(self, other):
         return (self - _coerce(other)).sign() < 0
@@ -495,26 +484,23 @@ def e_lower_bound_report(i_max_b1: int = 26, i_max_b2: int = 26) -> dict:
     The B2 bound is false at i = 5 (e(3) = 3/2 < 2): the underlying
     theorem handles n <= 21 by direct check, so the sweep starts at 6.
     """
-    from .repetitions import exponent_record
-    failures = []
-    checked = 0
+    from .repetitions import ensure_table
+    cases = []
     for i in range(8, i_max_b1 + 1):
         jp = -(-i // 2)
         bound = min(g_val(i, jp), f_val(i, jp + 1))
-        for j in range(3, i - 1):
-            n = fib(i) - fib(j) - 1
-            checked += 1
-            if exponent_record(n).exponent < bound:
-                failures.append(["b1", i, j, n])
+        cases += [("b1", i, j, fib(i) - fib(j) - 1, bound)
+                  for j in range(3, i - 1)]
     for i in range(6, i_max_b2 + 1):
         jp = i // 6
         bound = min(s_val(i, jp), r_val(i, jp + 1))
-        for j in range(1, (i - 3) // 2 + 1):
-            n = fib(i) - fib(2 * j + 1)
-            checked += 1
-            if exponent_record(n).exponent < bound:
-                failures.append(["b2", i, j, n])
-    return {"claim": "e_lower_bounds", "checked": checked,
+        cases += [("b2", i, j, fib(i) - fib(2 * j + 1), bound)
+                  for j in range(1, (i - 3) // 2 + 1)]
+    # one ask, for the largest n: ensure_table rebuilds whole to grow
+    table = ensure_table(max((n for _, _, _, n, _ in cases), default=1))
+    failures = [[family, i, j, n] for family, i, j, n, bound in cases
+                if Fraction(*table[n - 1].tolist()) < bound]
+    return {"claim": "e_lower_bounds", "checked": len(cases),
             "verdict": not failures, "failures": failures[:20]}
 
 

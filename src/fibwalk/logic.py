@@ -23,6 +23,7 @@ bind arguments to that order positionally.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iter_product
@@ -169,6 +170,11 @@ _MULTI_OPS = ("<=>", "<=", ">=", "=>", "!=", "<", ">", "=", "+", "-", "*",
               "&", "|", "~", "(", ")", "[", "]", ",", "$")
 
 
+# every name, in formulas and scripts: ASCII only, as str.isalnum takes
+# letters and digits of any script
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 @dataclass(frozen=True)
 class _Tok:
     kind: str  # op text, "var", "seq", "num", "E", "A", "end"
@@ -191,17 +197,14 @@ def _tokenize_formula(src: str) -> list[_Tok]:
             toks.append(_Tok("num", src[i:j], i))
             i = j
             continue
-        if c.isalpha() or c == "_":
+        name = _NAME.match(src, i)
+        if name:
             if c in "EA":
                 toks.append(_Tok(c, c, i))
                 i += 1
                 continue
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(_Tok("seq" if c.isupper() else "var", word, i))
-            i = j
+            toks.append(_Tok("seq" if c.isupper() else "var", name[0], i))
+            i = name.end()
             continue
         for op in _MULTI_OPS:
             if src.startswith(op, i):
@@ -451,14 +454,11 @@ class _ScriptScanner:
         start = self.i
         if start >= len(self.text):
             self._error("unexpected end of script", start)
-        c = self.text[start]
-        if not (c.isalpha() or c == "_"):
-            self._error(f"expected a name, found {c!r}", start)
-        j = start
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-            j += 1
-        self.i = j
-        return self.text[start:j], start
+        name = _NAME.match(self.text, start)
+        if not name:
+            self._error(f"expected a name, found {self.text[start]!r}", start)
+        self.i = name.end()
+        return name[0], start
 
     def _quoted(self) -> tuple[str, int]:
         self._skip()

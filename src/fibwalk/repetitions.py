@@ -23,7 +23,7 @@ import numpy as np
 
 from . import automata as au
 from . import logic
-from .exact import (below_alpha2, exceeds_alpha_squared_mask,
+from .exact import (exceeds_alpha_squared, exceeds_alpha_squared_mask,
                     theorem_margin_sign)
 from .fibword import (ExponentRecord, exponent_table, generate_prefix,
                       has_period)
@@ -207,10 +207,10 @@ def lemma2_report(n_max: int) -> dict:
 def verify_theorem(n_max: int) -> dict:
     """Exact check of e(n) >= alpha^2 - 3/sqrt(n) for 1 <= n <= n_max.
 
-    Where e(n) > alpha^2 the margin is positive outright, so the square
-    roots are taken only where e(n) <= alpha^2, found for the whole
-    column at once by exceeds_alpha_squared_mask, and for the first 21 n
-    on their own.  The verdict path never touches floats; the reported
+    Where e(n) > alpha^2 the margin is positive outright, so
+    theorem_margin_sign runs only where e(n) <= alpha^2, found for the
+    whole column at once by exceeds_alpha_squared_mask, and for the first
+    21 n on their own.  The verdict path never touches floats; the reported
     slack is a float rendering of e(n) - (alpha^2 - 3/sqrt(n)) for
     display only, and its minimum is the first one.
     """
@@ -278,7 +278,7 @@ def largest_index_below(p: int, q: int) -> int:
     if p <= q:
         raise ValueError(f"{p}/{q} <= 1 but every exponent is >= 1; "
                          "no index lies below")
-    if not below_alpha2(p, q):
+    if exceeds_alpha_squared(p, q):
         raise ValueError(f"{p}/{q} >= alpha^2: indices below it never "
                          "run out, so no largest one exists")
     env = session_env().copy()

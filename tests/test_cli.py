@@ -57,6 +57,17 @@ def test_session_rejects_non_ascii_digits(tmp_path, capsys, text):
     assert code == 2
     assert "digits.wal" in err and ("offset" in err or "column" in err)
 
+@pytest.mark.parametrize("text", ['def a "?msd_fib x\u00b2=1":',
+                                  'eval a "?msd_fib Ex x\u00e9=1":',
+                                  'def \u00e9 "?msd_fib n=1":'])
+def test_session_rejects_non_ascii_names(tmp_path, capsys, text):
+    src = tmp_path / "names.wal"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "session", str(src))
+    assert code == 2 and out == ""
+    assert "names.wal" in err and ("offset" in err or "column" in err)
+
+
 def test_session_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.wal"
     bad.write_text('def broken "?msd_fib x=":')

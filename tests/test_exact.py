@@ -1,74 +1,32 @@
-"""Certified integer-only comparisons against quadratic irrationals."""
+"""Certified integer-only signs in Q(sqrt 5)."""
 
 import ast
 import math
 import os
-from fractions import Fraction
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from fibwalk import exact, numeration
+from fibwalk import automata, exact, fibword, numeration
 from fibwalk import repetitions as rp
-from fibwalk.exact import (below_alpha2, cmp_ratio_alpha2,
-                           exceeds_alpha_squared, exceeds_alpha_squared_mask,
-                           min_ceil_multiple, sign_sqrt_sum, sqrt_bounds,
-                           theorem_margin_sign)
-from fibwalk.numeration import fib
+from fibwalk.exact import (exceeds_alpha_squared, exceeds_alpha_squared_mask,
+                           sign_sqrt5, theorem_margin_sign)
+from fibwalk.numeration import fib, lucas
 
 ALPHA2 = (3 + math.sqrt(5)) / 2
-
-
-def test_sqrt_bounds_bracket():
-    for r in [0, 1, 2, 3, 5, 10, 99, 10 ** 12 + 7]:
-        for bits in [1, 8, 32]:
-            lo, hi = sqrt_bounds(r, bits)
-            assert hi - lo <= 1
-            assert lo * lo <= r << (2 * bits) <= hi * hi
-    with pytest.raises(ValueError):
-        sqrt_bounds(-1, 8)
-
-
-def test_sqrt_bounds_exact_squares():
-    lo, hi = sqrt_bounds(49, 16)
-    assert lo == hi == 7 << 16
-
-
-def test_sign_sqrt_sum_basic():
-    assert sign_sqrt_sum([(1, 2), (-1, 3)]) == -1
-    assert sign_sqrt_sum([(3, 2), (-2, 3)]) == 1
-    assert sign_sqrt_sum([(2, 9), (-3, 4)]) == 0
-    assert sign_sqrt_sum([(5, 0), (0, 7)]) == 0
-    # close call: 7*sqrt(2) vs sqrt(98) = 7*sqrt(2) exactly, perturbed
-    assert sign_sqrt_sum([(7, 2), (-1, 98), (1, 1)]) == 1
-    assert sign_sqrt_sum([(7, 2), (-1, 98), (-1, 1)]) == -1
-
-
-def test_sign_sqrt_sum_irrational_zero_raises():
-    # an exact zero with irrational parts never separates; the cap trips
-    with pytest.raises(ArithmeticError):
-        sign_sqrt_sum([(1, 2), (-1, 2)], max_bits=256)
-    with pytest.raises(ArithmeticError):
-        sign_sqrt_sum([(1, 8), (-2, 2)], max_bits=256)
-
-
-def test_sign_sqrt_sum_cancels_perfect_squares():
-    # rational parts that cancel exactly are recognized as zero
-    assert sign_sqrt_sum([(1, 4), (-2, 1)]) == 0
 
 
 def test_cmp_ratio_alpha2_brackets_the_constant():
     for y in range(1, 400):
         for x in range(1, 4 * y):
-            want = 1 if x / y > ALPHA2 else -1
             # floats are safe as an oracle here: x/y never equals alpha^2
-            assert cmp_ratio_alpha2(x, y) == want
+            assert exceeds_alpha_squared(x, y) == (x / y > ALPHA2)
     assert exceeds_alpha_squared(21, 8)  # 2.625 > 2.618
     assert not exceeds_alpha_squared(13, 5)  # 2.6 < 2.618
-    assert below_alpha2(13, 5)
-    assert not below_alpha2(21, 8)
     with pytest.raises(ValueError):
-        cmp_ratio_alpha2(1, 0)
+        exceeds_alpha_squared(1, 0)
 
 
 def assert_mask_matches_scalar(x, y):
@@ -96,7 +54,7 @@ def test_mask_at_and_past_the_int64_guard(monkeypatch):
 
     def counted(x, y):
         calls.append((x, y))
-        return cmp_ratio_alpha2(x, y) > 0
+        return exceeds_alpha_squared(x, y)
 
     monkeypatch.setattr(exact, "exceeds_alpha_squared", counted)
     top = (1 << 30) - 1  # the largest value the int64 test takes
@@ -121,10 +79,64 @@ def test_mask_at_and_past_the_int64_guard(monkeypatch):
 
 def test_convergents_straddle_alpha2():
     # F_{n+2} - alpha^2 F_n = beta^n: below for odd n, above for even n
-    from fibwalk.numeration import fib
     for n in range(2, 60):
-        side = cmp_ratio_alpha2(fib(n + 2), fib(n))
-        assert side == (1 if n % 2 == 0 else -1)
+        assert exceeds_alpha_squared(fib(n + 2), fib(n)) == (n % 2 == 0)
+
+
+_PREC = 80  # decimal digits of the reference evaluations
+
+
+def _decimal_sign(value: Decimal) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _decimal_sqrt5(a: int, b: int) -> Decimal:
+    """a + b*sqrt(5) to _PREC digits."""
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        return a + b * Decimal(5).sqrt()
+
+
+def test_sign_sqrt5_matches_decimal():
+    rng = random.Random(20261019)
+    cases = [(0, 0), (7, 0), (-7, 0), (0, 3), (0, -3), (9, -4), (-9, 4)]
+    cases += [(rng.randint(-10 ** k, 10 ** k), rng.randint(-10 ** k, 10 ** k))
+              for k in (1, 3, 12, 30) for _ in range(2000)]
+    # L_k^2 - 5F_k^2 = 4(-1)^k, so L_k - F_k*sqrt5 = 2*beta^k lies within
+    # 2/L_k of 0, and its sign alternates with k
+    for k in range(1, 150):
+        assert sign_sqrt5(lucas(k), -fib(k)) == (-1) ** k
+        cases += [(s * lucas(k), t * fib(k)) for s in (1, -1) for t in (1, -1)]
+    for a, b in cases:
+        assert sign_sqrt5(a, b) == _decimal_sign(_decimal_sqrt5(a, b)), (a, b)
+
+
+def _margin(x: int, y: int, n: int) -> Decimal:
+    """x/y - alpha^2 + 3/sqrt(n) to _PREC digits."""
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        alpha2 = (3 + Decimal(5).sqrt()) / 2
+        return Decimal(x) / y - alpha2 + 3 / Decimal(n).sqrt()
+
+
+def test_theorem_margin_sign_matches_decimal_on_the_table():
+    for n, (x, y) in enumerate(rp.ensure_table(20000).tolist(), 1):
+        assert theorem_margin_sign(x, y, n) == _decimal_sign(_margin(x, y, n)), n
+
+
+def test_theorem_margin_sign_matches_decimal_beside_zero():
+    # x/y on either side of alpha^2 - 3/sqrt(n), where the margin is 0;
+    # at n = m^2 and n = 5m^2 the radicals collapse into Q(sqrt 5)
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        m = rng.randint(1, 3000)
+        n = rng.choice((rng.randint(1, 10 ** 7), m * m, 5 * m * m))
+        y = rng.randint(1, 10 ** 6)
+        x0 = int(-y * _margin(0, 1, n))  # y*alpha^2 - 3y/sqrt(n), truncated
+        for x in (x0 - 1, x0, x0 + 1, x0 + 2, rng.randint(-10 ** 6, 10 ** 7)):
+            margin = _margin(x, y, n)
+            assert margin != 0
+            assert theorem_margin_sign(x, y, n) == _decimal_sign(margin), (x, y, n)
 
 
 def test_theorem_margin_sign_examples():
@@ -147,44 +159,6 @@ def test_theorem_margin_sign_matches_floats_when_far():
             if abs(margin) > 1e-9:
                 assert theorem_margin_sign(x, y, n) == (
                     1 if margin > 0 else -1)
-
-
-def test_min_ceil_multiple_is_ceiling():
-    # against Fraction-based ceiling for perfect-square radicands
-    for a, b, r, c in [(1, 1, 4, 2), (0, 1, 9, 1), (3, 2, 1, 5)]:
-        val = Fraction(a + b * math.isqrt(r), c)
-        for p in range(1, 50):
-            assert min_ceil_multiple(a, b, r, c, p) == math.ceil(val * p)
-
-
-def test_min_ceil_multiple_alpha_powers():
-    # ceil(alpha^2 * p) with alpha^2 = (3 + sqrt5)/2
-    for p in range(1, 2000):
-        got = min_ceil_multiple(3, 1, 5, 2, p)
-        want = math.floor(ALPHA2 * p) + 1  # never integral, so ceil = floor+1
-        assert got == want
-    with pytest.raises(ValueError):
-        min_ceil_multiple(1, 1, 5, 0, 1)
-    with pytest.raises(ValueError):
-        min_ceil_multiple(1, -1, 5, 1, 1)
-
-
-def test_min_ceil_multiple_past_float_precision():
-    # m is least with m*c >= a*p + b*p*sqrt(r), also past 2^53, where a
-    # float of the right side is off by more than 1
-    def at_least(m, a, b, r, c, p):
-        d = m * c - a * p
-        return d >= 0 and d * d >= b * b * p * p * r
-
-    for k in range(1, 90):
-        for p in (2 ** k - 1, 2 ** k + 1):
-            for a, b, r, c in [(3, 1, 5, 2), (1, 1, 5, 2), (0, 1, 2, 1)]:
-                m = min_ceil_multiple(a, b, r, c, p)
-                assert at_least(m, a, b, r, c, p), (k, p, a, b, r, c)
-                assert not at_least(m - 1, a, b, r, c, p), (k, p, a, b, r, c)
-    assert min_ceil_multiple(3, 1, 5, 2, 2 ** 55 - 1) == 94324615169418556
-    with pytest.raises(ValueError):
-        min_ceil_multiple(1, 0, -5, 1, 1)
 
 
 _FLOAT_MATH = {"sqrt", "ceil", "floor"}
@@ -215,5 +189,7 @@ def _float_sites(module) -> list[str]:
 
 
 def test_exact_modules_use_no_floats():
-    # both module docstrings promise integer-only arithmetic
-    assert _float_sites(exact) + _float_sites(numeration) == []
+    # exact and numeration promise integer-only arithmetic; fibword and
+    # automata are on verdict paths too
+    modules = (exact, numeration, fibword, automata)
+    assert [site for m in modules for site in _float_sites(m)] == []

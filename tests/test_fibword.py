@@ -13,7 +13,7 @@ from fibwalk import repetitions as rp
 from fibwalk.fibword import (ExponentRecord, _sweep_chunk, e_of_n,
                              exponent, exponent_record_fast, exponent_table,
                              failure_function, fib_word_dfao, generate_prefix,
-                             has_period, is_alpha_power, least_period,
+                             has_period, least_period,
                              periods_found, symbol_at)
 from fibwalk.numeration import fib, floor_alpha
 
@@ -75,12 +75,6 @@ def test_exponent_and_has_period():
                                            for i in range(len(w) - p)), (w, p)
     with pytest.raises(ValueError):
         has_period("01", 0)
-
-
-def test_is_alpha_power():
-    # |w| = ceil(2 * per) exactly: "0101" is a square under alpha = 2
-    assert is_alpha_power("0101", (2, 0, 1, 1))
-    assert not is_alpha_power("010", (2, 0, 1, 1))
 
 
 def test_e_of_n_golden_values():

@@ -3,9 +3,11 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fibwalk import identities as idn
+from fibwalk.fibword import exponent_table
 from fibwalk.identities import (ALPHA, ALPHA2, BETA, SQRT5, CrossoverTable,
                                 QuadInt, binet_fib, binet_lucas, check_eq1,
                                 check_lemma3, check_monotonicity,
@@ -217,10 +219,27 @@ def test_e_lower_bound_report_small():
 
 
 def test_e_lower_bound_report_default_range():
-    # i <= 26 on both families: records up to n = F_26 - 3, from the table
+    # i <= 26 on both families: records up to n = F_26 - 2, from the table
     rep = e_lower_bound_report()
     assert rep == {"claim": "e_lower_bounds", "checked": 378,
                    "verdict": True, "failures": []}
+
+
+def test_e_lower_bound_report_builds_one_table(monkeypatch):
+    # from an empty table, the sweep asks for its largest n once
+    from fibwalk import repetitions as rp
+    builds = []
+
+    def counted(n_max):
+        builds.append(n_max)
+        return exponent_table(n_max)
+
+    monkeypatch.setattr(rp, "_TABLE", np.zeros((0, 2), dtype=np.int64))
+    monkeypatch.setattr(rp, "exponent_table", counted)
+    rep = e_lower_bound_report()
+    assert rep == {"claim": "e_lower_bounds", "checked": 378,
+                   "verdict": True, "failures": []}
+    assert builds == [fib(26) - fib(3)]  # B2 at i = 26, j = 1
 
 
 def test_e_lower_bound_b2_onset():

@@ -145,6 +145,23 @@ def test_constants_take_ascii_digits_only(digit):
         parse_script(f"test isfib {digit}:")
     assert parse_script("test isfib 07:")[0].count == 7
 
+
+def test_names_take_ascii_only():
+    # str.isalnum takes superscript two and e-acute inside a name
+    with pytest.raises(LogicError, match=r"'\u00b2' in formula at offset 2"):
+        parse_formula("?msd_fib x\u00b2=1")
+    with pytest.raises(LogicError, match=r"'\u00e9' in formula at offset 2"):
+        parse_formula("?msd_fib x\u00e9=1")
+    with pytest.raises(LogicError, match=r"'\u00e9' in formula at offset 1"):
+        parse_formula("?msd_fib \u00e9=1")
+    with pytest.raises(LogicError,
+                       match=r"expected a name, found '\u00e9' \(line 1, column 5\)"):
+        parse_script('def \u00e9 "?msd_fib n=1":')
+    with pytest.raises(LogicError, match=r"\(line 2, column 6\)"):
+        parse_script('reg isfib msd_fib "0*(10*)?":\ntest \u00e9 3:')
+    assert logic.free_vars(parse_formula("?msd_fib _x=y2_")) == {"_x", "y2_"}
+
+
 def test_parse_script_commands():
     cmds = parse_script(rp.script_text("good_partition.wal"))
     kinds = [type(c).__name__ for c in cmds]

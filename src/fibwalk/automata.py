@@ -179,7 +179,50 @@ def validity_automaton(arity: int) -> SyncDFA:
 
 
 # ---------------------------------------------------------------------------
-# minimization (column-wise Moore refinement) and canonical numbering
+# minimization (Moore refinement) and canonical numbering
+
+
+_FOLD_LIMIT = 1 << 62  # every folded key stays at or below this, in int64
+
+
+def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """(ids, count): ids 0..count-1 numbering the distinct values of key
+    in ascending order, by one argsort, a mask of the steps between
+    adjacent sorted values and its cumsum."""
+    order = key.argsort()
+    ordered = key[order]
+    step = np.empty(key.size, dtype=bool)
+    step[0] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    ranks = step.cumsum()
+    ids = np.empty_like(ranks)
+    ids[order] = ranks
+    return ids, int(ranks[-1]) + 1
+
+
+def _fold(cols: np.ndarray, count: int) -> np.ndarray:
+    """Key per column of cols, equal for two columns exactly when they
+    are equal; every value in cols is below count.
+
+    The rows are folded in runs.  A run of r rows is one int64
+    matrix-vector product with the weights count**(r-1), ..., 1, and is
+    as long as its keys can stay at or below _FOLD_LIMIT.  Between runs
+    the key is relabelled by _dense and written over the run's last row,
+    which starts the next run with the relabelled count as its bound.
+    cols is overwritten.
+    """
+    lo = hi = 0
+    bound = 1  # the key of cols[lo:hi] is below bound
+    while True:
+        while hi < len(cols) and bound * count <= _FOLD_LIMIT:
+            bound *= count
+            hi += 1
+        weights = count ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+        key = weights @ cols[lo:hi]
+        if hi == len(cols):
+            return key
+        lo = hi - 1
+        cols[lo], bound = _dense(key)
 
 
 def minimize(a: SyncDFA) -> SyncDFA:
@@ -188,31 +231,32 @@ def minimize(a: SyncDFA) -> SyncDFA:
     Minimal canonical automata for the same language are structurally equal.
 
     Moore refinement runs over every state, reachable or not, because it
-    splits states by their languages alone.  It starts from {accepting,
-    rejecting}; each round folds the columns in one at a time, key =
-    key*count + block[t[:, s]], and compresses the keys with
-    np.unique(return_inverse=True) at the end of the round and whenever
-    the next fold could overflow int64.  Rounds stop when the block count
-    stops growing.  A round costs O(2^arity * n log n) and there are at
-    most n rounds.  The quotient, one representative row per block, is
-    walked by BFS from the initial block with symbols ascending, which
-    numbers the reachable blocks and drops the rest.
+    splits states by their languages alone.  It starts from the blocks of
+    the `final` mask itself, one block when every state agrees.  A round
+    is a few numpy calls whatever the arity: one gather of every symbol's
+    successor blocks, from a transposed contiguous copy of the table,
+    under each state's own block; one int64 matrix-vector product
+    (_fold) per run of rows whose mixed-radix key stays below 2^62, with
+    a relabel between runs; and one relabel to dense ids by argsort
+    (_dense).  Rounds stop when the block count stops growing.  A round
+    costs O(2^arity * n + n log n) and there are at most n rounds.  The
+    quotient, one representative row per block, is walked by BFS from the
+    initial block with symbols ascending, which numbers the reachable
+    blocks and drops the rest; so the result depends on the coarsest
+    congruence alone, not on how the rounds numbered its blocks.
     """
     t = a.transitions
-    uniq, block = np.unique(a.final, return_inverse=True)
-    count = uniq.size
+    tt = np.ascontiguousarray(t.T, dtype=np.intp)  # tt[s]: successors on s
+    block = (a.final != a.final[0]).astype(np.int64)  # state 0's block is 0
+    count = 1 + int(block.any())
+    cols = np.empty((len(tt) + 1, len(block)), dtype=np.int64)
     while True:
-        key, bound = block, count
-        for s in range(a.n_symbols):
-            if bound * count > 1 << 62:  # the fold could overflow int64
-                uniq, key = np.unique(key, return_inverse=True)
-                bound = uniq.size
-            key = key * count + block[t[:, s]]
-            bound *= count
-        uniq, key = np.unique(key, return_inverse=True)
-        if uniq.size == count:
+        cols[0] = block
+        block.take(tt, out=cols[1:])
+        key, new = _dense(_fold(cols, count))
+        if new == count:
             break
-        block, count = key, uniq.size
+        block, count = key, new
 
     rep = np.empty(count, dtype=np.intp)
     rep[block] = np.arange(block.size)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from functools import cache
 
 from . import automata as au
@@ -153,10 +154,14 @@ def _cmd_mgamma(args) -> int:
             n = rp.largest_index_below(args.p, args.q)
             print(f"largest n with e(n) < {args.p}/{args.q}: {n}")
             return 0
-        dfa = rp.m_gamma_automaton(args.p, args.q)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dfa = rp.m_gamma_automaton(args.p, args.q)
     except ValueError as e:
         print(f"fibwalk: {e}", file=sys.stderr)
         return 2
+    for warning in caught:
+        print(f"fibwalk: warning: {warning.message}", file=sys.stderr)
     first = [au.word_to_values(w, 1)[0]
              for w in au.first_accepted_words(dfa, 10)]
     print(f"M_{{{args.p}/{args.q}}}: {au.live_state_count(dfa)} states; "

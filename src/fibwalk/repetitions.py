@@ -82,13 +82,15 @@ def _check_range(claim: str, n_max: int, low: int) -> None:
 def ensure_table(n_max: int) -> np.ndarray:
     """Rows (x, y) of e(n) for n = 1..n_max, row n-1 for n.
 
-    A read-only view of a shared table, which one whole build replaces
-    when a caller asks for more rows than it holds.
+    A read-only view of a shared table.  When a caller asks for more
+    rows than it holds, one whole build from n = 1 replaces it, with at
+    least twice its rows, so growing requests cost a few builds, whose
+    rows sum to at most twice those of the last.
     """
     global _TABLE
     _check_range("the e(n) table", n_max, 1)
     if n_max > len(_TABLE):
-        _TABLE = exponent_table(n_max)
+        _TABLE = exponent_table(max(n_max, 2 * len(_TABLE)))
         _TABLE.flags.writeable = False
     return _TABLE[:n_max]
 

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibwalk import automata as au
@@ -498,6 +498,97 @@ def test_minimize_ignores_unreachable_states(pair, data):
     assert got == au.minimize(reachable_restriction(wide))
     assert got == au.minimize(base)
     assert got.n_states == au.moore_state_count(wide)
+
+
+def signature_minimize(a):
+    """minimize by the book: refine blocks by the tuple (block, successor
+    blocks) until their count stops growing, then number the blocks of
+    the reachable states by BFS from the initial one, symbols ascending."""
+    rows, final = a.transitions.tolist(), a.final.tolist()
+    block, count = final, len(set(final))
+    while True:
+        ids = {}
+        new = [ids.setdefault((block[q], *(block[r] for r in row)), len(ids))
+               for q, row in enumerate(rows)]
+        if len(ids) == count:
+            break
+        block, count = new, len(ids)
+    rep = {}
+    for q, b in enumerate(block):
+        rep.setdefault(b, q)
+    order = [block[a.initial]]
+    number = {order[0]: 0}
+    for b in order:  # appending while iterating: a queue
+        for r in rows[rep[b]]:
+            if block[r] not in number:
+                number[block[r]] = len(order)
+                order.append(block[r])
+    table = [[number[block[r]] for r in rows[rep[b]]] for b in order]
+    return au._dfa(a.arity, table, 0, [final[rep[b]] for b in order])
+
+
+@st.composite
+def wide_dfas(draw):
+    """A random complete DFA of arity 5 or 6 over k = 4..300 base states,
+    whose rows are a few template rows with some entries redrawn, so that
+    states often differ in few columns.  Every base state has copies that
+    minimization must merge, and random states that nothing reaches come
+    last.  The tables come from a seeded generator, as they are large."""
+    arity = draw(st.integers(5, 6))
+    m = 1 << arity
+    k = draw(st.integers(4, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    templates = rng.integers(0, k, (draw(st.integers(1, 4)), m))
+    rows = templates[rng.integers(0, len(templates), k)]
+    redrawn = rng.random((k, m)) < draw(st.sampled_from([0.02, 0.1, 0.5]))
+    rows[redrawn] = rng.integers(0, k, redrawn.sum())
+    final = rng.random(k) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    # state q copies base state image[q]; each successor is any copy
+    image = np.concatenate([np.arange(k),
+                            rng.integers(0, k, draw(st.integers(0, k)))])
+    by_base = image.argsort(kind="stable")
+    first = np.searchsorted(image[by_base], np.arange(k))
+    size = np.bincount(image, minlength=k)
+    to = rows[image]
+    table = by_base[first[to] + rng.integers(0, size[to])]
+    hidden = draw(st.integers(0, 40))
+    total = len(image) + hidden
+    table = np.concatenate([table, rng.integers(0, total, (hidden, m))])
+    final = np.concatenate([final[image], rng.random(hidden) < 0.5])
+    return au.SyncDFA(arity, table.astype(np.int32), int(rng.integers(0, k)),
+                      final)
+
+
+def paired_dfa(pairs):
+    """2*pairs states of arity 6 in pairs (2i, 2i+1) that share a row and
+    differ in acceptance; the first log2(pairs) symbols step to a state
+    whose acceptance is a bit of i, so no two states are equivalent.
+    Minimization folds its last round at 2*pairs blocks, where the two
+    states of a pair differ in their own block by exactly `pairs` and in
+    nothing else: a fold that can pass 2^64 merges them."""
+    bits = pairs.bit_length() - 1
+    rows = [[2 * s + (i >> s & 1) if s < bits else s % (2 * pairs)
+             for s in range(64)] for i in range(pairs) for _ in "ra"]
+    return au._dfa(6, rows, 0, [c == "a" for _ in range(pairs) for c in "ra"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=wide_dfas())
+@example(a=paired_dfa(16))
+@example(a=paired_dfa(32))
+@example(a=au._dfa(5, [[0] * 32], 0, [True]))  # one state
+@example(a=au._dfa(6, [[(q + s) % 5 for s in range(64)] for q in range(5)],
+                   3, [True] * 5))  # all accepting
+@example(a=au._dfa(6, [[(q * s) % 5 for s in range(64)] for q in range(5)],
+                   2, [False] * 5))  # none accepting
+@example(a=au._dfa(0, [[1], [2], [0], [4], [3]], 3,
+                   [True, False, False, False, True]))  # arity 0
+def test_minimize_matches_signature_refinement(a):
+    # arity 5 and 6 fold 33 and 65 rows at up to about 300 blocks: keys
+    # that need several runs of the int64 fold, and relabels between them
+    m = au.minimize(a)
+    assert m == signature_minimize(a)
+    assert m.n_states == au.moore_state_count(a)
 
 
 @settings(max_examples=100, deadline=None)

@@ -190,6 +190,17 @@ def test_mgamma_listing(capsys):
     assert "first members: 14, 23, 24" in out
 
 
+def test_mgamma_low_ratio_warns_in_one_line(capsys):
+    # the ratio below 1 is a warning of the library; the CLI prints it as
+    # one line of its own, with no source path or line, and still lists
+    for _ in range(2):  # every call warns, not only the first
+        code, out, err = run(capsys, "mgamma", "0", "1")
+        assert code == 0
+        assert out == ("M_{0/1}: 3 states; first members: "
+                       "1, 2, 3, 4, 5, 6, 7, 8, 9, 10\n")
+        assert err == "fibwalk: warning: 0/1 < 1: every n >= 1 is accepted\n"
+
+
 def test_mgamma_largest_below(capsys):
     code, out, err = run(capsys, "mgamma", "12", "5", "--largest-below")
     assert code == 0

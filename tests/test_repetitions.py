@@ -201,6 +201,28 @@ def test_ensure_table_builds_whole_and_only_for_more_rows(monkeypatch):
     assert table.tolist() == exponent_table(1200).tolist()
 
 
+def test_ensure_table_grows_by_doubling(monkeypatch):
+    # the requests of mgamma --largest-below for k = 6..9 (n* + 2000) and
+    # of verify up to 10,000: a request past the table builds at least
+    # twice its rows, so the ratio steps cost two builds, not four
+    built = []
+
+    def counted(n_max):
+        built.append(n_max)
+        return exponent_table(n_max)
+
+    monkeypatch.setattr(rp, "exponent_table", counted)
+    ratio = [fib(2 * k - 1) - fib(k) - 1 + 2000 for k in range(6, 10)]
+    assert ratio == [2080, 2219, 2588, 3562]
+    for steps, builds in ((ratio, [2080, 4160]), ([5000, 10000], [5000, 10000])):
+        built.clear()
+        monkeypatch.setattr(rp, "_TABLE", np.zeros((0, 2), dtype=np.int64))
+        for n_max in steps:
+            assert len(rp.ensure_table(n_max)) == n_max
+        assert built == builds
+    assert rp.ensure_table(3562).tolist() == exponent_table(3562).tolist()
+
+
 def test_ensure_table_is_read_only():
     table = rp.ensure_table(300)
     with pytest.raises(ValueError, match="read-only"):

@@ -9,10 +9,11 @@ Scripts are sequences of commands, each ended by a colon:
 
 Formulas quantify over naturals written in Zeckendorf form.  Operators,
 weakest binding first: E/A quantifiers (maximal rightward scope), <=>,
-=> (right associative), |, &, ~.  Atoms are comparisons
-(= != < <= > >=), positional predicate calls $name(term, ...), and word
-atoms F[term]=F[term] over the infinite Fibonacci word.  Terms use + -
-and multiplication by a literal constant; subtraction is natural: each
+=> (right associative), |, &, ~; <=>, | and & group to the left.  Atoms
+are comparisons (= != < <= > >=), positional predicate calls
+$name(term, ...), and word atoms F[term]=F[term] over the infinite
+Fibonacci word.  Terms use + - and multiplication by a literal constant;
+* binds tighter, and + and - group to the left.  Subtraction is natural: each
 a - b adds the constraint a - b >= 0 to its atom, so an atom containing
 a - b is false whenever a < b.
 
@@ -23,6 +24,7 @@ bind arguments to that order positionally.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -58,21 +60,8 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-    pos: int = -1
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-    pos: int = -1
-
-
-@dataclass(frozen=True)
-class Mul:
+class Arith:
+    op: str  # "+", "-" (natural) or "*"
     left: object
     right: object
     pos: int = -1
@@ -106,37 +95,15 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class Conn:
+    op: str  # the automata.product mode: "and", "or", "imp" or "iff"
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Imp:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Exists:
-    names: tuple[str, ...]
-    body: object
-
-
-@dataclass(frozen=True)
-class Forall:
+class Quant:
+    every: bool  # A when True, E when False
     names: tuple[str, ...]
     body: object
 
@@ -146,9 +113,7 @@ def free_vars(f) -> frozenset[str]:
         return frozenset([f.name])
     if isinstance(f, Const):
         return frozenset()
-    if isinstance(f, (Add, Sub, Mul, And, Or, Imp, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Cmp, SeqEq)):
+    if isinstance(f, (Arith, Cmp, SeqEq, Conn)):
         return free_vars(f.left) | free_vars(f.right)
     if isinstance(f, Call):
         out = frozenset()
@@ -157,7 +122,7 @@ def free_vars(f) -> frozenset[str]:
         return out
     if isinstance(f, Not):
         return free_vars(f.body)
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Quant):
         return free_vars(f.body) - frozenset(f.names)
     raise TypeError(f"not a formula node: {f!r}")
 
@@ -168,6 +133,16 @@ def free_vars(f) -> frozenset[str]:
 
 _MULTI_OPS = ("<=>", "<=", ">=", "=>", "!=", "<", ">", "=", "+", "-", "*",
               "&", "|", "~", "(", ")", "[", "]", ",", "$")
+
+
+# the binary connectives, loosest first: token -> (level, Conn op, right
+# associative)
+_LEVELS = {"<=>": (0, "iff", False), "=>": (1, "imp", True),
+           "|": (2, "or", False), "&": (3, "and", False)}
+
+# the comparison tokens and their meaning, as BruteForce evaluates them
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 # every name, in formulas and scripts: ASCII only, as str.isalnum takes
@@ -247,38 +222,23 @@ class _FormulaParser:
         return t
 
     def parse(self):
-        f = self._iff()
+        f = self._conn()
         t = self._peek()
         if t.kind != "end":
             raise LogicError(f"trailing {t.text!r} at offset {t.pos}")
         return f
 
-    def _iff(self):
-        f = self._imp()
-        while self._peek().kind == "<=>":
-            self._next()
-            f = Iff(f, self._imp())
-        return f
+    def _conn(self, level: int = 0):
+        """Unary formulas joined by connectives of the given level or tighter.
 
-    def _imp(self):
-        f = self._or()
-        if self._peek().kind == "=>":
-            self._next()
-            return Imp(f, self._imp())
-        return f
-
-    def _or(self):
-        f = self._and()
-        while self._peek().kind == "|":
-            self._next()
-            f = Or(f, self._and())
-        return f
-
-    def _and(self):
+        Precedence climbing: a right operand takes only tighter connectives,
+        or the same one where it groups to the right.
+        """
         f = self._unary()
-        while self._peek().kind == "&":
+        while (entry := _LEVELS.get(self._peek().kind)) and entry[0] >= level:
             self._next()
-            f = And(f, self._unary())
+            k, op, right_assoc = entry
+            f = Conn(op, f, self._conn(k if right_assoc else k + 1))
         return f
 
     def _unary(self):
@@ -292,9 +252,8 @@ class _FormulaParser:
             while self._peek().kind == ",":
                 self._next()
                 names.append(self._expect("var").text)
-            body = self._iff()  # maximal rightward scope
-            cls = Exists if t.kind == "E" else Forall
-            return cls(tuple(names), body)
+            body = self._conn()  # maximal rightward scope
+            return Quant(t.kind == "A", tuple(names), body)
         return self._atom()
 
     def _atom(self):
@@ -323,7 +282,7 @@ class _FormulaParser:
             finally:
                 self.strict = True
             self._next()
-            f = self._iff()
+            f = self._conn()
             self._expect(")")
             return f
         return self._cmp_atom()
@@ -347,7 +306,7 @@ class _FormulaParser:
     def _cmp_atom(self):
         left = self._term()
         t = self._next()
-        if t.kind not in ("=", "!=", "<", "<=", ">", ">="):
+        if t.kind not in _COMPARISONS:
             self._fail(f"expected comparison, found {t.text or 'end'!r}", t.pos)
         right = self._term()
         return Cmp(t.kind, left, right, t.pos)
@@ -356,15 +315,14 @@ class _FormulaParser:
         f = self._mul()
         while self._peek().kind in ("+", "-"):
             op = self._next()
-            g = self._mul()
-            f = Add(f, g, op.pos) if op.kind == "+" else Sub(f, g, op.pos)
+            f = Arith(op.kind, f, self._mul(), op.pos)
         return f
 
     def _mul(self):
         f = self._primary()
         while self._peek().kind == "*":
             op = self._next()
-            f = Mul(f, self._primary(), op.pos)
+            f = Arith("*", f, self._primary(), op.pos)
         return f
 
     def _primary(self):
@@ -409,11 +367,7 @@ class DefCmd:
     name: str
     source: str
     line: int
-    store: bool = True  # False for eval
-
-    @property
-    def kind(self) -> str:
-        return "def" if self.store else "eval"
+    kind: str  # "def" | "eval"
 
 
 @dataclass(frozen=True)
@@ -515,9 +469,7 @@ class _ScriptScanner:
                 name, _ = self._word()
                 source, _ = self._quoted()
                 self._colon()
-                out.append(DefCmd(name, source, line, store=True)
-                           if word == "def" else
-                           DefCmd(name, source, line, store=False))
+                out.append(DefCmd(name, source, line, word))
             elif word == "test":
                 name, _ = self._word()
                 self._skip()
@@ -668,8 +620,7 @@ def _project_name(a: Rel, name: str, every: bool = False) -> Rel:
         return a
     t = a.names.index(name)
     rest = a.names[:t] + a.names[t + 1:]
-    dfa = au.project(a.dfa, t, every=True) if every else au.project(a.dfa, t)
-    return Rel(dfa, rest)
+    return Rel(au.project(a.dfa, t, every), rest)
 
 
 def _combine(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int],
@@ -692,14 +643,9 @@ def _form(term, guards: list) -> tuple[dict[str, int], int]:
         return {term.name: 1}, 0
     if isinstance(term, Const):
         return {}, term.value
-    if isinstance(term, (Add, Sub)):
-        left, right = _form(term.left, guards), _form(term.right, guards)
-        if isinstance(term, Add):
-            return _combine(left, right, 1)
-        diff = _combine(left, right, -1)
-        guards.append(diff)
-        return diff
-    if isinstance(term, Mul):
+    if not isinstance(term, Arith):
+        raise TypeError(f"not a term: {term!r}")
+    if term.op == "*":
         l, r = term.left, term.right
         if isinstance(r, Const):
             l, r = r, l
@@ -709,7 +655,12 @@ def _form(term, guards: list) -> tuple[dict[str, int], int]:
                 f"at offset {term.pos}")
         coeffs, const = _form(r, guards)
         return {v: l.value * a for v, a in coeffs.items()}, l.value * const
-    raise TypeError(f"not a term: {term!r}")
+    left, right = _form(term.left, guards), _form(term.right, guards)
+    if term.op == "+":
+        return _combine(left, right, 1)
+    diff = _combine(left, right, -1)
+    guards.append(diff)
+    return diff
 
 
 def _conjoin_linear(rel: Rel | None, form: tuple[dict[str, int], int],
@@ -737,12 +688,9 @@ def _conjoin_linear(rel: Rel | None, form: tuple[dict[str, int], int],
     return Rel(au.constrain(dfa, aligned, op, -const), names)
 
 
-_CONNECTIVES = {Or: "or", Imp: "imp", Iff: "iff"}
-
-
 def _conjuncts(f) -> list:
     """The operands of an & chain, left to right."""
-    if isinstance(f, And):
+    if isinstance(f, Conn) and f.op == "and":
         return _conjuncts(f.left) + _conjuncts(f.right)
     return [f]
 
@@ -783,7 +731,9 @@ class _Compiler:
         if isinstance(f, Not):
             rel = self.compile(f.body)
             return Rel(au.complement(rel.dfa), rel.names)
-        if isinstance(f, (And, Cmp)):
+        if isinstance(f, Conn) and f.op != "and":
+            return _boolean(self.compile(f.left), self.compile(f.right), f.op)
+        if isinstance(f, (Conn, Cmp)):
             acc = None
             parts = _conjuncts(f)
             for g in parts:
@@ -799,13 +749,10 @@ class _Compiler:
                     for guard in guards:
                         acc = _conjoin_linear(acc, guard, ">=")
             return acc
-        mode = _CONNECTIVES.get(type(f))
-        if mode is not None:
-            return _boolean(self.compile(f.left), self.compile(f.right), mode)
-        if isinstance(f, (Exists, Forall)):
+        if isinstance(f, Quant):
             rel = self.compile(f.body)
             for v in f.names:
-                rel = _project_name(rel, v, every=isinstance(f, Forall))
+                rel = _project_name(rel, v, f.every)
             return rel
         if isinstance(f, (Call, SeqEq)):
             return self._atom(f)
@@ -831,7 +778,7 @@ class _Compiler:
                 continue
             t, guards = f"#{i}", []
             form = _form(term, guards)
-            if isinstance(term, Sub):
+            if isinstance(term, Arith) and term.op == "-":
                 guards.pop()  # the argument's own guard
             names.append(t)
             helpers.append((t, _combine(({t: 1}, 0), form, -1), guards))
@@ -860,9 +807,9 @@ def _called(f) -> frozenset[str]:
     """The names of the predicates a formula calls."""
     if isinstance(f, Call):
         return frozenset([f.name])
-    if isinstance(f, (Not, Exists, Forall)):
+    if isinstance(f, (Not, Quant)):
         return _called(f.body)
-    if isinstance(f, (And, Or, Imp, Iff)):
+    if isinstance(f, Conn):
         return _called(f.left) | _called(f.right)
     return frozenset()
 
@@ -947,7 +894,7 @@ def run_session(text: str, env: PredicateEnv | None = None) -> SessionReport:
             rel = compile_predicate(env, cmd.source)
             kind = cmd.kind
             env.define(cmd.name, kind, rel.dfa)
-            if not cmd.store and rel.dfa.arity == 0:
+            if kind == "eval" and rel.dfa.arity == 0:
                 verdict = au.decide_true(rel.dfa)
                 word = "TRUE" if verdict else "FALSE"
                 entries.append(SessionEntry(
@@ -1019,7 +966,7 @@ class BruteForce:
                 if cmd.name not in self.base:
                     raise LogicError(
                         f"no base semantics supplied for reg {cmd.name!r}")
-            elif isinstance(cmd, DefCmd) and cmd.store:
+            elif isinstance(cmd, DefCmd) and cmd.kind == "def":
                 self.add_def(cmd.name, parse_formula(cmd.source))
 
     def term(self, t, asg: dict) -> int | None:
@@ -1027,14 +974,14 @@ class BruteForce:
             return asg[t.name]
         if isinstance(t, Const):
             return t.value
-        if isinstance(t, (Add, Sub, Mul)):
+        if isinstance(t, Arith):
             a = self.term(t.left, asg)
             b = self.term(t.right, asg)
             if a is None or b is None:
                 return None
-            if isinstance(t, Add):
+            if t.op == "+":
                 return a + b
-            if isinstance(t, Mul):
+            if t.op == "*":
                 return a * b
             return a - b if a >= b else None
         raise TypeError(f"not a term: {t!r}")
@@ -1059,8 +1006,7 @@ class BruteForce:
             b = self.term(f.right, asg)
             if a is None or b is None:
                 return False
-            return {"=": a == b, "!=": a != b, "<": a < b, "<=": a <= b,
-                    ">": a > b, ">=": a >= b}[f.op]
+            return _COMPARISONS[f.op](a, b)
         if isinstance(f, SeqEq):
             a = self.term(f.left, asg)
             b = self.term(f.right, asg)
@@ -1074,17 +1020,18 @@ class BruteForce:
             return self.call(f.name, vals)
         if isinstance(f, Not):
             return not self.eval(f.body, asg)
-        if isinstance(f, And):
-            return self.eval(f.left, asg) and self.eval(f.right, asg)
-        if isinstance(f, Or):
-            return self.eval(f.left, asg) or self.eval(f.right, asg)
-        if isinstance(f, Imp):
-            return (not self.eval(f.left, asg)) or self.eval(f.right, asg)
-        if isinstance(f, Iff):
-            return self.eval(f.left, asg) == self.eval(f.right, asg)
-        if isinstance(f, (Exists, Forall)):
+        if isinstance(f, Conn):
+            a = self.eval(f.left, asg)
+            if f.op == "and":
+                return a and self.eval(f.right, asg)
+            if f.op == "or":
+                return a or self.eval(f.right, asg)
+            if f.op == "imp":
+                return not a or self.eval(f.right, asg)
+            return a == self.eval(f.right, asg)
+        if isinstance(f, Quant):
             rng = range(self.bound + 1)
-            want_any = isinstance(f, Exists)
+            want_any = not f.every
             for combo in iter_product(rng, repeat=len(f.names)):
                 inner = dict(asg)
                 inner.update(zip(f.names, combo))

@@ -1,5 +1,6 @@
 """Predicate DSL: parsing, compilation, sessions, interpreter agreement."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from fibwalk import automata as au
 from fibwalk import logic
 from fibwalk import repetitions as rp
-from fibwalk.logic import (BruteForce, LogicError, PredicateEnv,
-                           compile_predicate, parse_formula, parse_script,
-                           run_session)
+from fibwalk.logic import (Arith, BruteForce, Cmp, Conn, Const, LogicError,
+                           Not, PredicateEnv, Quant, Var, compile_predicate,
+                           parse_formula, parse_script, run_session)
 from fibwalk.numeration import fib, floor_alpha2, zeck_decode, zeck_encode
 
 SEC2_GOLDEN = """\
@@ -78,14 +79,76 @@ def call_env():
 
 def test_parse_formula_shapes():
     f = parse_formula("?msd_fib x=1 & y=2")
-    assert isinstance(f, logic.And)
+    assert isinstance(f, Conn) and f.op == "and"
     f = parse_formula("?msd_fib ~x=1")
-    assert isinstance(f, logic.Not)
+    assert isinstance(f, Not)
     f = parse_formula("?msd_fib Ex x=y")
-    assert isinstance(f, logic.Exists)
+    assert isinstance(f, Quant) and not f.every
     f = parse_formula("?msd_fib Ax,y x=y")
-    assert isinstance(f, logic.Forall)
+    assert isinstance(f, Quant) and f.every
     assert f.names == ("x", "y")
+    # the op and the quantifier kind are part of a node's identity
+    a, b = Var("a"), Var("b")
+    assert Conn("and", a, b) != Conn("or", a, b)
+    assert Quant(True, ("x",), a) != Quant(False, ("x",), a)
+    assert Arith("+", a, b) != Arith("-", a, b)
+
+
+def _unpos(f):
+    """A parse tree with every source position reset to -1."""
+    if isinstance(f, tuple):
+        return tuple(map(_unpos, f))
+    if not dataclasses.is_dataclass(f):
+        return f
+    fields = {fl.name: _unpos(getattr(f, fl.name))
+              for fl in dataclasses.fields(f)}
+    if "pos" in fields:
+        fields["pos"] = -1
+    return type(f)(**fields)
+
+
+def _atom(k):
+    return Cmp("=", Var("x"), Const(k))
+
+
+A, B, C, D, E = map(_atom, range(1, 6))
+_x, _y, _z = map(Var, "xyz")
+
+PARSE_TREES = {
+    # => is right associative
+    "x=1 => x=2 => x=3": Conn("imp", A, Conn("imp", B, C)),
+    # <=>, | and & are left associative
+    "x=1 <=> x=2 <=> x=3": Conn("iff", Conn("iff", A, B), C),
+    "x=1 | x=2 | x=3": Conn("or", Conn("or", A, B), C),
+    "x=1 & x=2 & x=3": Conn("and", Conn("and", A, B), C),
+    # & binds tighter than |, | than =>, and => than <=>
+    "x=1 <=> x=2 => x=3 | x=4 & x=5":
+        Conn("iff", A, Conn("imp", B, Conn("or", C, Conn("and", D, E)))),
+    "x=1 & x=2 | x=3 => x=4 <=> x=5":
+        Conn("iff", Conn("imp", Conn("or", Conn("and", A, B), C), D), E),
+    "x=1 => x=2 <=> x=3 => x=4":
+        Conn("iff", Conn("imp", A, B), Conn("imp", C, D)),
+    "x=1 | x=2 => x=3 | x=4 => x=5":
+        Conn("imp", Conn("or", A, B), Conn("imp", Conn("or", C, D), E)),
+    # ~ takes the nearest unary formula
+    "~x=1 & x=2": Conn("and", Not(A), B),
+    # a quantifier reaches as far right as it can, up to a closing bracket
+    "x=1 & Ex x=2 | x=3 => x=4 <=> x=5":
+        Conn("and", A, Quant(False, ("x",), Conn(
+            "iff", Conn("imp", Conn("or", B, C), D), E))),
+    "(Ax,y x=1 | x=2) & x=3":
+        Conn("and", Quant(True, ("x", "y"), Conn("or", A, B)), C),
+    # + and - are left associative, and * binds tighter than both
+    "x-y+z=0": Cmp("=", Arith("+", Arith("-", _x, _y), _z), Const(0)),
+    "x+2*y-z=0": Cmp("=", Arith("-", Arith("+", _x, Arith("*", Const(2), _y)),
+                                _z), Const(0)),
+    "x*2+y=0": Cmp("=", Arith("+", Arith("*", _x, Const(2)), _y), Const(0)),
+}
+
+
+@pytest.mark.parametrize("src", sorted(PARSE_TREES))
+def test_parse_trees(src):
+    assert _unpos(parse_formula("?msd_fib " + src)) == PARSE_TREES[src]
 
 
 def test_parse_precedence_via_interpreter():
@@ -237,6 +300,14 @@ def test_readme_comparison_operators_compile():
     assert "!=" in ops
     for op in ops:
         agrees_with_brute_force(f"?msd_fib x{op}y+1", 14)
+
+
+def test_readme_connective_order_is_the_parsers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    order = re.search(r"connectives, tightest first, `~` \(prefix\),([^;]*)",
+                      readme).group(1)
+    tokens = re.findall(r"`([^`]*)`", order.split(", where")[0])
+    assert tokens[::-1] == list(logic._LEVELS)
 
 
 def test_multi_term_atoms_match_brute_force():
@@ -418,8 +489,8 @@ def test_repeated_compile_is_memoized(env, recorded, monkeypatch):
     ops, product, project = [], au.product, au.project
     monkeypatch.setattr(au, "product", lambda a, b, mode:
                         ops.append(mode) or product(a, b, mode))
-    monkeypatch.setattr(au, "project", lambda a, track:
-                        ops.append(track) or project(a, track))
+    monkeypatch.setattr(au, "project", lambda a, track, every=False:
+                        ops.append(track) or project(a, track, every))
     src = "?msd_fib Ex,y $suff(n,x,y) & $isfib(y) & 21*x>=54*y"
     first = compile_predicate(env, src)
     assert constrained and "and" in ops  # the first compile ran in full

@@ -17,7 +17,8 @@ Symbols are integers: the digit of track t occupies bit t, so a column
 and `compile_regex` return minimal automata in canonical numbering, so
 equal languages give equal objects.  `project` has two modes: it erases
 a track existentially, or universally with every=True, in one subset
-construction either way.
+construction either way; `compile_regex` determinizes its Thompson NFA
+through the same construction (`_subsets`).
 `expand_insert` and `remap_tracks` do not: they prepare operands for the
 one minimizing `product` or `constrain` of a formula node.
 `expand_insert` also makes the inserted tracks canonical; the compiler
@@ -92,7 +93,7 @@ def _dfa(arity: int, rows, initial: int, final) -> SyncDFA:
 
 def columns_of(values: tuple[int, ...] | list[int]) -> list[int]:
     """Synchronized symbol sequence (msd-first) for a tuple of naturals."""
-    digits = [zeck_encode(v).digits for v in values]
+    digits = [zeck_encode(v) for v in values]
     width = max((len(d) for d in digits), default=0)
     padded = [d.rjust(width, "0") for d in digits]
     return [sum((padded[t][i] == "1") << t for t in range(len(values)))
@@ -454,19 +455,35 @@ def project(a: SyncDFA, track: int, every: bool = False) -> SyncDFA:
                            1 << 2 * row[s])]
                 for s in base]
         initial = 2 * a.initial
-        rejecting = sum(3 << 2 * q for q, f in enumerate(final) if not f)
+        mask = sum(3 << 2 * q for q, f in enumerate(final) if not f)
     else:
         cols = [[1 << row[s] | 1 << row[s | 1 << track] for row in table]
                 for s in base]
         initial = a.initial
+        mask = sum(1 << q for q, f in enumerate(final) if f)
+    return _subsets(new_arity, cols, _reach(cols[0], 1 << initial), mask,
+                    every)
 
-    start = 1 << initial
-    frontier = [initial]
+
+def _reach(step: list[int], mask: int) -> int:
+    """The members of mask and every member that step leads to from them:
+    step[q] is the bitmask of q's successors."""
+    frontier = _members(mask)
     while frontier:
-        new = cols[0][frontier.pop()] & ~start
-        start |= new
+        new = step[frontier.pop()] & ~mask
+        mask |= new
         frontier += _members(new)
+    return mask
 
+
+def _subsets(arity: int, cols: list[list[int]], start: int, mask: int,
+             every: bool) -> SyncDFA:
+    """Minimal DFA of the subset construction from the bitmask start.
+
+    cols[s][q] is the bitmask of member q's successors on symbol s, so a
+    subset's successor is the OR of its members' masks.  A subset accepts
+    when it meets mask, or, with every, when it misses it.
+    """
     index = {start: 0}
     sets = [start]
     rows: list[list[int]] = []
@@ -483,12 +500,8 @@ def project(a: SyncDFA, track: int, every: bool = False) -> SyncDFA:
                 sets.append(nxt)
             row.append(j)
         rows.append(row)
-    if every:
-        accept = [not m & rejecting for m in sets]
-    else:
-        accepting = sum(1 << q for q, f in enumerate(final) if f)
-        accept = [bool(m & accepting) for m in sets]
-    return minimize(_dfa(new_arity, rows, 0, accept))
+    accept = [not m & mask if every else bool(m & mask) for m in sets]
+    return minimize(_dfa(arity, rows, 0, accept))
 
 
 def _members(mask: int) -> list[int]:
@@ -532,13 +545,13 @@ class _RegexParser:
         self.text = text
         self.arity = arity
         self.pos = 0
-        # NFA under construction: eps[i] = set, step[i] = {sym: set}
-        self.eps: list[set[int]] = []
-        self.step: list[dict[int, set[int]]] = []
+        # NFA under construction: eps[q] is the bitmask of q's epsilon
+        # successors, and edges lists each symbol edge (q, sym, target)
+        self.eps: list[int] = []
+        self.edges: list[tuple[int, int, int]] = []
 
     def _new_state(self) -> int:
-        self.eps.append(set())
-        self.step.append({})
+        self.eps.append(0)
         return len(self.eps) - 1
 
     def _skip_ws(self) -> None:
@@ -554,7 +567,13 @@ class _RegexParser:
         self._skip_ws()
         if self.pos != len(self.text):
             raise RegexError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return self._determinize(start, end)
+        # a subset holds its epsilon closure, so a symbol takes member q
+        # to the closure of its edge's target
+        closed = [_reach(self.eps, 1 << q) for q in range(len(self.eps))]
+        cols = [[0] * len(self.eps) for _ in range(1 << self.arity)]
+        for q, sym, target in self.edges:
+            cols[sym][q] = closed[target]
+        return _subsets(self.arity, cols, closed[start], 1 << end, False)
 
     def _alt(self) -> tuple[int, int]:
         first = self._concat()
@@ -566,8 +585,8 @@ class _RegexParser:
             return first
         s, e = self._new_state(), self._new_state()
         for bs, be in branches:
-            self.eps[s].add(bs)
-            self.eps[be].add(e)
+            self.eps[s] |= 1 << bs
+            self.eps[be] |= 1 << e
         return s, e
 
     def _concat(self) -> tuple[int, int]:
@@ -581,7 +600,7 @@ class _RegexParser:
             s = self._new_state()
             return s, s
         for (_, e1), (s2, _) in zip(parts, parts[1:]):
-            self.eps[e1].add(s2)
+            self.eps[e1] |= 1 << s2
         return parts[0][0], parts[-1][1]
 
     def _factor(self) -> tuple[int, int]:
@@ -590,8 +609,8 @@ class _RegexParser:
             self.pos += 1
             s, e = self._new_state(), self._new_state()
             fs, fe = frag
-            self.eps[s].update((fs, e))
-            self.eps[fe].update((fs, e))
+            self.eps[s] |= 1 << fs | 1 << e
+            self.eps[fe] |= 1 << fs | 1 << e
             frag = (s, e)
         return frag
 
@@ -636,48 +655,13 @@ class _RegexParser:
 
     def _symbol_edge(self, sym: int) -> tuple[int, int]:
         s, e = self._new_state(), self._new_state()
-        self.step[s].setdefault(sym, set()).add(e)
+        self.edges.append((s, sym, e))
         return s, e
-
-    def _closure(self, states: frozenset[int]) -> frozenset[int]:
-        out = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for nxt in self.eps[q]:
-                if nxt not in out:
-                    out.add(nxt)
-                    stack.append(nxt)
-        return frozenset(out)
-
-    def _determinize(self, start: int, end: int) -> SyncDFA:
-        n_sym = 1 << self.arity
-        init = self._closure(frozenset([start]))
-        index = {init: 0}
-        sets = [init]
-        rows: list[tuple[int, ...]] = []
-        i = 0
-        while i < len(sets):
-            cur = sets[i]
-            row = []
-            for sym in range(n_sym):
-                moved = set()
-                for q in cur:
-                    moved.update(self.step[q].get(sym, ()))
-                nxt = self._closure(frozenset(moved))
-                j = index.get(nxt)
-                if j is None:
-                    j = len(sets)
-                    index[nxt] = j
-                    sets.append(nxt)
-                row.append(j)
-            rows.append(tuple(row))
-            i += 1
-        return minimize(_dfa(self.arity, rows, 0, [end in group for group in sets]))
 
 
 def compile_regex(pattern: str, arity: int) -> SyncDFA:
-    """Thompson construction, subset construction, minimization.
+    """Thompson construction, then `project`'s subset construction over
+    epsilon closures, and minimization.
 
     The language is exactly the regex language over raw digit tuples;
     canonicality is NOT imposed here (the shift relation needs raw
@@ -863,12 +847,12 @@ def _natural(c: int) -> int:
 # enumeration
 
 
-def enumerate_accepted(a: SyncDFA, limit: int, chunk: int = 1 << 14) -> list:
+def enumerate_accepted(a: SyncDFA, limit: int) -> list:
     """Accepted tuples with every component <= limit, ascending.
 
-    Walks the row-major grid of all (limit+1)^arity tuples in chunks, so
-    the rows come out in lexicographic (hence per-track numeric) order.
-    Arity 1 returns ints; higher arities return tuples.
+    Walks the row-major grid of all (limit+1)^arity tuples in chunks of
+    _BATCH_ROWS, so the rows come out in lexicographic (hence per-track
+    numeric) order.  Arity 1 returns ints; higher arities return tuples.
     """
     if a.arity == 0:
         raise ValueError("enumerate needs arity >= 1")
@@ -877,8 +861,8 @@ def enumerate_accepted(a: SyncDFA, limit: int, chunk: int = 1 << 14) -> list:
     side = limit + 1
     total = side ** a.arity
     out: list = []
-    for lo in range(0, total, chunk):
-        flat = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+    for lo in range(0, total, _BATCH_ROWS):
+        flat = np.arange(lo, min(lo + _BATCH_ROWS, total), dtype=np.int64)
         grid = np.stack(np.unravel_index(flat, (side,) * a.arity), axis=1)
         hits = grid[accepts_batch(a, grid)].tolist()
         out.extend(map(tuple, hits) if a.arity > 1 else (h[0] for h in hits))

@@ -1,6 +1,8 @@
 """Batch front end: sessions, verification sweeps, enumerations, exports.
 
-Exit codes: 0 success, 1 a verification failed, 2 usage or parse error.
+Exit codes: 0 success, 1 a verification failed, 2 usage, parse, input or
+file error.  main turns every ValueError (LogicError among them) and
+OSError of a handler into one "fibwalk: ..." line on stderr and exit 2.
 Identical invocations print identical bytes.
 """
 
@@ -58,45 +60,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _lookup_pred(name: str) -> au.SyncDFA:
     env = rp.session_env()
-    try:
-        return env.lookup(name).validated()
-    except logic.LogicError:
-        raise SystemExit(f"fibwalk: unknown predicate {name!r}; "
+    if name not in env.names():
+        raise ValueError(f"unknown predicate {name!r}; "
                          f"have: {', '.join(env.names())}")
+    return env.lookup(name).validated()
 
 
 def _cmd_session(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
-        print(f"fibwalk: {e}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as e:
-        print(f"fibwalk: {args.file}: not UTF-8 text: {e}", file=sys.stderr)
-        return 2
-    try:
         report = logic.run_session(text)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{args.file}: not UTF-8 text: {e}") from None
     except logic.LogicError as e:
-        print(f"fibwalk: {args.file}: {e}", file=sys.stderr)
-        return 2
-    out = report.to_json() if args.json else report.text
-    sys.stdout.write(out)
+        raise ValueError(f"{args.file}: {e}") from None
+    sys.stdout.write(report.to_json() if args.json else report.text)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    dfa = _lookup_pred(args.pred)
-    try:
-        items = au.enumerate_accepted(dfa, args.limit)
-    except ValueError as e:
-        print(f"fibwalk: {e}", file=sys.stderr)
-        return 2
-    for item in items:
-        if isinstance(item, tuple):
-            print(" ".join(str(v) for v in item))
-        else:
-            print(item)
+    for item in au.enumerate_accepted(_lookup_pred(args.pred), args.limit):
+        print(" ".join(map(str, item)) if isinstance(item, tuple) else item)
     return 0
 
 
@@ -120,11 +105,7 @@ def _verify_reports(target: str, max_n: int | None) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        reports = _verify_reports(args.target, args.max_n)
-    except ValueError as e:
-        print(f"fibwalk: {e}", file=sys.stderr)
-        return 2
+    reports = _verify_reports(args.target, args.max_n)
     if args.json:
         print(rp.verification_report_json(reports), end="")
     else:
@@ -139,9 +120,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_en(args) -> int:
-    if args.n < 1:
-        print("fibwalk: e(n) needs n >= 1", file=sys.stderr)
-        return 2
     rec = rp.exponent_record(args.n)
     print(f"e({rec.n}) = {rec.x}/{rec.y} "
           f"(suffix length {rec.x}, period {rec.y})")
@@ -149,17 +127,13 @@ def _cmd_en(args) -> int:
 
 
 def _cmd_mgamma(args) -> int:
-    try:
-        if args.largest_below:
-            n = rp.largest_index_below(args.p, args.q)
-            print(f"largest n with e(n) < {args.p}/{args.q}: {n}")
-            return 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dfa = rp.m_gamma_automaton(args.p, args.q)
-    except ValueError as e:
-        print(f"fibwalk: {e}", file=sys.stderr)
-        return 2
+    if args.largest_below:
+        n = rp.largest_index_below(args.p, args.q)
+        print(f"largest n with e(n) < {args.p}/{args.q}: {n}")
+        return 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dfa = rp.m_gamma_automaton(args.p, args.q)
     for warning in caught:
         print(f"fibwalk: warning: {warning.message}", file=sys.stderr)
     first = [au.word_to_values(w, 1)[0]
@@ -171,12 +145,8 @@ def _cmd_mgamma(args) -> int:
 
 def _cmd_export_dfa(args) -> int:
     dfa = _lookup_pred(args.pred)
-    try:
-        with open(args.dot, "w") as fh:
-            fh.write(au.to_dot(dfa))
-    except OSError as e:
-        print(f"fibwalk: {e}", file=sys.stderr)
-        return 2
+    with open(args.dot, "w") as fh:
+        fh.write(au.to_dot(dfa))
     print(f"wrote {args.pred} ({au.live_state_count(dfa)} states) "
           f"to {args.dot}")
     return 0
@@ -184,17 +154,9 @@ def _cmd_export_dfa(args) -> int:
 
 def _cmd_crossover(args) -> int:
     from . import identities as idn
-    try:
-        table = idn.crossover(args.i, args.family)
-    except ValueError as e:
-        print(f"fibwalk: {e}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.csv, "w") as fh:
-            idn.crossover_csv(table, fh)
-    except OSError as e:
-        print(f"fibwalk: {e}", file=sys.stderr)
-        return 2
+    table = idn.crossover(args.i, args.family)
+    with open(args.csv, "w") as fh:
+        idn.crossover_csv(table, fh)
     verdict = "bracketed" if table.bracket_ok else "NOT bracketed"
     print(f"crossover i={table.i} family={table.family} "
           f"j'={table.j_prime}: {verdict}; wrote {args.csv}")
@@ -218,11 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            print(e.code, file=sys.stderr)
-            return 2
-        return e.code if isinstance(e.code, int) else 2
+    except (ValueError, OSError) as e:  # LogicError is a ValueError
+        print(f"fibwalk: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

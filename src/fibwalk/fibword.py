@@ -32,8 +32,7 @@ def generate_prefix(n: int) -> str:
 
 def symbol_at(n: int) -> int:
     """f[n] as 0/1: the last Zeckendorf digit of n (0 for n = 0)."""
-    digits = zeck_encode(n).digits
-    return 1 if digits.endswith("1") else 0
+    return 1 if zeck_encode(n).endswith("1") else 0
 
 
 def fib_word_dfao() -> dict:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iter_product
@@ -41,6 +42,16 @@ class LogicError(ValueError):
         super().__init__(message + where)
         self.line = line
         self.col = col
+
+
+@contextmanager
+def _nesting_guard():
+    """Report Python's recursion limit, which only a deeply nested formula
+    reaches in the recursive parser and compiler, as a LogicError."""
+    try:
+        yield
+    except RecursionError:
+        raise LogicError("formula nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +357,8 @@ def parse_formula(src: str):
     body = stripped[len("?msd_fib"):]
     if body[:1] not in ("", " ", "\t", "\n", "(", "~", "$"):
         raise LogicError("formula must start with the ?msd_fib numeration tag")
-    return _FormulaParser(body).parse()
+    with _nesting_guard():
+        return _FormulaParser(body).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +569,9 @@ class PredicateEnv:
                 continue
             self._refuse_known(cmd.name)
             if isinstance(cmd, DefCmd):
-                for callee in sorted(_called(parse_formula(cmd.source))):
+                with _nesting_guard():
+                    callees = _called(parse_formula(cmd.source))
+                for callee in sorted(callees):
                     if callee not in self.preds and callee not in self.pending:
                         raise LogicError(f"unknown predicate {callee!r}",
                                          cmd.line, 1)
@@ -835,18 +849,20 @@ def compile_predicate(env: PredicateEnv, source: str) -> Rel:
     agrees on the callees.  A redefined callee is a new key.  A compile
     that raises stores nothing, so it raises again on every call; a
     callee the env lacks is left to the compiler, which reports the
-    first error in the formula, as it always has.
+    first error in the formula, as it always has.  A formula nested past
+    Python's recursion limit raises LogicError, as parse_formula does.
     """
     f = parse_formula(source)
-    try:
-        key = (source, tuple((name, env.lookup(name).validated())
-                             for name in sorted(_called(f))))
-    except LogicError:
-        return compile_formula(f, env)
-    rel = _COMPILED.get(key)
-    if rel is None:
-        rel = _COMPILED[key] = compile_formula(f, env)
-    return rel
+    with _nesting_guard():
+        try:
+            key = (source, tuple((name, env.lookup(name).validated())
+                                 for name in sorted(_called(f))))
+        except LogicError:
+            return compile_formula(f, env)
+        rel = _COMPILED.get(key)
+        if rel is None:
+            rel = _COMPILED[key] = compile_formula(f, env)
+        return rel
 
 
 # ---------------------------------------------------------------------------

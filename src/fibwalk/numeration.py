@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -67,12 +66,13 @@ def _fib_weights_upto(limit: int) -> tuple[int, ...]:
     return ws[:max(1, bisect_right(ws, limit))]
 
 
-def zeck_encode(n: int) -> "ZeckRep":
-    """Canonical Zeckendorf representation of n >= 0 (greedy algorithm)."""
+def zeck_encode(n: int) -> str:
+    """Canonical msd-first Zeckendorf digit string of n >= 0, by the
+    greedy algorithm; 0 is the empty string."""
     if n < 0:
         raise ValueError("zeck_encode requires n >= 0")
     if n == 0:
-        return ZeckRep("")
+        return ""
     ws = _fib_weights_upto(n)
     digits = []
     rem = n
@@ -83,7 +83,7 @@ def zeck_encode(n: int) -> "ZeckRep":
         else:
             digits.append("0")
     # greedy never leaves a leading zero: the largest weight always fits
-    return ZeckRep("".join(digits))
+    return "".join(digits)
 
 
 def zeck_decode(digits: str) -> int:
@@ -100,28 +100,6 @@ def zeck_decode(digits: str) -> int:
             raise ValueError(f"invalid digit {d!r}")
         a, b = b, a + b
     return total
-
-
-@dataclass(frozen=True)
-class ZeckRep:
-    """Canonical msd-first Zeckendorf digit string.  Empty string is 0."""
-
-    digits: str
-
-    def __post_init__(self) -> None:
-        if self.digits and (self.digits[0] == "0" or "11" in self.digits):
-            raise ValueError(f"non-canonical representation {self.digits!r}")
-
-    @property
-    def value(self) -> int:
-        return zeck_decode(self.digits)
-
-    def display(self) -> str:
-        """Digit string for output; 0 shows as "0" rather than "".'"""
-        return self.digits if self.digits else "0"
-
-    def __str__(self) -> str:
-        return self.display()
 
 
 def floor_alpha(n: int) -> int:

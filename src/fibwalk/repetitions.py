@@ -96,6 +96,8 @@ def ensure_table(n_max: int) -> np.ndarray:
 
 
 def exponent_record(n: int) -> ExponentRecord:
+    if n < 1:
+        raise ValueError("e(n) needs n >= 1")
     x, y = ensure_table(n)[n - 1].tolist()
     return ExponentRecord(n, x, y)
 

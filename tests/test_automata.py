@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -341,7 +342,7 @@ def test_project_existential():
         assert au.accepts(some_below, (y,)) == (y >= 1)
 
 
-def test_enumerate_accepted_value_bound():
+def test_enumerate_accepted_value_bound(monkeypatch):
     isfib = au.compile_regex("0*10*", 1)
     got = au.enumerate_accepted(isfib, 100)
     assert got == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
@@ -350,9 +351,11 @@ def test_enumerate_accepted_value_bound():
     assert pairs == [(a, b) for a in range(5) for b in range(5) if a < b]
     # lexicographic order holds across chunk boundaries of the tuple grid
     want = [(x, y, x + y) for x in range(13) for y in range(13) if x + y <= 12]
-    for chunk in (7, 1 << 14):
-        assert au.enumerate_accepted(au.adder(), 12, chunk) == want
-    assert au.enumerate_accepted(au.linear((1,), "=", 4), 9, 3) == [4]
+    assert au.enumerate_accepted(au.adder(), 12) == want
+    monkeypatch.setattr(au, "_BATCH_ROWS", 7)
+    assert au.enumerate_accepted(au.adder(), 12) == want
+    monkeypatch.setattr(au, "_BATCH_ROWS", 3)
+    assert au.enumerate_accepted(au.linear((1,), "=", 4), 9) == [4]
     assert au.enumerate_accepted(au.adder(), 0) == [(0, 0, 0)]
     with pytest.raises(ValueError, match="limit must be >= 0"):
         au.enumerate_accepted(au.adder(), -2)
@@ -393,6 +396,53 @@ def test_compile_regex_errors():
         au.compile_regex("2*", 1)
 
 
+def _regex_pairs(arity: int):
+    """(fibwalk regex, Python re pattern) pairs of one random tuple regex,
+    with symbol s written as the character chr(97 + s) for re."""
+    def symbol(s):
+        digits = [s >> t & 1 for t in range(arity)]
+        tuple_form = "[" + ",".join(map(str, digits)) + "]"
+        forms = [tuple_form, str(s)] if arity == 1 else [tuple_form]
+        return st.sampled_from(forms).map(lambda f: (f, chr(97 + s)))
+
+    leaf = st.one_of(st.just(("", "")),
+                     st.integers(0, (1 << arity) - 1).flatmap(symbol))
+
+    def joined(parts, sep):
+        return ("(" + sep.join(p[0] for p in parts) + ")",
+                "(?:" + sep.join(p[1] for p in parts) + ")")
+
+    def extend(children):
+        parts = st.lists(children, min_size=2, max_size=3)
+        return st.one_of(
+            parts.map(lambda ps: joined(ps, "")),
+            parts.map(lambda ps: joined(ps, "|")),
+            children.map(lambda c: ("(" + c[0] + ")*", "(?:" + c[1] + ")*")),
+            children.map(lambda c: ("(" + c[0] + ")", "(?:" + c[1] + ")")))
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(1, 2).flatmap(
+    lambda k: st.tuples(st.just(k), _regex_pairs(k))))
+@example(case=(1, ("(|0)*1(0|[1])*", "(?:|a)*b(?:a|b)*")))
+@example(case=(2, ("([0,0]|)(([1,0])*|[0,1])*", "(?:a|)(?:(?:b)*|c)*")))
+def test_compile_regex_matches_python_re(case):
+    # every raw word up to length 6, run through the transition table
+    arity, (ours, theirs) = case
+    a = au.compile_regex(ours, arity)
+    table, final = a.transitions.tolist(), a.final.tolist()
+    pattern = re.compile(theirs)
+    for length in range(7):
+        for word in itertools.product(range(1 << arity), repeat=length):
+            q = a.initial
+            for sym in word:
+                q = table[q][sym]
+            text = "".join(chr(97 + sym) for sym in word)
+            assert final[q] == bool(pattern.fullmatch(text)), (ours, word)
+
+
 def test_to_dot_and_to_text_render():
     good = au.linear((1,), "=", 3)
     dot = au.to_dot(good)
@@ -419,7 +469,7 @@ def test_zeck_encoding_feeds_tracks():
         strs = au.word_to_track_strings(word, 2)
         width = len(word)
         for v, s in zip(vals, strs):
-            assert s == zeck_encode(v).digits.rjust(width, "0")
+            assert s == zeck_encode(v).rjust(width, "0")
 
 
 @st.composite

@@ -76,6 +76,20 @@ def test_session_parse_error(tmp_path, capsys):
     assert "bad.wal" in err
 
 
+@pytest.mark.parametrize("shape", ["brackets", "nots", "imps", "ands", "sum"])
+def test_session_deep_nesting_exits_2(tmp_path, shape):
+    # a fresh process, so the recursion limit is met as a user meets it
+    from test_logic import DEEP, deep_formula
+    src = tmp_path / "deep.wal"
+    src.write_text(f'def a "{deep_formula(shape, DEEP[shape])}":\n')
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    r = subprocess.run([sys.executable, "-m", "fibwalk.cli", "session",
+                        str(src)], env=env, capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"fibwalk: {src}: formula nests too deeply\n"
+
+
 def test_session_json(tmp_path, capsys):
     script = tmp_path / "tiny.wal"
     script.write_text('eval t "?msd_fib En n=3":')
@@ -253,6 +267,35 @@ def test_crossover_csv_and_exit_codes(tmp_path, capsys):
     idn.crossover_csv(idn.crossover(20, "b1"), want)
     with open(target, newline="") as fh:
         assert fh.read() == want.getvalue()
+
+
+def test_error_paths_print_one_line(tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    cases = [
+        (["export-dfa", "good", "--dot", f"{missing}.dot"],
+         f"[Errno 2] No such file or directory: '{missing}.dot'"),
+        (["crossover", "20", "--family", "b1", "--csv", f"{missing}.csv"],
+         f"[Errno 2] No such file or directory: '{missing}.csv'"),
+        (["en", "-3"], "e(n) needs n >= 1"),
+        (["mgamma", "3", "0"], "denominator must be >= 1"),
+        (["verify", "identities", "--max-n", "0"],
+         "identities needs k_max >= 1, got 0"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", f"fibwalk: {message}\n"), argv
+    assert not (tmp_path / "no").exists()
+
+
+def test_enumerate_reports_a_failed_compile(capsys, monkeypatch):
+    # a pending predicate that fails to compile is not an unknown one
+    env = logic.PredicateEnv()
+    env.load('def bad "?msd_fib x*y=1":')
+    monkeypatch.setattr(rp, "session_env", lambda: env)
+    assert run(capsys, "enumerate", "bad", "--limit", "3") == (
+        2, "", "fibwalk: multiplication needs a literal constant side "
+               "at offset 2\n")
+    assert run(capsys, "enumerate", "other", "--limit", "3") == (
+        2, "", "fibwalk: unknown predicate 'other'; have: bad\n")
 
 
 def test_usage_errors(capsys):

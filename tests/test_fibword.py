@@ -269,6 +269,6 @@ def test_dfao_outputs_match_word():
     from fibwalk.numeration import zeck_encode
     for n in range(400):
         q = dfao["initial"]
-        for d in zeck_encode(n).digits:
+        for d in zeck_encode(n):
             q = trans[q][int(d)]
         assert out[q] == symbol_at(n)

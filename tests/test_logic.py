@@ -39,7 +39,7 @@ eval test: TRUE
 
 def shift_value(a):
     # appending a zero digit bumps every Fibonacci weight one index up
-    return zeck_decode(zeck_encode(a).digits + "0")
+    return zeck_decode(zeck_encode(a) + "0")
 
 
 def base_semantics(limit=4000):
@@ -193,6 +193,40 @@ def test_parse_errors_carry_position():
     with pytest.raises(LogicError) as ei:
         parse_script('def x "?msd_fib n=1"')
     assert "line 1" in str(ei.value)
+
+
+# formulas nested past Python's recursion limit in the parser (brackets,
+# ~, a => chain) or only in the compiler (an & chain, a sum), and the
+# same shapes at a depth that compiles
+def deep_formula(shape: str, n: int) -> str:
+    return "?msd_fib " + {
+        "brackets": "(" * n + "x=x" + ")" * n,
+        "nots": "~" * n + "x=x",
+        "imps": " => ".join(["x=x"] * n),
+        "ands": " & ".join(["x=x"] * n),
+        "sum": "+".join(["x"] * n) + "=0",
+    }[shape]
+
+
+DEEP = {"brackets": 400, "nots": 1200, "imps": 1000, "ands": 2000,
+        "sum": 3000}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_deep_nesting_is_a_logic_error(shape):
+    src = deep_formula(shape, DEEP[shape])
+    if shape in ("brackets", "nots", "imps"):
+        with pytest.raises(LogicError, match="^formula nests too deeply$"):
+            parse_formula(src)
+    with pytest.raises(LogicError, match="^formula nests too deeply$"):
+        compile_predicate(PredicateEnv(), src)
+    if shape != "sum":  # load reads the callees, not the terms
+        with pytest.raises(LogicError, match="^formula nests too deeply$"):
+            PredicateEnv().load(f'def a "{src}":')
+    # below the limit the same shape still compiles
+    rel = compile_predicate(PredicateEnv(), deep_formula(shape, 200))
+    assert rel.names == ("x",)
+    assert au.accepts(rel.dfa, (0,))
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff17"])

@@ -6,8 +6,8 @@ import tracemalloc
 
 import pytest
 
-from fibwalk.numeration import (ZeckRep, fib, fib_index, floor_alpha,
-                                floor_alpha2, lucas, zeck_decode, zeck_encode)
+from fibwalk.numeration import (fib, fib_index, floor_alpha, floor_alpha2,
+                                lucas, zeck_decode, zeck_encode)
 
 
 def test_fib_small_values():
@@ -46,10 +46,9 @@ def test_fib_large_no_overflow():
 def test_zeck_roundtrip_canonical():
     for n in range(3001):
         z = zeck_encode(n)
-        assert "11" not in z.digits
-        assert not z.digits.startswith("0")
-        assert z.value == n
-        assert zeck_decode(z.digits) == n
+        assert "11" not in z
+        assert not z.startswith("0")
+        assert zeck_decode(z) == n
 
 
 def test_zeck_encode_retains_no_memory_per_value():
@@ -68,12 +67,11 @@ def test_zeck_encode_retains_no_memory_per_value():
 
 
 def test_zeck_examples():
-    assert zeck_encode(0).digits == ""
-    assert zeck_encode(0).display() == "0"
-    assert str(zeck_encode(1)) == "1"
-    assert zeck_encode(2).digits == "10"
-    assert zeck_encode(4).digits == "101"
-    assert zeck_encode(130).digits == "1010001010"
+    assert zeck_encode(0) == ""
+    assert zeck_encode(1) == "1"
+    assert zeck_encode(2) == "10"
+    assert zeck_encode(4) == "101"
+    assert zeck_encode(130) == "1010001010"
 
 
 def test_zeck_decode_noncanonical_and_padding():
@@ -85,11 +83,7 @@ def test_zeck_decode_noncanonical_and_padding():
     assert zeck_decode("10") == 2
 
 
-def test_zeckrep_rejects_noncanonical():
-    with pytest.raises(ValueError):
-        ZeckRep("011")
-    with pytest.raises(ValueError):
-        ZeckRep("110")
+def test_zeck_rejects_bad_digits_and_negatives():
     with pytest.raises(ValueError):
         zeck_decode("102")
     with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 Everything is decided in the ring Z[sqrt(5)] with rational coordinates
 (QuadInt) or in plain big integers after clearing denominators; no
-float ever participates in a verdict.
+float ever participates in a verdict.  The crossover brackets are decided
+by the signs of rho and psi; crossover's Fraction rows are only printed.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class QuadInt:
                        self.a * other.b + self.b * other.a)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadInt":
-        return QuadInt(self.a, -self.b)
 
     def inverse(self) -> "QuadInt":
         norm = self.a * self.a - 5 * self.b * self.b
@@ -294,26 +292,29 @@ def closed_forms_report(k_max: int) -> dict:
     """
     out = {"claim": "closed_forms", "range": [0, k_max], "failures": []}
     bad = out["failures"].append
+    odd, even, case3 = [], [], []  # the left sides, indexed by k
     for k in range(0, k_max + 1):
         m = (-1) ** k
         if 5 * rho(2 * k + 1, k + 1) != lucas(2 * k - 2) - 5 * fib(k - 1) - 5 * fib(-k) - 3 * m:
             bad(["rho_odd", k])
         if 5 * rho(2 * k + 2, k + 2) != -lucas(2 * k - 2) - 5 * fib(k) + 5 * fib(-k) + 3 * m:
             bad(["rho_even", k])
-        odd_lhs = fib(2 * k - 1) * (fib(k + 2) - 1) - fib(k) * (fib(2 * k + 1) - fib(k + 1) - 1)
+        odd.append(fib(2 * k - 1) * (fib(k + 2) - 1) - fib(k) * (fib(2 * k + 1) - fib(k + 1) - 1))
         odd_rhs = -2 * m + 2 * lucas(2 * k - 3) + 10 * fib(k) + 5 * fib(-k) + 5 * lucas(-k)
-        if odd_lhs != _div_exact(odd_rhs, 10):
+        if odd[k] != _div_exact(odd_rhs, 10):
             bad(["odd_product", k])
-        even_lhs = fib(k) * (fib(2 * k + 2) - fib(k + 1) - 1) - fib(2 * k) * (fib(k + 2) - 1)
+        even.append(fib(k) * (fib(2 * k + 2) - fib(k + 1) - 1) - fib(2 * k) * (fib(k + 2) - 1))
         even_rhs = 2 * m + 2 * lucas(2 * k - 1) - 10 * fib(k) - 5 * fib(1 - k) + 5 * lucas(1 - k)
-        if even_lhs != _div_exact(even_rhs, 10):
+        if even[k] != _div_exact(even_rhs, 10):
             bad(["even_product", k])
         if 5 * psi(6 * k, k) != lucas(4 * k - 2) - 3:
             bad(["psi_6k", k])
         if 5 * psi(6 * k + 5, k + 1) != -lucas(4 * k) - 3:
             bad(["psi_6k5", k])
+        case3.append([])
         for a, num, den in _case3_displays(k):
             lhs = fib(6 * k + a - 2) * fib(2 * k + 3) - fib(2 * k + 1) * fib(6 * k + a) + fib(2 * k + 1) ** 2
+            case3[k].append((a, lhs))
             if lhs != _div_exact(num, den):
                 bad([f"case3_i=6k+{a}", k])
         # the Lemma 4 proof displays, also 1/5-cleared Binet identities
@@ -330,16 +331,13 @@ def closed_forms_report(k_max: int) -> dict:
     for k in range(1, k_max + 1):
         if not (rho(2 * k + 1, k + 2) <= rho(2 * k + 2, k + 2) < 0):
             bad(["rho_sign_neg", k])
-        odd_lhs = fib(2 * k - 1) * (fib(k + 2) - 1) - fib(k) * (fib(2 * k + 1) - fib(k + 1) - 1)
-        if not odd_lhs > 0:
+        if not odd[k] > 0:
             bad(["odd_product_sign", k])
-        if odd_lhs != fib(k) * fib(2 * k - 1) * (f_val(0, k + 2) - g_val(2 * k + 1, k + 1)):
+        if odd[k] != fib(k) * fib(2 * k - 1) * (f_val(0, k + 2) - g_val(2 * k + 1, k + 1)):
             bad(["odd_product_fraction", k])
-        even_lhs = fib(k) * (fib(2 * k + 2) - fib(k + 1) - 1) - fib(2 * k) * (fib(k + 2) - 1)
-        if even_lhs != fib(k) * fib(2 * k) * (g_val(2 * k + 2, k + 1) - f_val(0, k + 2)):
+        if even[k] != fib(k) * fib(2 * k) * (g_val(2 * k + 2, k + 1) - f_val(0, k + 2)):
             bad(["even_product_fraction", k])
-        for a, num, den in _case3_displays(k):
-            lhs = fib(6 * k + a - 2) * fib(2 * k + 3) - fib(2 * k + 1) * fib(6 * k + a) + fib(2 * k + 1) ** 2
+        for a, lhs in case3[k]:
             if not lhs >= 0:
                 bad([f"case3_sign_i=6k+{a}", k])
             if lhs != fib(2 * k + 1) * fib(6 * k + a - 2) * (
@@ -353,8 +351,7 @@ def closed_forms_report(k_max: int) -> dict:
         if not all(x <= y for x, y in zip(chain2, chain2[1:])) or chain2[5] > 0:
             bad(["psi_chain_upper", k])
     for k in range(3, k_max + 1):
-        even_lhs = fib(k) * (fib(2 * k + 2) - fib(k + 1) - 1) - fib(2 * k) * (fib(k + 2) - 1)
-        if not even_lhs >= 0:
+        if not even[k] >= 0:
             bad(["even_product_sign", k])
     for k in range(4, k_max + 1):
         if 3 * fib(2 * k - 1) - (fib(k + 1) + 1) ** 2 < 0:
@@ -404,41 +401,45 @@ class CrossoverTable:
 
 
 def crossover(i: int, family: str) -> CrossoverTable:
-    """Locate where the rising bound passes the falling one.
+    """The rows of the rising and the falling bound around j', to print.
 
-    B1: j' = ceil(i/2); claimed g(i,j') >= f(i,j') and the reverse at
-    j'+1, for i >= 6.  B2: j' = floor(i/6); claimed r(i,j') <= s(i,j')
-    and the reverse at j'+1, for i >= 1.  bracket_ok reports whether
-    the claim actually holds at this i; the stated ranges have known
-    exceptions (B1 fails at i = 7, B2 at i = 1, and B2 values are
-    undefined at i = 2).
+    B1: j' = ceil(i/2), rows f and g, for i >= 6.  B2: j' = floor(i/6),
+    rows r and s, for i >= 1 (s is undefined at i = 2).  bracket_ok is
+    rho_bracket_ok or psi_bracket_ok, which fail at B1's i = 7 and B2's 1.
     """
     if family == "b1":
         if i < 6:
             raise ValueError("B1 crossover needs i >= 6")
-        jp = -(-i // 2)
-        js = sorted(set(range(3, i - 1)) | {jp, jp + 1})
-        rows = tuple(CrossoverRow(j, f_val(i, j), g_val(i, j)) for j in js)
-        ok = (g_val(i, jp) >= f_val(i, jp)) and (g_val(i, jp + 1) < f_val(i, jp + 1))
+        jp, ok = -(-i // 2), rho_bracket_ok(i)
+        js, rising, falling = range(3, i - 1), f_val, g_val
     elif family == "b2":
         if i < 1:
             raise ValueError("B2 crossover needs i >= 1")
-        jp = i // 6
-        js = sorted(set(range(1, (i - 3) // 2 + 1)) | {jp, jp + 1})
-        rows = tuple(CrossoverRow(j, r_val(i, j), s_val(i, j)) for j in js)
-        ok = (r_val(i, jp) <= s_val(i, jp)) and (r_val(i, jp + 1) >= s_val(i, jp + 1))
+        jp, ok = i // 6, psi_bracket_ok(i)
+        js, rising, falling = range(1, (i - 3) // 2 + 1), r_val, s_val
     else:
         raise ValueError(f"unknown family {family!r}")
+    rows = tuple(CrossoverRow(j, rising(i, j), falling(i, j))
+                 for j in sorted(set(js) | {jp, jp + 1}))
     for prev, cur in zip(rows, rows[1:]):
         if cur.rising < prev.rising or cur.falling > prev.falling:
             raise AssertionError(f"monotonicity broken in table i={i}")
     return CrossoverTable(i, family, jp, rows, ok)
 
 
+def rho_bracket_ok(i: int) -> bool:
+    """B1's bracket g >= f at j' = ceil(i/2) and g < f at j'+1, in sign
+    form: rho is (g - f) F_{i-2} F_{j-2}, a positive factor for i >= 6."""
+    jp = -(-i // 2)
+    return rho(i, jp) >= 0 > rho(i, jp + 1)
+
+
 def psi_bracket_ok(i: int) -> bool:
-    """Sign-polynomial form of the B2 bracket; defined for every i >= 0."""
+    """B2's bracket r <= s at j' = floor(i/6) and r >= s at j'+1, in sign
+    form: psi is (s - r) F_{i-2} F_{2j-1}, a positive factor at i = 1 and
+    i >= 3.  Only the sign form is defined at i = 2."""
     jp = i // 6
-    return psi(i, jp) >= 0 and psi(i, jp + 1) <= 0
+    return psi(i, jp) >= 0 >= psi(i, jp + 1)
 
 
 def crossover_csv(table: CrossoverTable, out: IO[str]) -> None:
@@ -504,29 +505,24 @@ def e_lower_bound_report(i_max_b1: int = 26, i_max_b2: int = 26) -> dict:
             "verdict": not failures, "failures": failures[:20]}
 
 
-def identities_report(k_max: int = 200, closed_k_max: int = 100) -> list[dict]:
+def identities_report(k_max: int = 200) -> list[dict]:
     """The full identity battery as a list of claim reports."""
     if k_max < 1:
         raise ValueError(f"identities needs k_max >= 1, got {k_max}")
-    reports = [
+    return [
         {"claim": "eq1", "range": [-30, 30], "verdict": check_eq1()},
         {"claim": "lemma3", "range": [1, k_max], "verdict": check_lemma3(k_max)},
         lemma4_report(k_max),
         {"claim": "monotonicity", "range": [1, 60],
          "verdict": check_monotonicity(60)},
-        closed_forms_report(closed_k_max),
+        closed_forms_report(100),
+        {"claim": "crossover", "range": [1, 400],
+         "verdict": (all(rho_bracket_ok(i) for i in (6, *range(8, 401)))
+                     and all(psi_bracket_ok(i) for i in range(2, 401))),
+         "exceptions": {
+             "b1_i7": "g(7,4) < f(7,4): rho(7,4) = -1, outside the "
+                      "closed-form range k >= 4",
+             "b2_i1": "r(1,0) = 1 > s(1,0) = 0",
+             "b2_i2": "s(2,0) is 0/0; psi(2,0) = 0 holds in sign form",
+         }},
     ]
-    cross_b1 = all(crossover(i, "b1").bracket_ok
-                   for i in [6, 8] + list(range(9, 401)))
-    cross_b2 = all(crossover(i, "b2").bracket_ok for i in range(3, 401))
-    cross_psi = all(psi_bracket_ok(i) for i in range(2, 401))
-    reports.append({
-        "claim": "crossover", "range": [1, 400],
-        "verdict": cross_b1 and cross_b2 and cross_psi,
-        "exceptions": {
-            "b1_i7": "g(7,4) < f(7,4): rho(7,4) = -1, outside the "
-                     "closed-form range k >= 4",
-            "b2_i1": "r(1,0) = 1 > s(1,0) = 0",
-            "b2_i2": "s(2,0) is 0/0; psi(2,0) = 0 holds in sign form",
-        }})
-    return reports

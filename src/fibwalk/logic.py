@@ -45,13 +45,14 @@ class LogicError(ValueError):
 
 
 @contextmanager
-def _nesting_guard():
+def _nesting_guard(what: str = "formula"):
     """Report Python's recursion limit, which only a deeply nested formula
-    reaches in the recursive parser and compiler, as a LogicError."""
+    or reg pattern reaches in the recursive parsers and compiler, as a
+    LogicError."""
     try:
         yield
     except RecursionError:
-        raise LogicError("formula nests too deeply") from None
+        raise LogicError(f"{what} nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +599,9 @@ class PredicateEnv:
 
 def _reg_automaton(cmd: RegCmd) -> SyncDFA:
     try:
-        return au.compile_regex(cmd.pattern, len(cmd.tags))
-    except au.RegexError as exc:
+        with _nesting_guard("pattern"):
+            return au.compile_regex(cmd.pattern, len(cmd.tags))
+    except (au.RegexError, LogicError) as exc:
         raise LogicError(f"in reg {cmd.name}: {exc}", cmd.line, 1)
 
 

@@ -1,5 +1,6 @@
 """The batch front end: subcommands, exit codes, output stability."""
 
+import hashlib
 import io
 import json
 import os
@@ -88,6 +89,20 @@ def test_session_deep_nesting_exits_2(tmp_path, shape):
                         str(src)], env=env, capture_output=True, text=True)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"fibwalk: {src}: formula nests too deeply\n"
+
+
+def test_session_deep_reg_pattern_exits_2(tmp_path):
+    # a fresh process, as in the formula case above
+    from test_logic import deep_reg
+    src = tmp_path / "deep.wal"
+    src.write_text(deep_reg(400))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    r = subprocess.run([sys.executable, "-m", "fibwalk.cli", "session",
+                        str(src)], env=env, capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == (f"fibwalk: {src}: in reg deep: pattern nests too "
+                        "deeply (line 1, column 1)\n")
 
 
 def test_session_json(tmp_path, capsys):
@@ -186,6 +201,13 @@ def test_verify_rejects_empty_ranges(capsys):
         assert code == 2, (target, max_n)
         assert out == ""
         assert err.startswith("fibwalk: ") and f"got {max_n}" in err
+
+
+def test_verify_identities_json_golden(capsys):
+    code, out, err = run(capsys, "verify", "identities", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "443dfb448b7a100e5eb8aa716e6758df4f34673c07251015b04547d08bd9387e")
 
 
 def test_en_record(capsys):

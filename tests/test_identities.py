@@ -15,7 +15,7 @@ from fibwalk.identities import (ALPHA, ALPHA2, BETA, SQRT5, CrossoverTable,
                                 e_lower_bound_report, f_val, g_val,
                                 identities_report, lemma4_report, psi,
                                 psi_bracket_ok, quadint_sign_sanity, r_val,
-                                rho, s_val)
+                                rho, rho_bracket_ok, s_val)
 from fibwalk.numeration import fib, lucas
 
 
@@ -32,7 +32,6 @@ def test_quadint_basic_algebra():
     assert -x == QuadInt.of(-1, -2)
     assert 2 + x == QuadInt.of(3, 2)
     assert 1 - x == QuadInt.of(0, -2)
-    assert x.conjugate() == QuadInt.of(1, -2)
 
 
 def test_quadint_inverse_and_pow():
@@ -188,6 +187,24 @@ def test_psi_bracket_holds_from_2():
     assert bad == []
 
 
+def test_crossover_tables_agree_with_sign_brackets():
+    # the Fraction tables are the reference route: at every i the report
+    # covers, their values at j' and j'+1 bracket exactly when the sign
+    # polynomials do (building each table also checks its rows monotone)
+    for family, i_range, sign_ok in (
+            ("b1", range(6, 401), rho_bracket_ok),
+            ("b2", [1, *range(3, 401)], psi_bracket_ok)):
+        for i in i_range:
+            t = crossover(i, family)
+            row = {r.j: r for r in t.rows}
+            lo, hi = row[t.j_prime], row[t.j_prime + 1]
+            if family == "b1":  # g >= f, then g < f
+                want = lo.falling >= lo.rising and hi.falling < hi.rising
+            else:  # r <= s, then r >= s
+                want = lo.rising <= lo.falling and hi.rising >= hi.falling
+            assert sign_ok(i) is want, (family, i)
+
+
 def test_crossover_guards():
     with pytest.raises(ValueError):
         crossover(5, "b1")
@@ -253,9 +270,20 @@ def test_e_lower_bound_b2_onset():
 
 
 def test_identities_report_all_green():
-    reports = identities_report(k_max=60, closed_k_max=40)
+    reports = identities_report(k_max=60)
     for rep in reports:
         assert rep["verdict"] is True, rep["claim"]
     claims = {r["claim"] for r in reports}
     assert {"eq1", "lemma3", "lemma4", "monotonicity", "closed_forms",
             "crossover"} <= claims
+
+
+def test_identities_report_builds_no_table(monkeypatch):
+    # the crossover claim is decided by rho and psi alone
+    def refuse(i, family):
+        raise AssertionError(f"crossover({i}, {family!r}) was called")
+
+    monkeypatch.setattr(idn, "crossover", refuse)
+    reports = identities_report(k_max=60)
+    assert [r["verdict"] for r in reports] == [True] * 6
+    assert reports[-1]["claim"] == "crossover"

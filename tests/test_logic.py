@@ -229,6 +229,24 @@ def test_deep_nesting_is_a_logic_error(shape):
     assert au.accepts(rel.dfa, (0,))
 
 
+def deep_reg(n: int) -> str:
+    return 'reg deep msd_fib "' + "(" * n + "0" + ")" * n + '":\n'
+
+
+def test_deep_reg_pattern_is_a_logic_error():
+    # the regex parser recurses per bracket too; past the limit a reg is
+    # refused like a formula, in a session and at a lookup
+    want = r"^in reg deep: pattern nests too deeply \(line 1, column 1\)$"
+    with pytest.raises(LogicError, match=want):
+        run_session(deep_reg(400))
+    env = PredicateEnv()
+    env.load(deep_reg(400))
+    with pytest.raises(LogicError, match=want):
+        env.lookup("deep")
+    # below the limit the same pattern still compiles
+    assert run_session(deep_reg(200)).text == "reg deep: arity 1, states 2\n"
+
+
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff17"])
 def test_constants_take_ascii_digits_only(digit):
     # superscript two, Arabic-Indic three, fullwidth seven: str.isdigit

@@ -35,36 +35,39 @@ refines whole arrays.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .numeration import zeck_decode, zeck_encode
+from .record import Record, _set
 
 
-@dataclass(frozen=True, eq=False)
-class SyncDFA:
+class SyncDFA(Record):
     """Complete DFA over the 2^arity digit-tuple alphabet.
 
     Both arrays are made read-only here, because cached automata are
     shared by every caller.  Equality and hashing compare the bytes.
     """
 
-    arity: int
-    transitions: np.ndarray  # int32[state, symbol] -> state
-    initial: int
-    final: np.ndarray  # bool[state]: accepting
+    __slots__ = ("arity", "transitions", "initial", "final")
 
-    def __post_init__(self):
-        t, f = self.transitions, self.final
+    def __init__(self, arity: int, transitions: np.ndarray, initial: int,
+                 final: np.ndarray):
+        # transitions: int32[state, symbol] -> state; final: bool[state],
+        # the accepting states
+        t, f = transitions, final
         if (t.dtype != np.int32 or f.dtype != bool or f.ndim != 1
-                or t.shape != (len(f), 1 << self.arity)
-                or not 0 <= self.initial < len(f)):
+                or t.shape != (len(f), 1 << arity)
+                or not 0 <= initial < len(f)):
             raise ValueError("need int32[states, 2^arity], bool[states] "
                              "and an initial state")
         t.flags.writeable = False
         f.flags.writeable = False
+        _set(self, "arity", arity)
+        _set(self, "transitions", t)
+        _set(self, "initial", initial)
+        _set(self, "final", f)
 
     def _key(self) -> tuple:
         return (self.arity, self.initial, self.transitions.tobytes(),

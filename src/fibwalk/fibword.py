@@ -7,12 +7,15 @@ automata are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .numeration import _fib_weights_upto, zeck_encode
+from .record import Record, _set
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def generate_prefix(n: int) -> str:
@@ -73,6 +76,7 @@ def least_period(w: str) -> int:
 
 def exponent(w: str) -> Fraction:
     """|w| / per(w) as an exact rational."""
+    from fractions import Fraction  # kept off the import path
     return Fraction(len(w), least_period(w))
 
 
@@ -83,16 +87,19 @@ def has_period(w: str, p: int) -> bool:
     return p >= len(w) or w[p:] == w[:-p]
 
 
-@dataclass(frozen=True)
-class ExponentRecord:
+class ExponentRecord(Record):
     """Maximal-exponent suffix of f[0..n-1]: length x, period y."""
 
-    n: int
-    x: int
-    y: int
+    __slots__ = ("n", "x", "y")
+
+    def __init__(self, n: int, x: int, y: int):
+        _set(self, "n", n)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     @property
     def exponent(self) -> Fraction:
+        from fractions import Fraction  # kept off the import path
         return Fraction(self.x, self.y)
 
     def verify(self, prefix: str | None = None) -> bool:

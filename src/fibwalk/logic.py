@@ -24,16 +24,14 @@ bind arguments to that order positionally.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product as iter_product
 
 from . import automata as au
 from .automata import SyncDFA
-from .fibword import fib_word_dfao, symbol_at
+from .fibword import fib_word_dfao
+from .record import Record, _set
 
 
 class LogicError(ValueError):
@@ -59,65 +57,84 @@ def _nesting_guard(what: str = "formula"):
 # AST
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int = -1
+class Var(Record):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: int = -1):
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
-    pos: int = -1
+class Const(Record):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: int, pos: int = -1):
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Arith:
-    op: str  # "+", "-" (natural) or "*"
-    left: object
-    right: object
-    pos: int = -1
+class Arith(Record):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left, right, pos: int = -1):
+        _set(self, "op", op)  # "+", "-" (natural) or "*"
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    left: object
-    right: object
-    pos: int = -1
+class Cmp(Record):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left, right, pos: int = -1):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-    pos: int = -1
+class Call(Record):
+    __slots__ = ("name", "args", "pos")
+
+    def __init__(self, name: str, args: tuple, pos: int = -1):
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class SeqEq:
-    left: object
-    right: object
-    pos: int = -1
+class SeqEq(Record):
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left, right, pos: int = -1):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Not:
-    body: object
+class Not(Record):
+    __slots__ = ("body",)
+
+    def __init__(self, body):
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Conn:
-    op: str  # the automata.product mode: "and", "or", "imp" or "iff"
-    left: object
-    right: object
+class Conn(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        # the automata.product mode: "and", "or", "imp" or "iff"
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Quant:
-    every: bool  # A when True, E when False
-    names: tuple[str, ...]
-    body: object
+class Quant(Record):
+    __slots__ = ("every", "names", "body")
+
+    def __init__(self, every: bool, names: tuple[str, ...], body):
+        _set(self, "every", every)  # A when True, E when False
+        _set(self, "names", names)
+        _set(self, "body", body)
 
 
 def free_vars(f) -> frozenset[str]:
@@ -152,9 +169,8 @@ _MULTI_OPS = ("<=>", "<=", ">=", "=>", "!=", "<", ">", "=", "+", "-", "*",
 _LEVELS = {"<=>": (0, "iff", False), "=>": (1, "imp", True),
            "|": (2, "or", False), "&": (3, "and", False)}
 
-# the comparison tokens and their meaning, as BruteForce evaluates them
-_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# the comparison tokens
+_COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
 
 # every name, in formulas and scripts: ASCII only, as str.isalnum takes
@@ -162,11 +178,14 @@ _COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # op text, "var", "seq", "num", "E", "A", "end"
-    text: str
-    pos: int
+class _Tok(Record):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        # kind: the op text, "var", "seq", "num", "E", "A" or "end"
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "pos", pos)
 
 
 def _tokenize_formula(src: str) -> list[_Tok]:
@@ -366,28 +385,35 @@ def parse_formula(src: str):
 # script-level parsing
 
 
-@dataclass(frozen=True)
-class RegCmd:
-    name: str
-    tags: tuple[str, ...]
-    pattern: str
-    line: int
+class RegCmd(Record):
+    __slots__ = ("name", "tags", "pattern", "line")
     kind = "reg"
 
+    def __init__(self, name: str, tags: tuple[str, ...], pattern: str,
+                 line: int):
+        _set(self, "name", name)
+        _set(self, "tags", tags)
+        _set(self, "pattern", pattern)
+        _set(self, "line", line)
 
-@dataclass(frozen=True)
-class DefCmd:
-    name: str
-    source: str
-    line: int
-    kind: str  # "def" | "eval"
+
+class DefCmd(Record):
+    __slots__ = ("name", "source", "line", "kind")
+
+    def __init__(self, name: str, source: str, line: int, kind: str):
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "line", line)
+        _set(self, "kind", kind)  # "def" | "eval"
 
 
-@dataclass(frozen=True)
-class TestCmd:
-    name: str
-    count: int
-    line: int
+class TestCmd(Record):
+    __slots__ = ("name", "count", "line")
+
+    def __init__(self, name: str, count: int, line: int):
+        _set(self, "name", name)
+        _set(self, "count", count)
+        _set(self, "line", line)
 
 
 class _ScriptScanner:
@@ -507,21 +533,26 @@ def parse_script(text: str) -> list:
 # compilation to automata
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(Record):
     """An automaton together with the variable owning each track."""
 
-    dfa: SyncDFA
-    names: tuple[str, ...]  # sorted; names[i] owns track i
+    __slots__ = ("dfa", "names")
+
+    def __init__(self, dfa: SyncDFA, names: tuple[str, ...]):
+        _set(self, "dfa", dfa)
+        _set(self, "names", names)  # sorted; names[i] owns track i
 
 
-@dataclass(frozen=True)
-class StoredPred:
-    name: str
-    kind: str  # "reg" | "def" | "eval"
-    dfa: SyncDFA
-    arity: int
-    _validated: SyncDFA = field(repr=False)
+class StoredPred(Record):
+    __slots__ = ("name", "kind", "dfa", "arity", "_validated")
+
+    def __init__(self, name: str, kind: str, dfa: SyncDFA, arity: int,
+                 _validated: SyncDFA):
+        _set(self, "name", name)
+        _set(self, "kind", kind)  # "reg" | "def" | "eval"
+        _set(self, "dfa", dfa)
+        _set(self, "arity", arity)
+        _set(self, "_validated", _validated)
 
     def validated(self) -> SyncDFA:
         """The relation intersected with per-track canonicality."""
@@ -871,15 +902,19 @@ def compile_predicate(env: PredicateEnv, source: str) -> Rel:
 # sessions
 
 
-@dataclass(frozen=True)
-class SessionEntry:
-    line: str
-    data: dict
+class SessionEntry(Record):
+    __slots__ = ("line", "data")
+
+    def __init__(self, line: str, data: dict):
+        _set(self, "line", line)
+        _set(self, "data", data)
 
 
-@dataclass(frozen=True)
-class SessionReport:
-    entries: tuple[SessionEntry, ...]
+class SessionReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[SessionEntry, ...]):
+        _set(self, "entries", entries)
 
     @property
     def text(self) -> str:
@@ -950,113 +985,3 @@ def run_session(text: str, env: PredicateEnv | None = None) -> SessionReport:
         else:
             raise AssertionError(f"unhandled command {cmd!r}")
     return SessionReport(tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# brute-force interpreter (independent of the automata)
-
-
-class BruteForce:
-    """Evaluates formulas by direct recursion over bounded naturals.
-
-    Base predicates (reg names) are supplied as Python callables; def
-    bodies are macro-expanded with memoization.  Quantifiers range over
-    0..bound.  Subtraction below zero makes the enclosing atom false,
-    mirroring the compiled existential closure.
-    """
-
-    def __init__(self, base: dict[str, object], bound: int):
-        self.base = dict(base)
-        self.defs: dict[str, tuple[tuple[str, ...], object]] = {}
-        self.bound = bound
-        self._memo: dict[tuple, bool] = {}
-
-    def add_def(self, name: str, formula) -> None:
-        if name in self.base or name in self.defs:
-            raise LogicError(f"name {name!r} is already defined")
-        params = tuple(sorted(free_vars(formula)))
-        self.defs[name] = (params, formula)
-
-    def load_script(self, text: str) -> None:
-        """Register every def command; reg names must already be in base."""
-        for cmd in parse_script(text):
-            if isinstance(cmd, RegCmd):
-                if cmd.name not in self.base:
-                    raise LogicError(
-                        f"no base semantics supplied for reg {cmd.name!r}")
-            elif isinstance(cmd, DefCmd) and cmd.kind == "def":
-                self.add_def(cmd.name, parse_formula(cmd.source))
-
-    def term(self, t, asg: dict) -> int | None:
-        if isinstance(t, Var):
-            return asg[t.name]
-        if isinstance(t, Const):
-            return t.value
-        if isinstance(t, Arith):
-            a = self.term(t.left, asg)
-            b = self.term(t.right, asg)
-            if a is None or b is None:
-                return None
-            if t.op == "+":
-                return a + b
-            if t.op == "*":
-                return a * b
-            return a - b if a >= b else None
-        raise TypeError(f"not a term: {t!r}")
-
-    def call(self, name: str, args: tuple[int, ...]) -> bool:
-        fn = self.base.get(name)
-        if fn is not None:
-            return bool(fn(*args))
-        params, body = self.defs[name]
-        if len(params) != len(args):
-            raise LogicError(f"${name} takes {len(params)} arguments")
-        key = (name, args)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self.eval(body, dict(zip(params, args)))
-            self._memo[key] = hit
-        return hit
-
-    def eval(self, f, asg: dict) -> bool:
-        if isinstance(f, Cmp):
-            a = self.term(f.left, asg)
-            b = self.term(f.right, asg)
-            if a is None or b is None:
-                return False
-            return _COMPARISONS[f.op](a, b)
-        if isinstance(f, SeqEq):
-            a = self.term(f.left, asg)
-            b = self.term(f.right, asg)
-            if a is None or b is None:
-                return False
-            return symbol_at(a) == symbol_at(b)
-        if isinstance(f, Call):
-            vals = tuple(self.term(t, asg) for t in f.args)
-            if any(v is None for v in vals):
-                return False
-            return self.call(f.name, vals)
-        if isinstance(f, Not):
-            return not self.eval(f.body, asg)
-        if isinstance(f, Conn):
-            a = self.eval(f.left, asg)
-            if f.op == "and":
-                return a and self.eval(f.right, asg)
-            if f.op == "or":
-                return a or self.eval(f.right, asg)
-            if f.op == "imp":
-                return not a or self.eval(f.right, asg)
-            return a == self.eval(f.right, asg)
-        if isinstance(f, Quant):
-            rng = range(self.bound + 1)
-            want_any = not f.every
-            for combo in iter_product(rng, repeat=len(f.names)):
-                inner = dict(asg)
-                inner.update(zip(f.names, combo))
-                if self.eval(f.body, inner) == want_any:
-                    return want_any
-            return not want_any
-        raise TypeError(f"not a formula node: {f!r}")
-
-    def holds(self, name: str, *args: int) -> bool:
-        return self.call(name, args)

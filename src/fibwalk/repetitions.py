@@ -15,9 +15,9 @@ against both.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .numeration import fib
 
 def script_text(name: str) -> str:
     """One of the bundled session scripts by file name."""
-    return (resources.files("fibwalk") / "scripts" / name).read_text()
+    path = os.path.join(os.path.dirname(__file__), "scripts", name)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 @lru_cache(maxsize=1)

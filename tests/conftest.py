@@ -1,7 +1,10 @@
 """Shared fixtures: compiled session environment and per-script runs."""
 
+import functools
+
 import pytest
 
+from fibwalk import identities as idn
 from fibwalk import logic
 from fibwalk import repetitions as rp
 
@@ -29,3 +32,10 @@ def script_run():
 @pytest.fixture(scope="session")
 def script_report(script_run):
     return lambda name: script_run(name)[0]
+
+
+@pytest.fixture(scope="session")
+def cached_crossover():
+    """identities.crossover(i, family), each table built once per test
+    session: several tests sweep the same i <= 400."""
+    return functools.cache(idn.crossover)

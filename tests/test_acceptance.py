@@ -16,6 +16,7 @@ from fibwalk import automata as au
 from fibwalk import identities as idn
 from fibwalk import logic
 from fibwalk import repetitions as rp
+from fibwalk.brute import BruteForce
 from fibwalk.exact import exceeds_alpha_squared
 from fibwalk.numeration import fib, floor_alpha2
 
@@ -139,20 +140,22 @@ def test_criterion_08_crossover_bracket_b2():
         assert idn.crossover(i, "b2").bracket_ok, i
 
 
-def test_criterion_08_companion_b1_holds_off_i7():
-    bad = [i for i in range(6, 401) if not idn.crossover(i, "b1").bracket_ok]
+def test_criterion_08_companion_b1_holds_off_i7(cached_crossover):
+    bad = [i for i in range(6, 401)
+           if not cached_crossover(i, "b1").bracket_ok]
     assert bad == [7]
     # and at the crossover the reverse inequality really holds at j'+1
-    t = idn.crossover(20, "b1")
+    t = cached_crossover(20, "b1")
     assert t.bracket_ok
     print("criterion 8 companion: B1 bracket holds on [6,400] \\ {7}")
 
 
-def test_criterion_08_companion_b2_holds_from_3():
-    assert not idn.crossover(1, "b2").bracket_ok
+def test_criterion_08_companion_b2_holds_from_3(cached_crossover):
+    assert not cached_crossover(1, "b2").bracket_ok
     with pytest.raises(ValueError):
-        idn.crossover(2, "b2")
-    bad = [i for i in range(3, 401) if not idn.crossover(i, "b2").bracket_ok]
+        cached_crossover(2, "b2")
+    bad = [i for i in range(3, 401)
+           if not cached_crossover(i, "b2").bracket_ok]
     assert bad == []
     # the sign-form bracket needs no division and already holds from i=2
     assert not idn.psi_bracket_ok(1)
@@ -265,7 +268,7 @@ def test_criterion_11_property_suite():
 
     # brute-force interpreter agreement at domain bound 300
     from test_logic import base_semantics
-    bf = logic.BruteForce(base_semantics(), 300)
+    bf = BruteForce(base_semantics(), 300)
     bf.load_script(rp.script_text("good_partition.wal"))
     ff = env.lookup("ffactoreq").validated()
     for i, j, m in [(0, 3, 4), (1, 6, 3), (2, 7, 5), (5, 5, 9), (3, 11, 8)]:

@@ -162,8 +162,8 @@ def test_crossover_b1_golden():
     assert js == sorted(js)
 
 
-def test_crossover_b1_fails_only_at_7():
-    bad = [i for i in range(6, 401) if not crossover(i, "b1").bracket_ok]
+def test_crossover_b1_fails_only_at_7(cached_crossover):
+    bad = [i for i in range(6, 401) if not cached_crossover(i, "b1").bracket_ok]
     assert bad == [7]
 
 
@@ -173,11 +173,12 @@ def test_crossover_b2_golden():
     assert t.bracket_ok is True
 
 
-def test_crossover_b2_range():
-    assert not crossover(1, "b2").bracket_ok  # r(1,0)=1 > s(1,0)=0
+def test_crossover_b2_range(cached_crossover):
+    assert not cached_crossover(1, "b2").bracket_ok  # r(1,0)=1 > s(1,0)=0
     with pytest.raises(ValueError):
-        crossover(2, "b2")  # s(2,j) has denominator F_0 = 0
-    bad = [i for i in range(3, 401) if not crossover(i, "b2").bracket_ok]
+        cached_crossover(2, "b2")  # s(2,j) has denominator F_0 = 0
+    bad = [i for i in range(3, 401)
+           if not cached_crossover(i, "b2").bracket_ok]
     assert bad == []
 
 
@@ -187,7 +188,7 @@ def test_psi_bracket_holds_from_2():
     assert bad == []
 
 
-def test_crossover_tables_agree_with_sign_brackets():
+def test_crossover_tables_agree_with_sign_brackets(cached_crossover):
     # the Fraction tables are the reference route: at every i the report
     # covers, their values at j' and j'+1 bracket exactly when the sign
     # polynomials do (building each table also checks its rows monotone)
@@ -195,7 +196,7 @@ def test_crossover_tables_agree_with_sign_brackets():
             ("b1", range(6, 401), rho_bracket_ok),
             ("b2", [1, *range(3, 401)], psi_bracket_ok)):
         for i in i_range:
-            t = crossover(i, family)
+            t = cached_crossover(i, family)
             row = {r.j: r for r in t.rows}
             lo, hi = row[t.j_prime], row[t.j_prime + 1]
             if family == "b1":  # g >= f, then g < f

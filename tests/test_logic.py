@@ -1,6 +1,5 @@
 """Predicate DSL: parsing, compilation, sessions, interpreter agreement."""
 
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -16,10 +15,12 @@ from hypothesis import strategies as st
 from fibwalk import automata as au
 from fibwalk import logic
 from fibwalk import repetitions as rp
-from fibwalk.logic import (Arith, BruteForce, Cmp, Conn, Const, LogicError,
-                           Not, PredicateEnv, Quant, Var, compile_predicate,
+from fibwalk.brute import BruteForce
+from fibwalk.logic import (Arith, Cmp, Conn, Const, LogicError, Not,
+                           PredicateEnv, Quant, Var, compile_predicate,
                            parse_formula, parse_script, run_session)
 from fibwalk.numeration import fib, floor_alpha2, zeck_decode, zeck_encode
+from fibwalk.record import Record
 
 SEC2_GOLDEN = """\
 reg isfib: arity 1, states 2
@@ -98,10 +99,9 @@ def _unpos(f):
     """A parse tree with every source position reset to -1."""
     if isinstance(f, tuple):
         return tuple(map(_unpos, f))
-    if not dataclasses.is_dataclass(f):
+    if not isinstance(f, Record):
         return f
-    fields = {fl.name: _unpos(getattr(f, fl.name))
-              for fl in dataclasses.fields(f)}
+    fields = {name: _unpos(getattr(f, name)) for name in f.__slots__}
     if "pos" in fields:
         fields["pos"] = -1
     return type(f)(**fields)

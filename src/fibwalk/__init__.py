@@ -14,8 +14,8 @@ Subpackage map:
 - fibword: the infinite word itself, periods, maximal suffix exponents e(n).
 - repetitions: classification of prefix lengths (good / two exception
   families), exponent-threshold automata, verification sweeps.
-- identities: exact Q(sqrt 5) arithmetic and the bound-family identity
-  battery with crossover tables.
+- identities: the bound-family identity battery in integers, the
+  crossover brackets by sign polynomials, and the printed crossover tables.
 - cli: batch front end (``fibwalk`` console script).
 """
 

@@ -35,7 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify", help="run a verification sweep")
     s.add_argument("target", choices=["partition", "lemma1", "lemma2",
                                       "theorem", "identities", "all"])
-    s.add_argument("--max-n", type=int, default=None)
+    s.add_argument("--max-n", type=int, default=None, metavar="N",
+                   help="the largest n to check (by default 5000 for "
+                        "partition, 2000 for lemma1 and lemma2, 20000 for "
+                        "theorem); for identities, the largest k of "
+                        "lemma3 and lemma4 only (default 200)")
     s.add_argument("--json", action="store_true")
 
     s = sub.add_parser("en", help="print the e(n) record")

@@ -1,144 +1,70 @@
 """Exact verification of the algebraic layer behind the classification.
 
-Everything is decided in the ring Z[sqrt(5)] with rational coordinates
-(QuadInt) or in plain big integers after clearing denominators; no
-float ever participates in a verdict.  The crossover brackets are decided
-by the signs of rho and psi; crossover's Fraction rows are only printed.
+Every verdict is decided in plain big integers after clearing
+denominators; no float and no Fraction ever participates in one.  The
+bound functions f, g, r, s return (numerator, positive denominator)
+pairs, compared by cross-multiplication; Lemma 3's comparisons with
+alpha^2 go through exact.exceeds_alpha_squared.  The crossover brackets
+are decided by the signs of rho and psi; crossover's Fraction rows are
+only printed.
 """
 
 from __future__ import annotations
 
 import csv
-import random
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
 from fractions import Fraction
 from typing import IO
 
-from .exact import sign_sqrt5
+from .exact import exceeds_alpha_squared
 from .numeration import fib, lucas
-
-
-@dataclass(frozen=True)
-class QuadInt:
-    """Element a + b*sqrt(5) with exact rational coordinates."""
-
-    a: Fraction
-    b: Fraction
-
-    @staticmethod
-    def of(a, b=0) -> "QuadInt":
-        return QuadInt(Fraction(a), Fraction(b))
-
-    def __add__(self, other) -> "QuadInt":
-        other = _coerce(other)
-        return QuadInt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QuadInt":
-        other = _coerce(other)
-        return QuadInt(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other) -> "QuadInt":
-        return _coerce(other) - self
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b)
-
-    def __mul__(self, other) -> "QuadInt":
-        other = _coerce(other)
-        return QuadInt(self.a * other.a + 5 * self.b * other.b,
-                       self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadInt":
-        norm = self.a * self.a - 5 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("zero norm")
-        return QuadInt(self.a / norm, -self.b / norm)
-
-    def __pow__(self, n: int) -> "QuadInt":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = QuadInt.of(1)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(5), with both denominators cleared."""
-        return sign_sqrt5(self.a.numerator * self.b.denominator,
-                          self.b.numerator * self.a.denominator)
-
-    def __lt__(self, other):
-        return (self - _coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - _coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - _coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - _coerce(other)).sign() >= 0
-
-
-def _coerce(x) -> QuadInt:
-    if isinstance(x, QuadInt):
-        return x
-    return QuadInt(Fraction(x), Fraction(0))
-
-
-ALPHA = QuadInt.of(Fraction(1, 2), Fraction(1, 2))
-BETA = QuadInt.of(Fraction(1, 2), Fraction(-1, 2))
-ALPHA2 = QuadInt.of(Fraction(3, 2), Fraction(1, 2))
-SQRT5 = QuadInt.of(0, 1)
-
-
-def binet_fib(n: int) -> Fraction:
-    """(alpha^n - beta^n)/sqrt(5), which is twice the sqrt(5) coordinate."""
-    return 2 * (ALPHA ** n).b
-
-
-def binet_lucas(n: int) -> Fraction:
-    return 2 * (ALPHA ** n).a
 
 
 # ---------------------------------------------------------------------------
 # the four bound functions and the two sign polynomials
+#
+# Each bound is a pair (numerator, denominator) of integers, denominator
+# positive and not reduced; _cmp and _sub work on such pairs.
+
+Pair = tuple[int, int]
 
 
-def f_val(i: int, j: int) -> Fraction:
+def f_val(i: int, j: int) -> Pair:
     """(F_j - 1)/F_{j-2}; the suffix-repetition lower bound family."""
     if fib(j - 2) <= 0:
         raise ValueError(f"f(i,{j}) needs F_{{j-2}} > 0 (j >= 3)")
-    return Fraction(fib(j) - 1, fib(j - 2))
+    return fib(j) - 1, fib(j - 2)
 
 
-def g_val(i: int, j: int) -> Fraction:
+def g_val(i: int, j: int) -> Pair:
     """(F_i - F_j - 1)/F_{i-2}; the whole-prefix-period bound family."""
     if fib(i - 2) <= 0:
         raise ValueError(f"g({i},j) needs F_{{i-2}} > 0 (i >= 3)")
-    return Fraction(fib(i) - fib(j) - 1, fib(i - 2))
+    return fib(i) - fib(j) - 1, fib(i - 2)
 
 
-def r_val(i: int, j: int) -> Fraction:
+def r_val(i: int, j: int) -> Pair:
     """F_{2j+1}/F_{2j-1} (independent of i; kept two-argument to match g)."""
     if fib(2 * j - 1) <= 0:
         raise ValueError(f"r(i,{j}) needs F_{{2j-1}} > 0 (j >= 0)")
-    return Fraction(fib(2 * j + 1), fib(2 * j - 1))
+    return fib(2 * j + 1), fib(2 * j - 1)
 
 
-def s_val(i: int, j: int) -> Fraction:
+def s_val(i: int, j: int) -> Pair:
     """(F_i - F_{2j+1})/F_{i-2}."""
     if fib(i - 2) <= 0:
         raise ValueError(f"s({i},j) needs F_{{i-2}} > 0")
-    return Fraction(fib(i) - fib(2 * j + 1), fib(i - 2))
+    return fib(i) - fib(2 * j + 1), fib(i - 2)
+
+
+def _cmp(x: Pair, y: Pair) -> int:
+    """Sign of x - y: -1, 0 or +1."""
+    d = x[0] * y[1] - y[0] * x[1]
+    return (d > 0) - (d < 0)
+
+
+def _sub(x: Pair, y: Pair) -> Pair:
+    return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
 
 
 def rho(i: int, j: int) -> int:
@@ -161,7 +87,7 @@ def check_eq1(a_range: tuple[int, int] = (-30, 30),
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
             lhs = fib(a) * fib(b + 2) - fib(a + 2) * fib(b)
-            if lhs != (-1) ** b * fib(a - b):
+            if lhs != (-1 if b % 2 else 1) * fib(a - b):
                 return False
     return True
 
@@ -172,20 +98,19 @@ def check_lemma3(i_max: int) -> bool:
     alpha^2 + (-1)^i/F_{2i} < F_{i+2}/F_i < alpha^2 + (-1)^i/(F_{2i}-(-1)^i)
     alpha^2 + 1/(F_{2i-1}+2) < (F_{2i+1}+1)/F_{2i-1} < alpha^2 + 1/F_{2i-1}
 
-    All denominators are positive on i >= 1, so each comparison clears to
-    a QuadInt sign query.
+    All denominators are positive on i >= 1.  Each strict inequality moves
+    its rational term across, so a + p/q < x/y becomes one test of
+    x/y - p/q against alpha^2 (exceeds_alpha_squared); equality cannot
+    happen, as alpha^2 is irrational.
     """
     for i in range(1, i_max + 1):
         e = (-1) ** i
-        mid = Fraction(fib(i + 2), fib(i))
-        lo = ALPHA2 + Fraction(e, fib(2 * i))
-        hi = ALPHA2 + Fraction(e, fib(2 * i) - e)
-        if not (lo < _coerce(mid) < hi):
-            return False
-        mid2 = Fraction(fib(2 * i + 1) + 1, fib(2 * i - 1))
-        lo2 = ALPHA2 + Fraction(1, fib(2 * i - 1) + 2)
-        hi2 = ALPHA2 + Fraction(1, fib(2 * i - 1))
-        if not (lo2 < _coerce(mid2) < hi2):
+        d, d2 = fib(2 * i), fib(2 * i - 1)
+        mid, mid2 = (fib(i + 2), fib(i)), (fib(2 * i + 1) + 1, d2)
+        if not (exceeds_alpha_squared(*_sub(mid, (e, d)))
+                and not exceeds_alpha_squared(*_sub(mid, (e, d - e)))
+                and exceeds_alpha_squared(*_sub(mid2, (1, d2 + 2)))
+                and not exceeds_alpha_squared(*_sub(mid2, (1, d2)))):
             return False
     return True
 
@@ -232,13 +157,13 @@ def check_monotonicity(i_max: int) -> bool:
         num = fib(j + 1) * fib(j - 2) - fib(j - 1) * fib(j) + fib(j - 1) - fib(j - 2)
         if num != (-1) ** (j + 1) + fib(j - 3) or num < 0:
             return False
-        if f_val(0, j + 1) - f_val(0, j) != Fraction(num, fib(j - 1) * fib(j - 2)):
+        if _cmp(_sub(f_val(0, j + 1), f_val(0, j)), (num, fib(j - 1) * fib(j - 2))):
             return False
     for i in range(5, i_max + 1):
         for j in range(3, i - 1):
-            if g_val(i, j + 1) - g_val(i, j) != Fraction(fib(j) - fib(j + 1), fib(i - 2)):
+            if _cmp(_sub(g_val(i, j + 1), g_val(i, j)), (fib(j) - fib(j + 1), fib(i - 2))):
                 return False
-            if g_val(i, j + 1) > g_val(i, j):
+            if _cmp(g_val(i, j + 1), g_val(i, j)) > 0:
                 return False
             step = rho(i + 1, j) - rho(i, j)
             if step != fib(i - 1) * fib(j - 2) - (fib(j) - 1) * fib(i - 3):
@@ -248,14 +173,14 @@ def check_monotonicity(i_max: int) -> bool:
     for j in range(0, i_max + 1):
         if fib(2 * j + 3) * fib(2 * j - 1) - fib(2 * j + 1) ** 2 != 1:
             return False
-        if r_val(0, j + 1) <= r_val(0, j):
+        if _cmp(r_val(0, j + 1), r_val(0, j)) <= 0:
             return False
     for i in range(3, i_max + 1):
         for j in range(0, (i - 1) // 2 + 1):
-            if s_val(i, j + 1) - s_val(i, j) != Fraction(
-                    fib(2 * j + 1) - fib(2 * j + 3), fib(i - 2)):
+            if _cmp(_sub(s_val(i, j + 1), s_val(i, j)),
+                    (fib(2 * j + 1) - fib(2 * j + 3), fib(i - 2))):
                 return False
-            if s_val(i, j + 1) >= s_val(i, j):
+            if _cmp(s_val(i, j + 1), s_val(i, j)) >= 0:
                 return False
     for j in range(0, i_max // 2 + 1):
         for i in range(2 * j + 2, i_max + 1):
@@ -333,15 +258,18 @@ def closed_forms_report(k_max: int) -> dict:
             bad(["rho_sign_neg", k])
         if not odd[k] > 0:
             bad(["odd_product_sign", k])
-        if odd[k] != fib(k) * fib(2 * k - 1) * (f_val(0, k + 2) - g_val(2 * k + 1, k + 1)):
+        # each product against its bound difference, cross-multiplied
+        num, den = _sub(f_val(0, k + 2), g_val(2 * k + 1, k + 1))
+        if odd[k] * den != fib(k) * fib(2 * k - 1) * num:
             bad(["odd_product_fraction", k])
-        if even[k] != fib(k) * fib(2 * k) * (g_val(2 * k + 2, k + 1) - f_val(0, k + 2)):
+        num, den = _sub(g_val(2 * k + 2, k + 1), f_val(0, k + 2))
+        if even[k] * den != fib(k) * fib(2 * k) * num:
             bad(["even_product_fraction", k])
         for a, lhs in case3[k]:
             if not lhs >= 0:
                 bad([f"case3_sign_i=6k+{a}", k])
-            if lhs != fib(2 * k + 1) * fib(6 * k + a - 2) * (
-                    r_val(0, k + 1) - s_val(6 * k + a, k)):
+            num, den = _sub(r_val(0, k + 1), s_val(6 * k + a, k))
+            if lhs * den != fib(2 * k + 1) * fib(6 * k + a - 2) * num:
                 bad([f"case3_fraction_i=6k+{a}", k])
         # psi chains around j' for both neighbouring j
         chain1 = [psi(6 * k + d, k) for d in range(6)]
@@ -419,7 +347,8 @@ def crossover(i: int, family: str) -> CrossoverTable:
         js, rising, falling = range(1, (i - 3) // 2 + 1), r_val, s_val
     else:
         raise ValueError(f"unknown family {family!r}")
-    rows = tuple(CrossoverRow(j, rising(i, j), falling(i, j))
+    rows = tuple(CrossoverRow(j, Fraction(*rising(i, j)),
+                              Fraction(*falling(i, j)))
                  for j in sorted(set(js) | {jp, jp + 1}))
     for prev, cur in zip(rows, rows[1:]):
         if cur.rising < prev.rising or cur.falling > prev.falling:
@@ -452,27 +381,7 @@ def crossover_csv(table: CrossoverTable, out: IO[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sanity and oracle-facing checks
-
-
-def quadint_sign_sanity(count: int = 10000, seed: int = 20260818) -> bool:
-    """sign() against 60-digit decimal evaluation on random elements.
-
-    Diagnostic only; verdict-path comparisons never go through floats.
-    """
-    getcontext().prec = 60
-    sqrt5 = Decimal(5).sqrt()
-    rng = random.Random(seed)
-    for _ in range(count):
-        a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-        b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-        x = QuadInt(a, b)
-        num = (Decimal(a.numerator) / a.denominator
-               + sqrt5 * Decimal(b.numerator) / b.denominator)
-        want = 0 if num == 0 else (1 if num > 0 else -1)
-        if x.sign() != want:
-            return False
-    return True
+# the oracle-facing check
 
 
 def e_lower_bound_report(i_max_b1: int = 26, i_max_b2: int = 26) -> dict:
@@ -484,23 +393,25 @@ def e_lower_bound_report(i_max_b1: int = 26, i_max_b2: int = 26) -> dict:
     e(n) >= min(s(i,j'), r(i,j'+1)) with j' = floor(i/6).
     The B2 bound is false at i = 5 (e(3) = 3/2 < 2): the underlying
     theorem handles n <= 21 by direct check, so the sweep starts at 6.
+    e(n) = x/y is below the min exactly when it is below both bounds.
     """
     from .repetitions import ensure_table
     cases = []
     for i in range(8, i_max_b1 + 1):
         jp = -(-i // 2)
-        bound = min(g_val(i, jp), f_val(i, jp + 1))
-        cases += [("b1", i, j, fib(i) - fib(j) - 1, bound)
+        bounds = (g_val(i, jp), f_val(i, jp + 1))
+        cases += [("b1", i, j, fib(i) - fib(j) - 1, bounds)
                   for j in range(3, i - 1)]
     for i in range(6, i_max_b2 + 1):
         jp = i // 6
-        bound = min(s_val(i, jp), r_val(i, jp + 1))
-        cases += [("b2", i, j, fib(i) - fib(2 * j + 1), bound)
+        bounds = (s_val(i, jp), r_val(i, jp + 1))
+        cases += [("b2", i, j, fib(i) - fib(2 * j + 1), bounds)
                   for j in range(1, (i - 3) // 2 + 1)]
     # one ask, for the largest n: ensure_table rebuilds whole to grow
     table = ensure_table(max((n for _, _, _, n, _ in cases), default=1))
-    failures = [[family, i, j, n] for family, i, j, n, bound in cases
-                if Fraction(*table[n - 1].tolist()) < bound]
+    failures = [[family, i, j, n] for family, i, j, n, bounds in cases
+                if all(_cmp(tuple(table[n - 1].tolist()), b) < 0
+                       for b in bounds)]
     return {"claim": "e_lower_bounds", "checked": len(cases),
             "verdict": not failures, "failures": failures[:20]}
 

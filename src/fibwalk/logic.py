@@ -205,7 +205,8 @@ def _tokenize_formula(src: str) -> list[_Tok]:
             continue
         name = _NAME.match(src, i)
         if name:
-            if c in "EA":
+            # a quantifier letter, except as a predicate name after '$'
+            if c in "EA" and not (toks and toks[-1].kind == "$"):
                 toks.append(_Tok(c, c, i))
                 i += 1
                 continue

@@ -1,4 +1,4 @@
-"""Exact quadratic-field arithmetic and the bound-family identity battery."""
+"""The bound families and the identity battery, in integers."""
 
 import io
 from fractions import Fraction
@@ -8,70 +8,13 @@ import pytest
 
 from fibwalk import identities as idn
 from fibwalk.fibword import exponent_table
-from fibwalk.identities import (ALPHA, ALPHA2, BETA, SQRT5, CrossoverTable,
-                                QuadInt, binet_fib, binet_lucas, check_eq1,
-                                check_lemma3, check_monotonicity,
+from fibwalk.identities import (check_eq1, check_lemma3, check_monotonicity,
                                 closed_forms_report, crossover, crossover_csv,
                                 e_lower_bound_report, f_val, g_val,
                                 identities_report, lemma4_report, psi,
-                                psi_bracket_ok, quadint_sign_sanity, r_val,
-                                rho, rho_bracket_ok, s_val)
-from fibwalk.numeration import fib, lucas
-
-
-# ---------------------------------------------------------------------------
-# the quadratic integers
-
-
-def test_quadint_basic_algebra():
-    x = QuadInt.of(1, 2)  # 1 + 2*sqrt5
-    y = QuadInt.of(3, -1)
-    assert x + y == QuadInt.of(4, 1)
-    assert x - y == QuadInt.of(-2, 3)
-    assert x * y == QuadInt.of(3 - 10, 6 - 1)
-    assert -x == QuadInt.of(-1, -2)
-    assert 2 + x == QuadInt.of(3, 2)
-    assert 1 - x == QuadInt.of(0, -2)
-
-
-def test_quadint_inverse_and_pow():
-    a = ALPHA
-    assert a * a.inverse() == QuadInt.of(1, 0)
-    assert a ** 0 == QuadInt.of(1, 0)
-    assert a ** 5 == a * a * a * a * a
-    assert a ** -3 == (a ** 3).inverse()
-    assert ALPHA * BETA == QuadInt.of(-1, 0)
-    assert ALPHA + BETA == QuadInt.of(1, 0)
-    assert ALPHA2 == ALPHA * ALPHA
-
-
-def test_quadint_sign_and_order():
-    assert SQRT5.sign() == 1
-    assert (-SQRT5).sign() == -1
-    assert (ALPHA2 - QuadInt.of(Fraction(13, 5), 0)).sign() == 1  # 2.618>2.6
-    assert (ALPHA2 - QuadInt.of(Fraction(21, 8), 0)).sign() == -1
-    assert ALPHA > 1
-    assert ALPHA < 2
-    assert BETA < 0
-    assert QuadInt.of(0, 0).sign() == 0
-    # mixed-sign cases are decided by exact squaring
-    assert (SQRT5 - QuadInt.of(Fraction(9, 4))).sign() == -1  # sqrt5 < 2.25
-    assert (SQRT5 - QuadInt.of(Fraction(11, 5))).sign() == 1  # sqrt5 > 2.2
-
-
-def test_quadint_zero_norm_inverse_raises():
-    with pytest.raises(ZeroDivisionError):
-        QuadInt.of(0, 0).inverse()
-
-
-def test_quadint_random_sign_sanity():
-    assert quadint_sign_sanity(2000, seed=99)
-
-
-def test_binet_forms():
-    for n in range(-30, 31):
-        assert binet_fib(n) == fib(n)
-        assert binet_lucas(n) == lucas(n)
+                                psi_bracket_ok, r_val, rho, rho_bracket_ok,
+                                s_val)
+from fibwalk.numeration import fib
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +22,19 @@ def test_binet_forms():
 
 
 def test_f_g_values_and_guards():
-    assert f_val(9, 4) == Fraction(fib(4) - 1, fib(2))  # (3-1)/1
-    assert g_val(9, 4) == Fraction(fib(9) - fib(4) - 1, fib(7))
+    # (numerator, positive denominator) pairs, not reduced
+    assert f_val(9, 4) == (fib(4) - 1, fib(2))  # (3-1)/1
+    assert g_val(9, 4) == (fib(9) - fib(4) - 1, fib(7))
+    assert g_val(8, 4) == (17, 8)
+    assert s_val(8, 1) == (19, 8)
     with pytest.raises(ValueError):
         f_val(9, 2)  # F_0 = 0 denominator
     with pytest.raises(ValueError):
         g_val(2, 3)
     with pytest.raises(ValueError):
         s_val(2, 0)  # F_0 = 0 denominator
-    assert r_val(5, 0) == Fraction(fib(1), fib(-1))  # 1/1
+    assert r_val(5, 0) == (fib(1), fib(-1))  # 1/1
+    assert r_val(5, 2) == (5, 2)
 
 
 def test_rho_psi_spec_examples():
@@ -101,14 +48,16 @@ def test_rho_psi_spec_examples():
 def test_rho_matches_cleared_difference():
     for i in range(6, 40):
         for j in range(3, i - 1):
-            want = (g_val(i, j) - f_val(i, j)) * fib(i - 2) * fib(j - 2)
+            gap = Fraction(*g_val(i, j)) - Fraction(*f_val(i, j))
+            want = gap * fib(i - 2) * fib(j - 2)
             assert rho(i, j) == want
 
 
 def test_psi_matches_cleared_difference():
     for i in range(4, 40):
         for j in range(1, (i - 3) // 2 + 1):
-            want = (s_val(i, j) - r_val(i, j)) * fib(i - 2) * fib(2 * j - 1)
+            gap = Fraction(*s_val(i, j)) - Fraction(*r_val(i, j))
+            want = gap * fib(i - 2) * fib(2 * j - 1)
             assert psi(i, j) == want
 
 
@@ -119,6 +68,9 @@ def test_psi_matches_cleared_difference():
 def test_eq1_range():
     assert check_eq1()
     assert check_eq1((-10, 10), (-10, 10))
+    # F_{a-b} passes 2^53 here, so a float sign (-1)**b for b < 0 would
+    # lose digits of the right side
+    assert check_eq1((-100, 100), (-100, 100))
 
 
 def test_lemma3_inequalities():
@@ -264,7 +216,7 @@ def test_e_lower_bound_b2_onset():
     # at i=5 the B2 pointwise bound fails: e(3) = 3/2 < 2
     from fibwalk.repetitions import exponent_record
     from fibwalk.identities import r_val, s_val
-    bound = min(s_val(5, 0), r_val(5, 1))
+    bound = min(Fraction(*s_val(5, 0)), Fraction(*r_val(5, 1)))
     assert bound == 2
     assert exponent_record(3).exponent == Fraction(3, 2)
     assert exponent_record(3).exponent < bound
@@ -280,11 +232,18 @@ def test_identities_report_all_green():
 
 
 def test_identities_report_builds_no_table(monkeypatch):
-    # the crossover claim is decided by rho and psi alone
-    def refuse(i, family):
-        raise AssertionError(f"crossover({i}, {family!r}) was called")
+    # the crossover claim is decided by rho and psi alone, and every
+    # verdict in integers: with crossover and Fraction refused, the
+    # reports are the same, claim for claim
+    want = identities_report(k_max=60)
+
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
 
     monkeypatch.setattr(idn, "crossover", refuse)
+    monkeypatch.setattr(idn, "Fraction", refuse)
     reports = identities_report(k_max=60)
+    assert reports == want
     assert [r["verdict"] for r in reports] == [True] * 6
     assert reports[-1]["claim"] == "crossover"
+    assert e_lower_bound_report(14, 14)["verdict"] is True

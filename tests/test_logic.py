@@ -277,6 +277,18 @@ def test_names_take_ascii_only():
     assert logic.free_vars(parse_formula("?msd_fib _x=y2_")) == {"_x", "y2_"}
 
 
+def test_predicate_names_may_start_with_quantifier_letters():
+    # E and A start a quantifier, but after '$' the name is read whole
+    report = run_session(
+        'def Eq "?msd_fib x=x":\n'
+        'def Ab "?msd_fib x+1>x":\n'
+        'def E "?msd_fib Ay x+y>=y":\n'
+        'eval t "?msd_fib Ax $Eq(x) & $Ab(x) & $ E(x)":\n')
+    assert report.entries[-1].line == "eval t: TRUE"
+    with pytest.raises(LogicError, match="expected predicate name after"):
+        parse_formula("?msd_fib $(x)")
+
+
 def test_parse_script_commands():
     cmds = parse_script(rp.script_text("good_partition.wal"))
     kinds = [type(c).__name__ for c in cmds]

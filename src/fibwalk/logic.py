@@ -736,6 +736,25 @@ def _conjoin_linear(rel: Rel | None, form: tuple[dict[str, int], int],
     return Rel(au.constrain(dfa, aligned, op, -const), names)
 
 
+def _tie_choices(equations: list):
+    """(k, a form to tie for equation k, whether another was subtracted).
+
+    Each pending equation comes as it is, then minus each other pending
+    one, the later equation first.  Subtracting an equation that is still
+    pending is a row operation, so the relation stays the same.  A
+    variable that cancels out is dropped, since the subtracted equation
+    binds it when it is tied; a zero coefficient the equation has on its
+    own, as x has in t-((y+x)-x), stays and keeps its variable's track.
+    """
+    for k in reversed(range(len(equations))):
+        yield k, equations[k], False
+        for j, other in enumerate(equations):
+            if j != k:
+                coeffs, const = _combine(equations[k], other, -1)
+                yield k, ({v: c for v, c in coeffs.items()
+                           if c or v not in other[0]}, const), True
+
+
 def _conjuncts(f) -> list:
     """The operands of an & chain, left to right."""
     if isinstance(f, Conn) and f.op == "and":
@@ -761,12 +780,16 @@ class _Compiler:
     equation t - argument = 0 ties to the argument's variables before t
     is projected away.  A natural t already implies the guard of an
     argument a - b itself, so only the guards nested inside it are added.
-    The equations are tied one at a time, each next the one with the
-    fewest variables that are not yet tracks of the Rel built so far,
-    the later argument on a tie: for $ffactoreq(n-x,(n+y)-x,x-y) that is
-    x-y, then (n+y)-x, then n-x, so each constraint widens the Rel by
-    as few tracks as it can.  The order reads only the formula and the
-    tracks, and the result does not depend on it.
+    The equations are tied one at a time.  Each step ties a pending
+    equation either as it is or less another pending one (_tie_choices):
+    the choice with the fewest variables of nonzero coefficient that are
+    not yet tracks of the Rel built so far, then with the fewest
+    variables; the plain equation wins a tie, then the later argument.
+    For $ffactoreq(n-x,(n+y)-x,x-y) that is (n+y)-x less n-x, which
+    brings in only y, then x-y, then n-x, so each constraint widens the
+    Rel by as few tracks as it can: the largest constrain input has 117
+    states, where tying each argument as it is took 246.  The order reads
+    only the formula and the tracks, and the result does not depend on it.
 
     E projects each of its variables existentially, and A universally
     (automata.project with every=True), with no complement around it.
@@ -836,11 +859,18 @@ class _Compiler:
             dfa = au.minimize(au.remap_tracks(
                 dfa, len(names), tuple(pos[v] for v in names)))
         rel = Rel(dfa, ordered)
-        while helpers:  # fewest unbound variables, the later on a tie
+        while helpers:  # in the class docstring's order
             bound = set(rel.names)
-            k = min(range(len(helpers)), key=lambda k: (
-                len(helpers[k][1][0].keys() - bound), -k))
-            t, equation, guards = helpers.pop(k)
+
+            def cost(choice):
+                _, (coeffs, _), subtracted = choice
+                return (sum(1 for v, a in coeffs.items()
+                            if a and v not in bound),
+                        len(coeffs), subtracted)
+
+            k, equation, _ = min(_tie_choices([h[1] for h in helpers]),
+                                 key=cost)
+            t, _, guards = helpers.pop(k)
             rel = _project_name(_conjoin_linear(rel, equation, "="), t)
             for guard in guards:
                 rel = _conjoin_linear(rel, guard, ">=")

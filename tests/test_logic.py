@@ -385,11 +385,19 @@ def test_multi_term_atoms_match_brute_force():
                 "?msd_fib $isfib(3) & $isfib(x)", "?msd_fib $adjfib(x,x)",
                 "?msd_fib $isfib((x-y)+3)", "?msd_fib $isfib(x-(y-2))",
                 "?msd_fib $adjfib(x-y,(x-y)+1)",
-                "?msd_fib $adjfib(y+1,x-(y-1))"):
+                "?msd_fib $adjfib(y+1,x-(y-1))",
+                # helpers tied through each other: x and y cancel and the
+                # other equation binds them; a zero coefficient of the
+                # argument's own (z, then x) keeps its variable's track
+                "?msd_fib $adjfib(x+y,(x+y)+z)",
+                "?msd_fib $adjfib(x+y,(x+z)-(y+z))",
+                "?msd_fib $adjfib(y,(x+y)-(x))"):
         agrees_with_brute_force(src, 10)
     # a variable whose coefficients cancel keeps its track
-    assert compile_predicate(PredicateEnv(), "?msd_fib x+y=y+z").names \
-        == ("x", "y", "z")
+    for src, names in (("?msd_fib x+y=y+z", ("x", "y", "z")),
+                       ("?msd_fib $adjfib(y,(x+y)-(x))", ("x", "y")),
+                       ("?msd_fib $adjfib(x+y,(x+z)-(y+z))", ("x", "y", "z"))):
+        assert compile_predicate(call_env(), src).names == names
 
 
 def assert_minimal(dfa, what):
@@ -791,11 +799,12 @@ def test_planned_call_atoms_match_explicit_variables(env, script_run):
             assert got == want, (call, explicit)
 
 
-def test_suff_ties_its_smallest_argument_first(env, monkeypatch):
-    # $ffactoreq(n-x,(n+y)-x,x-y): x-y brings in two variables, as n-x
-    # does, and is the later one; then (n+y)-x and n-x bring in only n
-    equations = []
-    conjoin = logic._conjoin_linear
+def test_suff_ties_its_arguments_through_each_other(env, monkeypatch):
+    # $ffactoreq(n-x,(n+y)-x,x-y): (n+y)-x less the pending n-x brings in
+    # only y, then x-y only x, then n-x only n
+    suff = env.lookup("suff").dfa  # ffactoreq is compiled before recording
+    equations, sizes = [], []
+    conjoin, constrain = logic._conjoin_linear, au.constrain
 
     def recorded(rel, form, op):
         if op == "=":
@@ -803,12 +812,18 @@ def test_suff_ties_its_smallest_argument_first(env, monkeypatch):
                               if not v.startswith("#")})
         return conjoin(rel, form, op)
 
+    def recorded_constrain(a, coeffs, op, c):
+        sizes.append(len(a.transitions))
+        return constrain(a, coeffs, op, c)
+
     monkeypatch.setattr(logic, "_conjoin_linear", recorded)
+    monkeypatch.setattr(au, "constrain", recorded_constrain)
     src = "?msd_fib n>=x & x>=y & y>=1 & $ffactoreq(n-x,(n+y)-x,x-y)"
     rel = logic.compile_formula(parse_formula(src), env)
-    assert equations == [{"x": -1, "y": 1}, {"n": -1, "y": -1, "x": 1},
-                         {"n": -1, "x": 1}]
-    assert rel.dfa == env.lookup("suff").dfa
+    assert equations == [{"y": -1}, {"x": -1, "y": 1}, {"n": -1, "x": 1}]
+    # state counts are exact: tying the arguments one by one took 246
+    assert max(sizes) <= 117, sizes
+    assert rel.dfa == suff
 
 
 def test_forall_builds_no_complement(env, monkeypatch):

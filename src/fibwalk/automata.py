@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numeration import zeck_decode, zeck_encode
+from .numeration import _fib_weights_upto, zeck_decode, zeck_encode
 from .record import Record, _set
 
 
@@ -130,23 +130,22 @@ def accepts_batch(a: SyncDFA, values: np.ndarray) -> np.ndarray:
     if values.min(initial=0) < 0:
         raise ValueError("values must be naturals")
     top = int(values.max(initial=0))
-    weights = []
-    x, y = 1, 2
-    while x <= top:
-        weights.append(x)
-        x, y = y, x + y
+    weights = _fib_weights_upto(top) if top else ()
     flat = a.transitions.ravel().astype(np.intp)
     out = np.empty(n, dtype=bool)
     for lo in range(0, n, _BATCH_ROWS):
         tracks = values[lo:lo + _BATCH_ROWS].T.copy()  # one row per track
+        # as in accepts, each tuple is padded to its own width: a row
+        # reads a column only once the weight is at most its largest value
+        row_top = tracks.max(axis=0, initial=0)
         states = np.full(tracks.shape[1], a.initial, dtype=np.intp)
         for w in reversed(weights):
-            states *= a.n_symbols
+            code = states * a.n_symbols
             for t, rem in enumerate(tracks):
                 d = rem >= w
                 rem -= d * w
-                states += d.astype(np.intp) << t
-            states = flat[states]
+                code += d.astype(np.intp) << t
+            np.copyto(states, flat[code], where=row_top >= w)
         out[lo:lo + _BATCH_ROWS] = a.final[states]
     return out
 
@@ -156,30 +155,17 @@ def accepts_batch(a: SyncDFA, values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def validity_on(arity: int, tracks: tuple[int, ...]) -> SyncDFA:
-    """Accepts words whose listed tracks contain no adjacent 1 digits.
-
-    States are the possible "last digit was 1" masks over the watched
-    tracks, plus a dead sink.
-    """
-    watched = 0
-    for t in tracks:
-        if not 0 <= t < arity:
-            raise ValueError("track out of range")
-        watched |= 1 << t
-    masks = [m for m in range(1 << arity) if m & watched == m]
-    index = {m: i for i, m in enumerate(masks)}
-    dead = len(masks)
-    n_sym = 1 << arity
-    rows = [[dead if m & s else index[s & watched] for s in range(n_sym)]
-            for m in masks]
-    rows.append([dead] * n_sym)
-    return _dfa(arity, rows, index[0], [True] * len(masks) + [False])
-
-
 def validity_automaton(arity: int) -> SyncDFA:
-    """Canonical universe: every track a valid Zeckendorf string."""
-    return validity_on(arity, tuple(range(arity)))
+    """Canonical universe: every track a valid Zeckendorf string.
+
+    State m < 2^arity is the mask of the tracks whose last digit was 1;
+    state 2^arity is a dead sink.
+    """
+    n_sym = 1 << arity
+    rows = [[n_sym if m & s else s for s in range(n_sym)]
+            for m in range(n_sym)]
+    rows.append([n_sym] * n_sym)
+    return _dfa(arity, rows, 0, [True] * n_sym + [False])
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +401,9 @@ def expand_insert(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> Syn
     wide = remap_tracks(a, new_arity, positions)
     if not inserted:
         return wide
-    return _walk((wide, validity_on(new_arity, inserted)),
-                 np.logical_and.reduce)
+    valid = remap_tracks(validity_automaton(len(inserted)), new_arity,
+                         inserted)
+    return _walk((wide, valid), np.logical_and.reduce)
 
 
 def project(a: SyncDFA, track: int, every: bool = False) -> SyncDFA:

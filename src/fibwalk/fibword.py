@@ -45,7 +45,6 @@ def fib_word_dfao() -> dict:
     digit read, and the output of a state is that digit.
     """
     return {
-        "states": 2,
         "initial": 0,
         "transition": ((0, 1), (0, 1)),  # [state][digit] -> digit
         "output": (0, 1),
@@ -74,12 +73,6 @@ def least_period(w: str) -> int:
     return len(w) - failure_function(w)[-1]
 
 
-def exponent(w: str) -> Fraction:
-    """|w| / per(w) as an exact rational."""
-    from fractions import Fraction  # kept off the import path
-    return Fraction(len(w), least_period(w))
-
-
 def has_period(w: str, p: int) -> bool:
     """w[i] = w[i+p] wherever defined; vacuously true for p >= len(w)."""
     if p < 1:
@@ -102,12 +95,10 @@ class ExponentRecord(Record):
         from fractions import Fraction  # kept off the import path
         return Fraction(self.x, self.y)
 
-    def verify(self, prefix: str | None = None) -> bool:
+    def verify(self) -> bool:
         """Direct symbol check that the claimed suffix has the claimed period."""
-        w = (prefix or generate_prefix(self.n))[self.n - self.x:self.n]
-        if len(w) != self.x or not (1 <= self.y <= self.x <= self.n):
-            return False
-        return all(w[i] == w[i + self.y] for i in range(self.x - self.y))
+        return (1 <= self.y <= self.x <= self.n and has_period(
+            generate_prefix(self.n)[self.n - self.x:], self.y))
 
 
 def e_of_n(n: int) -> ExponentRecord:
@@ -129,42 +120,22 @@ def e_of_n(n: int) -> ExponentRecord:
     return ExponentRecord(n, best_x, best_y)
 
 
-def _sweep_chunk(rev: str, total: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Records for n in [lo, hi): failure array of each reversed prefix.
-
-    The KMP route, kept independent of `exponent_table` so that each
-    checks the other.  The reversal of f[0..n-1] is rev[total-n:], and pi
-    over it yields the least period of every suffix of f[0..n-1] in one
-    O(n) pass.  The pi buffer is reused across n; pi[0] is never written
-    so it stays 0.
-    """
-    out = []
-    pi = [0] * total
-    for n in range(lo, hi):
-        v = rev[total - n:]
-        k = 0
-        best_x, best_y = 1, 1
-        for i in range(1, n):
-            c = v[i]
-            while k and v[k] != c:
-                k = pi[k - 1]
-            if v[k] == c:
-                k += 1
-            pi[i] = k
-            p = i + 1 - k
-            if (i + 1) * best_y > best_x * p:
-                best_x, best_y = i + 1, p
-        out.append((best_x, best_y))
-    return out
-
-
 def exponent_record_fast(n: int) -> ExponentRecord:
-    """Single e(n) record in O(n) by the KMP route, the table's cross-check."""
+    """Single e(n) record in O(n) by the KMP route, the table's cross-check.
+
+    Kept independent of `exponent_table` so that each checks the other.
+    The failure array of the reversed prefix gives the least period of
+    every suffix of f[0..n-1] in one pass: the suffix of length i + 1 has
+    least period i + 1 - pi[i].
+    """
     if n < 1:
         raise ValueError("e(n) needs n >= 1")
-    rev = generate_prefix(n)[::-1]
-    x, y = _sweep_chunk(rev, n, n, n + 1)[0]
-    return ExponentRecord(n, x, y)
+    best_x, best_y = 1, 1
+    for i, k in enumerate(failure_function(generate_prefix(n)[::-1])):
+        x, p = i + 1, i + 1 - k
+        if x * best_y > best_x * p:
+            best_x, best_y = x, p
+    return ExponentRecord(n, best_x, best_y)
 
 
 _BLOCK = 1 << 16  # rows of the table per block
@@ -217,9 +188,9 @@ def exponent_table(n_max: int) -> np.ndarray:
     period q <= p of that suffix is a Fibonacci number with X_q/q >=
     e(n), so q = p.  The shortest suffix of exponent e(n), of length x
     and least period q, has X_q = x, as X_q/q cannot exceed e(n); so
-    the smallest tied p is its q.  This is the record `_sweep_chunk`
-    keeps: the shortest suffix of the largest exponent, with y its least
-    period.
+    the smallest tied p is its q.  This is the record
+    `exponent_record_fast` keeps: the shortest suffix of the largest
+    exponent, with y its least period.
 
     Cost.  The rows are built in blocks of `_BLOCK` values of n, and each
     block takes one numpy pass per period: the mismatches f[t] !=

@@ -38,8 +38,6 @@ class LogicError(ValueError):
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         where = f" (line {line}, column {col})" if line is not None else ""
         super().__init__(message + where)
-        self.line = line
-        self.col = col
 
 
 @contextmanager
@@ -58,19 +56,17 @@ def _nesting_guard(what: str = "formula"):
 
 
 class Var(Record):
-    __slots__ = ("name", "pos")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, pos: int = -1):
+    def __init__(self, name: str):
         _set(self, "name", name)
-        _set(self, "pos", pos)
 
 
 class Const(Record):
-    __slots__ = ("value", "pos")
+    __slots__ = ("value",)
 
-    def __init__(self, value: int, pos: int = -1):
+    def __init__(self, value: int):
         _set(self, "value", value)
-        _set(self, "pos", pos)
 
 
 class Arith(Record):
@@ -84,13 +80,12 @@ class Arith(Record):
 
 
 class Cmp(Record):
-    __slots__ = ("op", "left", "right", "pos")
+    __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left, right, pos: int = -1):
+    def __init__(self, op: str, left, right):
         _set(self, "op", op)
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "pos", pos)
 
 
 class Call(Record):
@@ -103,12 +98,11 @@ class Call(Record):
 
 
 class SeqEq(Record):
-    __slots__ = ("left", "right", "pos")
+    __slots__ = ("left", "right")
 
-    def __init__(self, left, right, pos: int = -1):
+    def __init__(self, left, right):
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "pos", pos)
 
 
 class Not(Record):
@@ -333,7 +327,7 @@ class _FormulaParser:
         self._expect("[")
         right = self._term()
         self._expect("]")
-        return SeqEq(left, right, t.pos)
+        return SeqEq(left, right)
 
     def _cmp_atom(self):
         left = self._term()
@@ -341,7 +335,7 @@ class _FormulaParser:
         if t.kind not in _COMPARISONS:
             self._fail(f"expected comparison, found {t.text or 'end'!r}", t.pos)
         right = self._term()
-        return Cmp(t.kind, left, right, t.pos)
+        return Cmp(t.kind, left, right)
 
     def _term(self):
         f = self._mul()
@@ -360,9 +354,9 @@ class _FormulaParser:
     def _primary(self):
         t = self._next()
         if t.kind == "num":
-            return Const(int(t.text), t.pos)
+            return Const(int(t.text))
         if t.kind == "var":
-            return Var(t.text, t.pos)
+            return Var(t.text)
         if t.kind == "(":
             inner = self._term()
             self._expect(")")
@@ -545,15 +539,16 @@ class Rel(Record):
 
 
 class StoredPred(Record):
-    __slots__ = ("name", "kind", "dfa", "arity", "_validated")
+    __slots__ = ("name", "dfa", "_validated")
 
-    def __init__(self, name: str, kind: str, dfa: SyncDFA, arity: int,
-                 _validated: SyncDFA):
+    def __init__(self, name: str, dfa: SyncDFA, _validated: SyncDFA):
         _set(self, "name", name)
-        _set(self, "kind", kind)  # "reg" | "def" | "eval"
         _set(self, "dfa", dfa)
-        _set(self, "arity", arity)
         _set(self, "_validated", _validated)
+
+    @property
+    def arity(self) -> int:
+        return self.dfa.arity
 
     def validated(self) -> SyncDFA:
         """The relation intersected with per-track canonicality."""
@@ -588,7 +583,7 @@ class PredicateEnv:
         # a compiled def or eval is already canonical; a raw regex is not
         valid = (au.product(dfa, au.validity_automaton(dfa.arity), "and")
                  if kind == "reg" else dfa)
-        p = StoredPred(name, kind, dfa, dfa.arity, valid)
+        p = StoredPred(name, dfa, valid)
         self.preds[name] = p
         return p
 

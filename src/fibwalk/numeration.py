@@ -125,7 +125,5 @@ def fib_index(n: int) -> int | None:
     """
     if n < 1:
         return None
-    a, b, k = 1, 2, 2
-    while a < n:
-        a, b, k = b, a + b, k + 1
-    return k if a == n else None
+    ws = _fib_weights_upto(n)  # F_2, ..., F_k <= n
+    return len(ws) + 1 if ws[-1] == n else None

@@ -29,6 +29,13 @@ def test_validity_automaton_accepts_exactly_canonical():
     assert not run_word(v, [0, 1, 1])
     assert not run_word(v, [1, 1, 0])
     assert run_word(v, [0, 1, 0, 1])
+    # every raw word up to length 4: accepted unless some track has "11"
+    for arity in (0, 1, 2, 3):
+        v = au.validity_automaton(arity)
+        for length in range(5):
+            for word in itertools.product(range(1 << arity), repeat=length):
+                canonical = not any(s & t for s, t in zip(word, word[1:]))
+                assert run_word(v, word) == canonical, (arity, word)
 
 
 def test_adder_oracle_small_exhaustive():
@@ -262,6 +269,11 @@ def test_accepts_batch_matches_accepts():
     got = au.accepts_batch(add, vals)
     for row, ok in zip(vals, got):
         assert au.accepts(add, tuple(int(v) for v in row)) == bool(ok)
+    # not closed under leading zeros: each row is padded to its own
+    # width, whatever the other rows hold
+    empty = au.compile_regex("", 1)
+    assert au.accepts(empty, (0,)) and not au.accepts(empty, (1,))
+    assert au.accepts_batch(empty, [[0], [1]]).tolist() == [True, False]
 
 
 def test_accepts_batch_rejects_out_of_range():
@@ -821,6 +833,51 @@ def test_walks_match_references_on_seeded_random_dfas(monkeypatch):
         rel, c = rng.choice(sorted(RELATIONS)), rng.randint(-9, 9)
         assert (raw(monkeypatch, au.constrain, a, coeffs, rel, c)
                 == reference_exact_constrain(a, coeffs, rel, c))
+
+
+def random_regex(rng, arity, depth=3):
+    """A random tuple regex for compile_regex; its language may hold
+    words that are not canonical, such as "11" on a track."""
+    if depth == 0 or rng.random() < 0.3:
+        s = rng.randrange(1 << arity)
+        return "[" + ",".join(str(s >> t & 1) for t in range(arity)) + "]"
+    parts = [random_regex(rng, arity, depth - 1)
+             for _ in range(rng.randint(1, 3))]
+    out = "(" + rng.choice(("", "|")).join(parts) + ")"
+    return out + "*" if rng.random() < 0.4 else out
+
+
+def test_expand_insert_adds_validity_on_the_inserted_tracks_only():
+    # a raw word is accepted exactly when its old tracks are accepted by
+    # `a` and no inserted track has "11", on every raw word up to length
+    # 6; the words of one length are numpy arrays, symbol fastest
+    rng = random.Random(28)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        arity = rng.randint(0, 3 - k)
+        if arity and rng.random() < 0.5:
+            pattern = random_regex(rng, arity)
+            a = au.compile_regex(pattern, arity)
+        else:
+            pattern, a = None, random_dfa(rng, arity)
+        new_arity = arity + k
+        positions = tuple(rng.sample(range(new_arity), arity))
+        wide = au.expand_insert(a, new_arity, positions)
+        syms = np.arange(1 << new_arity)
+        old = np.array([sum((s >> p & 1) << i for i, p in enumerate(positions))
+                        for s in syms])
+        inserted = sum(1 << t for t in range(new_arity) if t not in positions)
+        q_wide, q_old = np.array([wide.initial]), np.array([a.initial])
+        last, valid = np.zeros(1, dtype=int), np.ones(1, dtype=bool)
+        for length in range(7):
+            if length:
+                q_wide = wide.transitions[q_wide][:, syms].ravel()
+                q_old = a.transitions[q_old][:, old].ravel()
+                valid = (valid[:, None]
+                         & (last[:, None] & syms & inserted == 0)).ravel()
+                last = np.tile(syms, len(last))
+            assert (wide.final[q_wide] == (a.final[q_old] & valid)).all(), \
+                (pattern, positions, length)
 
 
 def test_constrain_and_project_match_references_on_a_seeded_sample(

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from fibwalk import fibword, logic
 from fibwalk import repetitions as rp
-from fibwalk.fibword import (ExponentRecord, _sweep_chunk, e_of_n,
-                             exponent, exponent_record_fast, exponent_table,
-                             failure_function, fib_word_dfao, generate_prefix,
-                             has_period, least_period,
+from fibwalk.fibword import (ExponentRecord, e_of_n, exponent_record_fast,
+                             exponent_table, failure_function, fib_word_dfao,
+                             generate_prefix, has_period, least_period,
                              periods_found, symbol_at)
 from fibwalk.numeration import fib, floor_alpha
 
@@ -63,9 +62,7 @@ def test_failure_function_and_period():
         least_period("")
 
 
-def test_exponent_and_has_period():
-    assert exponent("010010") == Fraction(2)
-    assert exponent("01001") == Fraction(5, 3)
+def test_has_period():
     assert has_period("010010", 3)
     assert not has_period("010010", 2)
     assert has_period("01", 5)  # vacuous beyond the length
@@ -131,13 +128,9 @@ def test_exponent_table_matches_kmp_sweep():
     # the per-period runs against the independent failure-array route
     n_max = 3000
     table = exponent_table(n_max)
-    rev = generate_prefix(n_max)[::-1]
-    pairs = _sweep_chunk(rev, n_max, 1, n_max + 1)
-    assert len(table) == len(pairs) == n_max
-    for n, (row, (x, y)) in enumerate(zip(table.tolist(), pairs), start=1):
-        assert row == [x, y], n
-    for n in (1, 2, 89, 1597, n_max):
-        assert exponent_record_fast(n) == ExponentRecord(n, *table[n - 1].tolist())
+    assert len(table) == n_max
+    for n, row in enumerate(table.tolist(), start=1):
+        assert exponent_record_fast(n) == ExponentRecord(n, *row), n
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])

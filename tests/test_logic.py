@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import random
 import re
+import signal
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -731,10 +733,32 @@ def formulas(draw, scope=FREE, depth=0):
     return f"A{q} ({q}<={guard}) => ({body})"
 
 
+@contextmanager
+def time_limit(seconds, what):
+    """Raise TimeoutError naming `what` once the block has run `seconds`,
+    by this process's real-time interval timer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s: {what}")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+FUZZ_SECONDS = 60  # a whole run of the fuzz below takes about 1-11 s
+
+
 @settings(max_examples=100, deadline=None)
 @given(f=formulas())
 def test_random_formulas_match_brute_force(f):
-    agrees_with_brute_force("?msd_fib " + f, 5)
+    # the draws are unseeded, and one once held a test run for minutes
+    # while its memory grew: a draw that runs too long fails, naming
+    # its formula, where it would hang
+    with time_limit(FUZZ_SECONDS, f):
+        agrees_with_brute_force("?msd_fib " + f, 5)
 
 
 def test_call_argument_aliasing():

@@ -25,12 +25,12 @@ _dfa = au._dfa(1, [[0, 0]], 0, [True])
 
 # one instance of every record class
 SAMPLES = [
-    Var("x", 3), Const(5, 1), Arith("+", _a, _b, 2), Cmp("<", _a, _b, 2),
-    Call("p", (_a, _b), 0), SeqEq(_a, _b, 4), Not(_a), Conn("and", _a, _b),
+    Var("x"), Const(5), Arith("+", _a, _b, 2), Cmp("<", _a, _b),
+    Call("p", (_a, _b), 0), SeqEq(_a, _b), Not(_a), Conn("and", _a, _b),
     Quant(True, ("x", "y"), _a), _Tok("var", "x", 0),
     RegCmd("isfib", ("msd_fib",), "0*1", 1),
     DefCmd("d", "?msd_fib x=1", 2, "def"), logic.TestCmd("d", 3, 4),
-    Rel(_dfa, ("x",)), StoredPred("p", "reg", _dfa, 1, _dfa),
+    Rel(_dfa, ("x",)), StoredPred("p", _dfa, _dfa),
     SessionEntry("eval e: TRUE", {"verdict": True}), SessionReport(()),
     au.SyncDFA(1, np.zeros((1, 2), dtype=np.int32), 0, np.ones(1, dtype=bool)),
     ExponentRecord(12, 7, 3),
@@ -91,8 +91,8 @@ def test_equal_records_hash_equal(rec):
 
 
 def test_records_of_one_shape_differ_by_class_and_op():
-    assert Var("x", 3) != Const("x", 3)
-    assert Arith("+", _a, _b, 2) != Cmp("+", _a, _b, 2)
+    assert Var("x") != Const("x")
+    assert Arith("+", _a, _b) != Cmp("+", _a, _b)
     assert Conn("and", _a, _b) != Conn("or", _a, _b)
     assert Quant(True, ("x",), _a) != Quant(False, ("x",), _a)
     nodes = {Conn("and", _a, _b), Conn("and", _a, _b), Conn("or", _a, _b)}
@@ -100,11 +100,11 @@ def test_records_of_one_shape_differ_by_class_and_op():
 
 
 def test_repr_matches_the_dataclass_form():
-    assert repr(Var("x")) == "Var(name='x', pos=-1)"
-    assert repr(Not(Const(0))) == "Not(body=Const(value=0, pos=-1))"
+    assert repr(Var("x")) == "Var(name='x')"
+    assert repr(Not(Const(0))) == "Not(body=Const(value=0))"
     assert repr(ExponentRecord(12, 7, 3)) == "ExponentRecord(n=12, x=7, y=3)"
     # the validated automaton is left out, as field(repr=False) did
-    assert "_validated" not in repr(StoredPred("p", "reg", _dfa, 1, _dfa))
+    assert "_validated" not in repr(StoredPred("p", _dfa, _dfa))
 
 
 def test_exponent_record_exponent_is_a_fraction():

@@ -131,22 +131,24 @@ def accepts_batch(a: SyncDFA, values: np.ndarray) -> np.ndarray:
         raise ValueError("values must be naturals")
     top = int(values.max(initial=0))
     weights = _fib_weights_upto(top) if top else ()
-    flat = a.transitions.ravel().astype(np.intp)
+    # as in accepts, each tuple is padded to its own width: a row starts
+    # in an added state, a.initial but for a loop on the all-zero column
+    table = np.vstack((a.transitions, a.transitions[a.initial]))
+    table[-1, 0] = a.n_states
+    flat = table.ravel().astype(np.intp)
+    final = np.append(a.final, a.final[a.initial])
     out = np.empty(n, dtype=bool)
     for lo in range(0, n, _BATCH_ROWS):
         tracks = values[lo:lo + _BATCH_ROWS].T.copy()  # one row per track
-        # as in accepts, each tuple is padded to its own width: a row
-        # reads a column only once the weight is at most its largest value
-        row_top = tracks.max(axis=0, initial=0)
-        states = np.full(tracks.shape[1], a.initial, dtype=np.intp)
+        states = np.full(tracks.shape[1], a.n_states, dtype=np.intp)
         for w in reversed(weights):
             code = states * a.n_symbols
             for t, rem in enumerate(tracks):
                 d = rem >= w
                 rem -= d * w
                 code += d.astype(np.intp) << t
-            np.copyto(states, flat[code], where=row_top >= w)
-        out[lo:lo + _BATCH_ROWS] = a.final[states]
+            states = flat[code]
+        out[lo:lo + _BATCH_ROWS] = final[states]
     return out
 
 

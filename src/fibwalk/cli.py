@@ -12,10 +12,24 @@ import argparse
 import sys
 import warnings
 from functools import cache
+from importlib import import_module
 
 from . import automata as au
 from . import logic
 from . import repetitions as rp
+
+
+# verify's targets, in the order "all" runs them: (the reports for a
+# bound, the default bound); each module is read at the call, and
+# identities is imported only then
+_VERIFY = {
+    "partition": (lambda n: [rp.partition_report(n)], 5000),
+    "lemma1": (lambda n: [rp.lemma1_report(n)], 2000),
+    "lemma2": (lambda n: [rp.lemma2_report(n)], 2000),
+    "theorem": (lambda n: [rp.verify_theorem(n)], 20000),
+    "identities": (lambda n: import_module(".identities", __package__)
+                   .identities_report(n), 200),
+}
 
 
 @cache
@@ -33,8 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="inclusive bound on every component")
 
     s = sub.add_parser("verify", help="run a verification sweep")
-    s.add_argument("target", choices=["partition", "lemma1", "lemma2",
-                                      "theorem", "identities", "all"])
+    s.add_argument("target", choices=[*_VERIFY, "all"])
     s.add_argument("--max-n", type=int, default=None, metavar="N",
                    help="the largest n to check (by default 5000 for "
                         "partition, 2000 for lemma1 and lemma2, 20000 for "
@@ -89,27 +102,10 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _verify_reports(target: str, max_n: int | None) -> list[dict]:
-    def bound(default: int) -> int:
-        return default if max_n is None else max_n
-
-    reports = []
-    if target in ("partition", "all"):
-        reports.append(rp.partition_report(bound(5000)))
-    if target in ("lemma1", "all"):
-        reports.append(rp.lemma1_report(bound(2000)))
-    if target in ("lemma2", "all"):
-        reports.append(rp.lemma2_report(bound(2000)))
-    if target in ("theorem", "all"):
-        reports.append(rp.verify_theorem(bound(20000)))
-    if target in ("identities", "all"):
-        from . import identities as idn
-        reports.extend(idn.identities_report(bound(200)))
-    return reports
-
-
 def _cmd_verify(args) -> int:
-    reports = _verify_reports(args.target, args.max_n)
+    reports = [r for name, (run, default) in _VERIFY.items()
+               if args.target in (name, "all")
+               for r in run(default if args.max_n is None else args.max_n)]
     if args.json:
         print(rp.verification_report_json(reports), end="")
     else:

@@ -36,19 +36,25 @@ from .record import Record, _set
 
 class LogicError(ValueError):
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        self.line = line
         where = f" (line {line}, column {col})" if line is not None else ""
         super().__init__(message + where)
 
 
 @contextmanager
-def _nesting_guard(what: str = "formula"):
+def _logic_errors(line: int | None = None, what: str = "formula"):
     """Report Python's recursion limit, which only a deeply nested formula
     or reg pattern reaches in the recursive parsers and compiler, as a
-    LogicError."""
+    LogicError, and name line in a LogicError raised inside that names
+    none yet (a callee compiled on demand names its own)."""
     try:
         yield
     except RecursionError:
-        raise LogicError(f"{what} nests too deeply") from None
+        raise LogicError(f"{what} nests too deeply", line, 1) from None
+    except LogicError as exc:
+        if line is None or exc.line is not None:
+            raise
+        raise LogicError(str(exc), line, 1) from None
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +370,17 @@ class _FormulaParser:
         self._fail(f"expected a term, found {t.text or 'end'!r}", t.pos)
 
 
+@lru_cache(maxsize=None)
 def parse_formula(src: str):
-    """Parse the body of a def/eval command, including the ?msd_fib tag."""
+    """Parse the body of a def/eval command, including the ?msd_fib tag;
+    memoized, as the tree is immutable, so load and lookup share a parse."""
     stripped = src.lstrip()
     if not stripped.startswith("?msd_fib"):
         raise LogicError("formula must start with the ?msd_fib numeration tag")
     body = stripped[len("?msd_fib"):]
     if body[:1] not in ("", " ", "\t", "\n", "(", "~", "$"):
         raise LogicError("formula must start with the ?msd_fib numeration tag")
-    with _nesting_guard():
+    with _logic_errors():
         return _FormulaParser(body).parse()
 
 
@@ -381,13 +389,12 @@ def parse_formula(src: str):
 
 
 class RegCmd(Record):
-    __slots__ = ("name", "tags", "pattern", "line")
+    __slots__ = ("name", "arity", "pattern", "line")
     kind = "reg"
 
-    def __init__(self, name: str, tags: tuple[str, ...], pattern: str,
-                 line: int):
+    def __init__(self, name: str, arity: int, pattern: str, line: int):
         _set(self, "name", name)
-        _set(self, "tags", tags)
+        _set(self, "arity", arity)
         _set(self, "pattern", pattern)
         _set(self, "line", line)
 
@@ -404,6 +411,7 @@ class DefCmd(Record):
 
 class TestCmd(Record):
     __slots__ = ("name", "count", "line")
+    kind = "test"
 
     def __init__(self, name: str, count: int, line: int):
         _set(self, "name", name)
@@ -475,30 +483,30 @@ class _ScriptScanner:
             line = self._line(pos)
             if word == "reg":
                 name, _ = self._word()
-                tags = []
+                arity = 0  # one track per tag
                 while True:
                     self._skip()
-                    if self.i < len(self.text) and self.text[self.i] == "{":
+                    c = self.text[self.i:self.i + 1]
+                    if c == '"':
+                        break
+                    if c == "{":
                         end = self.text.find("}", self.i)
                         if end < 0:
                             self._error("unterminated alphabet tag", self.i)
                         tag = "".join(self.text[self.i:end + 1].split())
                         if tag != "{0,1}":
                             self._error(f"unsupported alphabet {tag!r}", self.i)
-                        tags.append(tag)
                         self.i = end + 1
-                        continue
-                    if self.i < len(self.text) and self.text[self.i] == '"':
-                        break
-                    tag, tpos = self._word()
-                    if tag != "msd_fib":
-                        self._error(f"unsupported numeration tag {tag!r}", tpos)
-                    tags.append(tag)
-                if not tags:
+                    else:
+                        tag, tpos = self._word()
+                        if tag != "msd_fib":
+                            self._error(f"unsupported numeration tag {tag!r}", tpos)
+                    arity += 1
+                if not arity:
                     self._error("reg needs at least one track tag", pos)
                 pattern, _ = self._quoted()
                 self._colon()
-                out.append(RegCmd(name, tuple(tags), pattern, line))
+                out.append(RegCmd(name, arity, pattern, line))
             elif word in ("def", "eval"):
                 name, _ = self._word()
                 source, _ = self._quoted()
@@ -539,12 +547,13 @@ class Rel(Record):
 
 
 class StoredPred(Record):
-    __slots__ = ("name", "dfa", "_validated")
+    __slots__ = ("dfa", "_validated", "tracks")
 
-    def __init__(self, name: str, dfa: SyncDFA, _validated: SyncDFA):
-        _set(self, "name", name)
+    def __init__(self, dfa: SyncDFA, _validated: SyncDFA,
+                 tracks: tuple[str, ...]):
         _set(self, "dfa", dfa)
         _set(self, "_validated", _validated)
+        _set(self, "tracks", tracks)  # a def's variables; () if unnamed
 
     @property
     def arity(self) -> int:
@@ -558,12 +567,12 @@ class StoredPred(Record):
 class PredicateEnv:
     """Named predicates: compiled ones in preds, uncompiled ones in pending.
 
-    define stores an automaton.  load registers a script's reg, def and
-    eval commands uncompiled, and lookup compiles a pending one on its
-    first use, through compile_predicate's memo; a caller pays only for
-    the predicates it reaches.  Each name is defined once, compiled or
-    pending, and a pending def may call only the names before it, as
-    when the script runs.
+    load registers a script's commands uncompiled, and lookup, the one
+    place a command is compiled, compiles a pending one on its first use
+    through compile_predicate's memo; define stores a built automaton.
+    Each name is defined once, and a def or test may name only the
+    predicates before it, as when the script runs.  A LogicError of a
+    command, from load or from lookup, names the command's line.
     """
 
     def __init__(self):
@@ -574,36 +583,34 @@ class PredicateEnv:
         """Every defined name, compiled or pending, sorted."""
         return sorted(self.preds.keys() | self.pending.keys())
 
-    def _refuse_known(self, name: str) -> None:
-        if name in self.preds or name in self.pending:
+    def define(self, name: str, dfa: SyncDFA) -> StoredPred:
+        """Store dfa, canonical on every track as a compiled def is."""
+        if name in self.names():
             raise LogicError(f"name {name!r} is already defined")
-
-    def define(self, name: str, kind: str, dfa: SyncDFA) -> StoredPred:
-        self._refuse_known(name)
-        # a compiled def or eval is already canonical; a raw regex is not
-        valid = (au.product(dfa, au.validity_automaton(dfa.arity), "and")
-                 if kind == "reg" else dfa)
-        p = StoredPred(name, dfa, valid)
-        self.preds[name] = p
+        p = self.preds[name] = StoredPred(dfa, dfa, ())
         return p
 
-    def load(self, text: str) -> None:
+    def load(self, text: str) -> list:
         """Register a script's reg, def and eval commands uncompiled.
 
-        Its test commands only report, so they are skipped.
+        Returns parse_script's list of the script's commands.  A test
+        command only reports, so it is checked, not registered.
         """
-        for cmd in parse_script(text):
-            if isinstance(cmd, TestCmd):
-                continue
-            self._refuse_known(cmd.name)
-            if isinstance(cmd, DefCmd):
-                with _nesting_guard():
-                    callees = _called(parse_formula(cmd.source))
-                for callee in sorted(callees):
-                    if callee not in self.preds and callee not in self.pending:
-                        raise LogicError(f"unknown predicate {callee!r}",
-                                         cmd.line, 1)
-            self.pending[cmd.name] = cmd
+        commands = parse_script(text)
+        for cmd in commands:
+            with _logic_errors(cmd.line):
+                if isinstance(cmd, TestCmd):
+                    if cmd.name not in self.names():
+                        raise LogicError(f"unknown predicate {cmd.name!r}")
+                    continue
+                if cmd.name in self.names():
+                    raise LogicError(f"name {cmd.name!r} is already defined")
+                if isinstance(cmd, DefCmd):
+                    for callee in sorted(_called(parse_formula(cmd.source))):
+                        if callee not in self.names():
+                            raise LogicError(f"unknown predicate {callee!r}")
+                self.pending[cmd.name] = cmd
+        return commands
 
     def lookup(self, name: str) -> StoredPred:
         p = self.preds.get(name)
@@ -612,24 +619,28 @@ class PredicateEnv:
         cmd = self.pending.get(name)
         if cmd is None:
             raise LogicError(f"unknown predicate {name!r}")
-        dfa = (_reg_automaton(cmd) if isinstance(cmd, RegCmd)
-               else compile_predicate(self, cmd.source).dfa)
+        with _logic_errors(cmd.line):
+            if isinstance(cmd, RegCmd):
+                try:
+                    with _logic_errors(what="pattern"):
+                        dfa = au.compile_regex(cmd.pattern, cmd.arity)
+                except (au.RegexError, LogicError) as exc:
+                    raise LogicError(f"in reg {cmd.name}: {exc}") from None
+                # a raw regex is not canonical; a compiled formula is
+                p = StoredPred(dfa, au.product(
+                    dfa, au.validity_automaton(dfa.arity), "and"), ())
+            else:
+                rel = compile_predicate(self, cmd.source)
+                p = StoredPred(rel.dfa, rel.dfa, rel.names)
         del self.pending[name]
-        return self.define(name, cmd.kind, dfa)
+        self.preds[name] = p
+        return p
 
     def copy(self) -> "PredicateEnv":
         env = PredicateEnv()
         env.preds = dict(self.preds)
         env.pending = dict(self.pending)
         return env
-
-
-def _reg_automaton(cmd: RegCmd) -> SyncDFA:
-    try:
-        with _nesting_guard("pattern"):
-            return au.compile_regex(cmd.pattern, len(cmd.tags))
-    except (au.RegexError, LogicError) as exc:
-        raise LogicError(f"in reg {cmd.name}: {exc}", cmd.line, 1)
 
 
 @lru_cache(maxsize=1)
@@ -912,7 +923,7 @@ def compile_predicate(env: PredicateEnv, source: str) -> Rel:
     Python's recursion limit raises LogicError, as parse_formula does.
     """
     f = parse_formula(source)
-    with _nesting_guard():
+    with _logic_errors():
         try:
             key = (source, tuple((name, env.lookup(name).validated())
                                  for name in sorted(_called(f))))
@@ -929,11 +940,26 @@ def compile_predicate(env: PredicateEnv, source: str) -> Rel:
 
 
 class SessionEntry(Record):
-    __slots__ = ("line", "data")
+    __slots__ = ("data",)
 
-    def __init__(self, line: str, data: dict):
-        _set(self, "line", line)
-        _set(self, "data", data)
+    def __init__(self, data: dict):
+        _set(self, "data", data)  # the entry as --json prints it
+
+    @property
+    def line(self) -> str:
+        """The entry as text, read off its data."""
+        data = self.data
+        head = f"{data['command']} {data['name']}"
+        if "verdict" in data:
+            return f"{head}: {'TRUE' if data['verdict'] else 'FALSE'}"
+        if "witnesses" not in data:
+            return f"{head}: arity {data['arity']}, states {data['states']}"
+        shown = []
+        for w in data["witnesses"]:
+            reps, vals = w["reps"], ",".join(map(str, w["values"]))
+            shown.append(f"{reps[0]} (={vals})" if len(reps) == 1
+                         else f"[{','.join(reps)}] (={vals})")
+        return f"{head} {data['count']}: {', '.join(shown) or '(none)'}"
 
 
 class SessionReport(Record):
@@ -952,62 +978,33 @@ class SessionReport(Record):
 
 
 def run_session(text: str, env: PredicateEnv | None = None) -> SessionReport:
-    """Execute a script, defining predicates and reporting each command.
+    """Execute a script and report each command, in script order.
 
-    Every command is compiled here, since the report needs each one;
-    PredicateEnv.load registers a script's predicates without compiling.
+    env.load registers the script and env.lookup compiles each command,
+    as it does any pending predicate; this only reads the stored
+    automata for the report.
     """
     if env is None:
         env = PredicateEnv()
-    entries: list[SessionEntry] = []
-    for cmd in parse_script(text):
-        if isinstance(cmd, RegCmd):
-            dfa = _reg_automaton(cmd)
-            env.define(cmd.name, "reg", dfa)
-            states = au.live_state_count(dfa)
-            entries.append(SessionEntry(
-                f"reg {cmd.name}: arity {dfa.arity}, states {states}",
-                {"command": "reg", "name": cmd.name,
-                 "arity": dfa.arity, "states": states}))
-        elif isinstance(cmd, DefCmd):
-            rel = compile_predicate(env, cmd.source)
-            kind = cmd.kind
-            env.define(cmd.name, kind, rel.dfa)
-            if kind == "eval" and rel.dfa.arity == 0:
-                verdict = au.decide_true(rel.dfa)
-                word = "TRUE" if verdict else "FALSE"
-                entries.append(SessionEntry(
-                    f"eval {cmd.name}: {word}",
-                    {"command": "eval", "name": cmd.name, "verdict": verdict}))
-            else:
-                states = au.live_state_count(rel.dfa)
-                entries.append(SessionEntry(
-                    f"{kind} {cmd.name}: arity {rel.dfa.arity}, states {states}",
-                    {"command": kind, "name": cmd.name,
-                     "arity": rel.dfa.arity, "states": states,
-                     "tracks": list(rel.names)}))
-        elif isinstance(cmd, TestCmd):
-            pred = env.lookup(cmd.name)
+    entries = []
+    for cmd in env.load(text):
+        pred = env.lookup(cmd.name)
+        data = {"command": cmd.kind, "name": cmd.name}
+        if isinstance(cmd, TestCmd):
             if pred.arity == 0:
                 raise LogicError(f"test {cmd.name}: needs arity >= 1", cmd.line, 1)
-            words = au.first_accepted_words(pred.validated(), cmd.count)
-            shown = []
-            data = []
-            for w in words:
-                reps = au.word_to_track_strings(w, pred.arity)
-                vals = au.word_to_values(w, pred.arity)
-                reps = tuple(r if r else "0" for r in reps)
-                if pred.arity == 1:
-                    shown.append(f"{reps[0]} (={vals[0]})")
-                else:
-                    shown.append("[" + ",".join(reps) + "] (="
-                                 + ",".join(str(v) for v in vals) + ")")
-                data.append({"reps": list(reps), "values": list(vals)})
-            listing = ", ".join(shown) if shown else "(none)"
-            entries.append(SessionEntry(
-                f"test {cmd.name} {cmd.count}: {listing}",
-                {"command": "test", "name": cmd.name,
-                 "count": cmd.count, "witnesses": data}))
+            data["count"] = cmd.count
+            data["witnesses"] = [
+                {"reps": [r or "0" for r in
+                          au.word_to_track_strings(w, pred.arity)],
+                 "values": list(au.word_to_values(w, pred.arity))}
+                for w in au.first_accepted_words(pred.validated(), cmd.count)]
+        elif cmd.kind == "eval" and pred.arity == 0:
+            data["verdict"] = au.decide_true(pred.dfa)
         else:
-            raise AssertionError(f"unhandled command {cmd!r}")
+            data["arity"] = pred.arity
+            data["states"] = au.live_state_count(pred.dfa)
+            if isinstance(cmd, DefCmd):
+                data["tracks"] = list(pred.tracks)
+        entries.append(SessionEntry(data))
     return SessionReport(tuple(entries))

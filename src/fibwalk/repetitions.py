@@ -288,7 +288,7 @@ def largest_index_below(p: int, q: int) -> int:
         raise ValueError(f"{p}/{q} >= alpha^2: indices below it never "
                          "run out, so no largest one exists")
     env = session_env().copy()
-    env.define("hs", "def", ratio_reach_automaton(p, q))
+    env.define("hs", ratio_reach_automaton(p, q))
     rel = logic.compile_predicate(
         env, "?msd_fib (~$hs(n)) & Am (m>n) => $hs(m)")
     words = au.first_accepted_words(rel.dfa, 2)

@@ -276,6 +276,37 @@ def test_accepts_batch_matches_accepts():
     assert au.accepts_batch(empty, [[0], [1]]).tolist() == [True, False]
 
 
+@pytest.mark.parametrize("pattern, arity", [
+    ("", 1), ("0*1", 1), ("1(0|1)*", 1), ("[1,0][0,1]*", 2),
+    ("([0,1]|[1,1])[0,0]*", 2)])
+def test_accepts_batch_matches_accepts_on_raw_patterns(pattern, arity):
+    # none of these is closed under leading zeros, so a row that reads a
+    # column before its own top digit would be misjudged
+    dfa = au.compile_regex(pattern, arity)
+    side = 400 if arity == 1 else 60
+    rows = np.array(list(itertools.product(range(side), repeat=arity)))
+    wide = np.random.default_rng(5).integers(0, 10 ** 12, size=(200, arity))
+    hits = 0
+    for batch in (rows, wide, np.vstack([wide, rows])):
+        want = [au.accepts(dfa, tuple(int(v) for v in row)) for row in batch]
+        assert au.accepts_batch(dfa, batch).tolist() == want
+        hits += sum(want)
+    assert hits
+
+
+def test_accepts_batch_matches_accepts_on_predicates():
+    from fibwalk import repetitions as rp
+    env = rp.session_env()
+    for name, side in (("good", 2000), ("b1", 30)):
+        pred = env.lookup(name)
+        rows = np.array(list(itertools.product(range(side),
+                                               repeat=pred.arity)))
+        for dfa in (pred.dfa, pred.validated()):
+            want = [au.accepts(dfa, tuple(int(v) for v in row))
+                    for row in rows]
+            assert au.accepts_batch(dfa, rows).tolist() == want
+
+
 def test_accepts_batch_rejects_out_of_range():
     eq = au.linear((1, -1), "=", 0)
     with pytest.raises(ValueError):

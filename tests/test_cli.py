@@ -1,9 +1,11 @@
 """The batch front end: subcommands, exit codes, output stability."""
 
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -31,6 +33,69 @@ def test_session_largest_index_golden(capsys):
     lines = out.splitlines()
     assert lines[-1] == "test largest_index 1: 1010001010 (=130)"
     assert lines[0] == "def ffactoreq: arity 3, states 11"
+
+
+# sha256 of fibwalk session's stdout for each bundled script, as text and
+# with --json: any change to a line, a state count or a witness shows here
+SESSION_DIGESTS = {
+    ("good_partition.wal", False):
+        "881d37a777eb1bca8b010c23bc0773604b591aa4c0afa4831689ab0b8edc33bb",
+    ("good_partition.wal", True):
+        "28999d26a78f9d234702977b81378dbc7285a5cd05649a55836f440d61108b9d",
+    ("largest_index.wal", False):
+        "012412608dc51b5cd1674b03e25ee7e3a0930bd222460c81cdef1bc0cbf56c49",
+    ("largest_index.wal", True):
+        "50925117f279ccfc77f913863739515a860bdb357b3a23fb38cac4df40cd4739",
+    ("lemma_checks.wal", False):
+        "ffbe153fd4bd932a18657661ece7f43b293902375b3e3c9195b1e4f1a6e79391",
+    ("lemma_checks.wal", True):
+        "ad3a4f7503df3c03fde8e99bc4223633df3aba422e1387b012d6af155a959bfc",
+    ("fib_periods.wal", False):
+        "10d3844cb87b295deffb0a56fdafc6aab98b96650b0626127559273f92b7f127",
+    ("fib_periods.wal", True):
+        "ae961aac6c4caa917d611a4bfb4a5b9af11f7703cb6f0b36a806574b2044f3de",
+}
+
+
+@pytest.mark.parametrize("name, as_json", sorted(SESSION_DIGESTS))
+def test_bundled_session_output_is_pinned(capsys, name, as_json):
+    argv = ["session", script_path(name)] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SESSION_DIGESTS[name, as_json]
+
+
+# one failing command after a valid first line: (script, its failing line,
+# a piece of the message)
+SESSION_ERRORS = {
+    "malformed formula": ('def bad "?msd_fib x=":', 2, "at offset 3"),
+    "unknown callee": ('def ok "?msd_fib n=1":\n'
+                       'def d "?msd_fib $nope(n)":', 3,
+                       "unknown predicate 'nope'"),
+    "call arity": ('def d "?msd_fib $isfib(x,y)":', 2,
+                   "$isfib takes 1 arguments, got 2"),
+    "product of variables": ('eval e "?msd_fib Ex,y x*y=1":', 2,
+                             "multiplication needs a literal constant side"),
+    "unknown test name": ('test nothere 3:', 2, "unknown predicate 'nothere'"),
+    "duplicate name": ('def a "?msd_fib n=1":\n\ndef a "?msd_fib n=2":', 4,
+                       "name 'a' is already defined"),
+    "bad reg pattern": ('reg r msd_fib "(0":', 2, "in reg r:"),
+    "deep nesting": ('def a "?msd_fib ' + "+".join(["x"] * 3000) + '=0":', 2,
+                     "formula nests too deeply"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SESSION_ERRORS))
+def test_session_error_names_its_line(tmp_path, capsys, kind):
+    body, line, message = SESSION_ERRORS[kind]
+    src = tmp_path / "err.wal"
+    src.write_text('reg isfib msd_fib "0*10*":\n' + body + "\n")
+    code, out, err = run(capsys, "session", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fibwalk: {src}: ") and err.count("\n") == 1
+    assert err.endswith(f" (line {line}, column 1)\n")
+    assert message in err
 
 
 def test_session_missing_file(capsys):
@@ -88,7 +153,8 @@ def test_session_deep_nesting_exits_2(tmp_path, shape):
     r = subprocess.run([sys.executable, "-m", "fibwalk.cli", "session",
                         str(src)], env=env, capture_output=True, text=True)
     assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr == f"fibwalk: {src}: formula nests too deeply\n"
+    assert r.stderr == (f"fibwalk: {src}: formula nests too deeply "
+                        "(line 1, column 1)\n")
 
 
 def test_session_deep_reg_pattern_exits_2(tmp_path):
@@ -315,7 +381,7 @@ def test_enumerate_reports_a_failed_compile(capsys, monkeypatch):
     monkeypatch.setattr(rp, "session_env", lambda: env)
     assert run(capsys, "enumerate", "bad", "--limit", "3") == (
         2, "", "fibwalk: multiplication needs a literal constant side "
-               "at offset 2\n")
+               "at offset 2 (line 1, column 1)\n")
     assert run(capsys, "enumerate", "other", "--limit", "3") == (
         2, "", "fibwalk: unknown predicate 'other'; have: bad\n")
 
@@ -333,6 +399,21 @@ def test_parser_is_built_once_per_process(capsys):
     code, out, err = run(capsys, "en", "13")
     assert (code, out, err) == (0, "e(13) = 8/3 (suffix length 8, period 3)\n", "")
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_verify_help_names_each_default():
+    # the --max-n help spells out the defaults that _VERIFY applies
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    verify = sub.choices["verify"]
+    text = next(a.help for a in verify._actions
+                if "--max-n" in a.option_strings)
+    target = next(a for a in verify._actions if a.dest == "target")
+    assert target.choices == [*cli._VERIFY, "all"]
+    for name, (_, default) in cli._VERIFY.items():
+        assert (re.search(rf"\b{default} for [a-z0-9 ]*\b{name}\b", text)
+                or re.search(rf"\bfor {name}\b[^;]*\(default {default}\)",
+                             text)), name
 
 
 def test_cli_import_leaves_identities_out():

@@ -222,9 +222,14 @@ def test_deep_nesting_is_a_logic_error(shape):
             parse_formula(src)
     with pytest.raises(LogicError, match="^formula nests too deeply$"):
         compile_predicate(PredicateEnv(), src)
-    if shape != "sum":  # load reads the callees, not the terms
-        with pytest.raises(LogicError, match="^formula nests too deeply$"):
+    # in a script the error names the command's line, raised by load
+    # (which reads the callees, not the terms) or else by the compile
+    located = r"^formula nests too deeply \(line 1, column 1\)$"
+    if shape != "sum":
+        with pytest.raises(LogicError, match=located):
             PredicateEnv().load(f'def a "{src}":')
+    with pytest.raises(LogicError, match=located):
+        run_session(f'def a "{src}":')
     # below the limit the same shape still compiles
     rel = compile_predicate(PredicateEnv(), deep_formula(shape, 200))
     assert rel.names == ("x",)
@@ -581,7 +586,7 @@ def test_redefined_callee_recompiles(env):
     got = {}
     for p, q in ((12, 5), (20, 8)):
         scoped = env.copy()
-        scoped.define("hs", "def", rp.ratio_reach_automaton(p, q))
+        scoped.define("hs", rp.ratio_reach_automaton(p, q))
         got[p, q] = compile_predicate(scoped, src)
         assert got[p, q] == logic.compile_formula(parse_formula(src), scoped)
     assert got[12, 5] != got[20, 8]
@@ -793,7 +798,7 @@ def test_planned_call_atoms_match_explicit_variables(env, script_run):
     # Ea,b,c $ffactoreq(a,b,c) & a+x=n & ... is the call with each
     # argument named and constrained by hand
     scoped = env.copy()
-    scoped.define("per", "def", script_run("fib_periods.wal")[1]
+    scoped.define("per", script_run("fib_periods.wal")[1]
                   .lookup("per").dfa)
     rng = random.Random(17)
     for callee in ("ffactoreq", "b1", "per", "F"):
@@ -876,11 +881,40 @@ def test_session_json_shape(script_report):
     assert data[5]["states"] == 75
 
 
+def test_session_parses_each_formula_once(monkeypatch):
+    # load reads each formula for its callees and lookup compiles it, from
+    # one parse
+    parsed, parser = [], logic._FormulaParser
+    monkeypatch.setattr(logic, "_FormulaParser",
+                        lambda body: parsed.append(body) or parser(body))
+    # a tab after each tag: sources no other test parses
+    text = rp.script_text("largest_index.wal").replace('"?msd_fib ',
+                                                       '"?msd_fib\t')
+    run_session(text)
+    formulas = [c for c in parse_script(text) if isinstance(c, logic.DefCmd)]
+    assert len(formulas) == 4
+    assert len(parsed) == len(formulas)
+
+
 def test_session_test_command_lists_representations():
     report = run_session(
         'reg isfib msd_fib "0*10*":\ntest isfib 4:')
     assert report.entries[-1].line == \
         "test isfib 4: 1 (=1), 10 (=2), 100 (=3), 1000 (=5)"
+
+
+def test_session_test_command_lists_tuples_zero_and_none():
+    report = run_session(CALL_SCRIPT + '\ntest adjfib 3:\n'
+                         'def z "?msd_fib x=0":\ntest z 1:\n'
+                         'def none "?msd_fib x+1=0":\ntest none 2:')
+    assert report.text.splitlines()[2:] == [
+        "test adjfib 3: [1,1] (=1,1), [10,01] (=2,1), [100,010] (=3,2)",
+        "def z: arity 1, states 1",
+        "test z 1: 0 (=0)",
+        "def none: arity 1, states 0",
+        "test none 2: (none)"]
+    assert report.entries[2].data["witnesses"][1] == {
+        "reps": ["10", "01"], "values": [2, 1]}
 
 
 def test_session_env_reuse():
@@ -923,7 +957,7 @@ def test_session_env_copy_resolves_pending_names():
 def test_define_refuses_a_pending_name():
     env = fresh_session_env()
     with pytest.raises(LogicError, match="'good' is already defined"):
-        env.define("good", "def", au.linear((1,), "=", 0))
+        env.define("good", au.linear((1,), "=", 0))
     with pytest.raises(LogicError, match="'isfib' is already defined"):
         env.load(CALL_SCRIPT)
 
@@ -933,6 +967,18 @@ def test_load_allows_only_earlier_callees():
     with pytest.raises(LogicError, match="unknown predicate 'later'"):
         PredicateEnv().load('def early "?msd_fib $later(n)":\n'
                             'def later "?msd_fib n=1":')
+
+
+def test_lookup_names_a_failing_callees_line_once():
+    # b compiles a on demand: the error is a's, at a's line only
+    env = PredicateEnv()
+    env.load('def a "?msd_fib x*y=1":\n\ndef b "?msd_fib $a(n,n)":')
+    for _ in range(2):  # a stays pending, so it fails again
+        with pytest.raises(LogicError, match=r"^multiplication needs a "
+                           r"literal constant side at offset 2 "
+                           r"\(line 1, column 1\)$"):
+            env.lookup("b")
+    assert sorted(env.pending) == ["a", "b"]
 
 
 def test_session_env_lookups_match_golden_digests():

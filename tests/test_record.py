@@ -28,10 +28,10 @@ SAMPLES = [
     Var("x"), Const(5), Arith("+", _a, _b, 2), Cmp("<", _a, _b),
     Call("p", (_a, _b), 0), SeqEq(_a, _b), Not(_a), Conn("and", _a, _b),
     Quant(True, ("x", "y"), _a), _Tok("var", "x", 0),
-    RegCmd("isfib", ("msd_fib",), "0*1", 1),
+    RegCmd("isfib", 1, "0*1", 1),
     DefCmd("d", "?msd_fib x=1", 2, "def"), logic.TestCmd("d", 3, 4),
-    Rel(_dfa, ("x",)), StoredPred("p", _dfa, _dfa),
-    SessionEntry("eval e: TRUE", {"verdict": True}), SessionReport(()),
+    Rel(_dfa, ("x",)), StoredPred(_dfa, _dfa, ("x",)),
+    SessionEntry({"command": "eval", "name": "e", "verdict": True}), SessionReport(()),
     au.SyncDFA(1, np.zeros((1, 2), dtype=np.int32), 0, np.ones(1, dtype=bool)),
     ExponentRecord(12, 7, 3),
 ]
@@ -104,7 +104,7 @@ def test_repr_matches_the_dataclass_form():
     assert repr(Not(Const(0))) == "Not(body=Const(value=0))"
     assert repr(ExponentRecord(12, 7, 3)) == "ExponentRecord(n=12, x=7, y=3)"
     # the validated automaton is left out, as field(repr=False) did
-    assert "_validated" not in repr(StoredPred("p", _dfa, _dfa))
+    assert "_validated" not in repr(StoredPred(_dfa, _dfa, ("x",)))
 
 
 def test_exponent_record_exponent_is_a_fraction():

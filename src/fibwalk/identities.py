@@ -2,11 +2,11 @@
 
 Every verdict is decided in plain big integers after clearing
 denominators; no float and no Fraction ever participates in one.  The
-bound functions f, g, r, s return (numerator, positive denominator)
-pairs, compared by cross-multiplication; Lemma 3's comparisons with
-alpha^2 go through exact.exceeds_alpha_squared.  The crossover brackets
-are decided by the signs of rho and psi; crossover's Fraction rows are
-only printed.
+bound functions f, g, r, s, the witnesses of repetitions.FAMILIES,
+return (numerator, positive denominator) pairs, compared by
+cross-multiplication; Lemma 3's comparisons with alpha^2 go through
+exact.exceeds_alpha_squared.  The crossover brackets are decided by the
+signs of rho and psi; crossover's Fraction rows are only printed.
 """
 
 from __future__ import annotations
@@ -18,43 +18,15 @@ from typing import IO
 
 from .exact import exceeds_alpha_squared
 from .numeration import fib, lucas
+from .repetitions import (FAMILIES, Pair, ensure_table, f_val, g_val, r_val,
+                          s_val)
 
 
 # ---------------------------------------------------------------------------
-# the four bound functions and the two sign polynomials
+# pairs and the two sign polynomials
 #
-# Each bound is a pair (numerator, denominator) of integers, denominator
-# positive and not reduced; _cmp and _sub work on such pairs.
-
-Pair = tuple[int, int]
-
-
-def f_val(i: int, j: int) -> Pair:
-    """(F_j - 1)/F_{j-2}; the suffix-repetition lower bound family."""
-    if fib(j - 2) <= 0:
-        raise ValueError(f"f(i,{j}) needs F_{{j-2}} > 0 (j >= 3)")
-    return fib(j) - 1, fib(j - 2)
-
-
-def g_val(i: int, j: int) -> Pair:
-    """(F_i - F_j - 1)/F_{i-2}; the whole-prefix-period bound family."""
-    if fib(i - 2) <= 0:
-        raise ValueError(f"g({i},j) needs F_{{i-2}} > 0 (i >= 3)")
-    return fib(i) - fib(j) - 1, fib(i - 2)
-
-
-def r_val(i: int, j: int) -> Pair:
-    """F_{2j+1}/F_{2j-1} (independent of i; kept two-argument to match g)."""
-    if fib(2 * j - 1) <= 0:
-        raise ValueError(f"r(i,{j}) needs F_{{2j-1}} > 0 (j >= 0)")
-    return fib(2 * j + 1), fib(2 * j - 1)
-
-
-def s_val(i: int, j: int) -> Pair:
-    """(F_i - F_{2j+1})/F_{i-2}."""
-    if fib(i - 2) <= 0:
-        raise ValueError(f"s({i},j) needs F_{{i-2}} > 0")
-    return fib(i) - fib(2 * j + 1), fib(i - 2)
+# _cmp and _sub work on the bounds' pairs.  rho and psi are g - f and
+# s - r cross-multiplied, as polynomials defined for every i and j.
 
 
 def _cmp(x: Pair, y: Pair) -> int:
@@ -160,7 +132,7 @@ def check_monotonicity(i_max: int) -> bool:
         if _cmp(_sub(f_val(0, j + 1), f_val(0, j)), (num, fib(j - 1) * fib(j - 2))):
             return False
     for i in range(5, i_max + 1):
-        for j in range(3, i - 1):
+        for j in FAMILIES["b1"]["js"](i):
             if _cmp(_sub(g_val(i, j + 1), g_val(i, j)), (fib(j) - fib(j + 1), fib(i - 2))):
                 return False
             if _cmp(g_val(i, j + 1), g_val(i, j)) > 0:
@@ -331,25 +303,23 @@ class CrossoverTable:
 def crossover(i: int, family: str) -> CrossoverTable:
     """The rows of the rising and the falling bound around j', to print.
 
-    B1: j' = ceil(i/2), rows f and g, for i >= 6.  B2: j' = floor(i/6),
-    rows r and s, for i >= 1 (s is undefined at i = 2).  bracket_ok is
-    rho_bracket_ok or psi_bracket_ok, which fail at B1's i = 7 and B2's 1.
+    The rising bound is the family's suffix witness, the falling one its
+    whole-prefix witness.  B1: j' = ceil(i/2), rows f and g, for i >= 6.
+    B2: j' = floor(i/6), rows r and s, for i >= 1 (s is undefined at
+    i = 2).  bracket_ok is rho_bracket_ok or psi_bracket_ok, which fail
+    at B1's i = 7 and B2's 1.
     """
-    if family == "b1":
-        if i < 6:
-            raise ValueError("B1 crossover needs i >= 6")
-        jp, ok = -(-i // 2), rho_bracket_ok(i)
-        js, rising, falling = range(3, i - 1), f_val, g_val
-    elif family == "b2":
-        if i < 1:
-            raise ValueError("B2 crossover needs i >= 1")
-        jp, ok = i // 6, psi_bracket_ok(i)
-        js, rising, falling = range(1, (i - 3) // 2 + 1), r_val, s_val
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    rows = tuple(CrossoverRow(j, Fraction(*rising(i, j)),
-                              Fraction(*falling(i, j)))
-                 for j in sorted(set(js) | {jp, jp + 1}))
+    least, bracket_ok = {"b1": (6, rho_bracket_ok),
+                         "b2": (1, psi_bracket_ok)}[family]
+    if i < least:
+        raise ValueError(f"{family.upper()} crossover needs i >= {least}")
+    fam = FAMILIES[family]
+    jp, ok = fam["j_prime"](i), bracket_ok(i)
+    rows = tuple(CrossoverRow(j, Fraction(*fam["suffix"](i, j)),
+                              Fraction(*fam["prefix"](i, j)))
+                 for j in sorted(set(fam["js"](i)) | {jp, jp + 1}))
     for prev, cur in zip(rows, rows[1:]):
         if cur.rising < prev.rising or cur.falling > prev.falling:
             raise AssertionError(f"monotonicity broken in table i={i}")
@@ -359,7 +329,7 @@ def crossover(i: int, family: str) -> CrossoverTable:
 def rho_bracket_ok(i: int) -> bool:
     """B1's bracket g >= f at j' = ceil(i/2) and g < f at j'+1, in sign
     form: rho is (g - f) F_{i-2} F_{j-2}, a positive factor for i >= 6."""
-    jp = -(-i // 2)
+    jp = FAMILIES["b1"]["j_prime"](i)
     return rho(i, jp) >= 0 > rho(i, jp + 1)
 
 
@@ -367,7 +337,7 @@ def psi_bracket_ok(i: int) -> bool:
     """B2's bracket r <= s at j' = floor(i/6) and r >= s at j'+1, in sign
     form: psi is (s - r) F_{i-2} F_{2j-1}, a positive factor at i = 1 and
     i >= 3.  Only the sign form is defined at i = 2."""
-    jp = i // 6
+    jp = FAMILIES["b2"]["j_prime"](i)
     return psi(i, jp) >= 0 >= psi(i, jp + 1)
 
 
@@ -395,18 +365,14 @@ def e_lower_bound_report(i_max_b1: int = 26, i_max_b2: int = 26) -> dict:
     theorem handles n <= 21 by direct check, so the sweep starts at 6.
     e(n) = x/y is below the min exactly when it is below both bounds.
     """
-    from .repetitions import ensure_table
     cases = []
-    for i in range(8, i_max_b1 + 1):
-        jp = -(-i // 2)
-        bounds = (g_val(i, jp), f_val(i, jp + 1))
-        cases += [("b1", i, j, fib(i) - fib(j) - 1, bounds)
-                  for j in range(3, i - 1)]
-    for i in range(6, i_max_b2 + 1):
-        jp = i // 6
-        bounds = (s_val(i, jp), r_val(i, jp + 1))
-        cases += [("b2", i, j, fib(i) - fib(2 * j + 1), bounds)
-                  for j in range(1, (i - 3) // 2 + 1)]
+    for family, i_min, i_max in (("b1", 8, i_max_b1), ("b2", 6, i_max_b2)):
+        fam = FAMILIES[family]
+        for i in range(i_min, i_max + 1):
+            jp = fam["j_prime"](i)
+            bounds = (fam["prefix"](i, jp), fam["suffix"](i, jp + 1))
+            cases += [(family, i, j, fam["prefix"](i, j)[0], bounds)
+                      for j in fam["js"](i)]
     # one ask, for the largest n: ensure_table rebuilds whole to grow
     table = ensure_table(max((n for _, _, _, n, _ in cases), default=1))
     failures = [[family, i, j, n] for family, i, j, n, bounds in cases

@@ -373,7 +373,7 @@ class _FormulaParser:
 @lru_cache(maxsize=None)
 def parse_formula(src: str):
     """Parse the body of a def/eval command, including the ?msd_fib tag;
-    memoized, as the tree is immutable, so load and lookup share a parse."""
+    memoized (the tree is immutable): register and lookup share a parse."""
     stripped = src.lstrip()
     if not stripped.startswith("?msd_fib"):
         raise LogicError("formula must start with the ?msd_fib numeration tag")
@@ -567,12 +567,12 @@ class StoredPred(Record):
 class PredicateEnv:
     """Named predicates: compiled ones in preds, uncompiled ones in pending.
 
-    load registers a script's commands uncompiled, and lookup, the one
-    place a command is compiled, compiles a pending one on its first use
-    through compile_predicate's memo; define stores a built automaton.
-    Each name is defined once, and a def or test may name only the
-    predicates before it, as when the script runs.  A LogicError of a
-    command, from load or from lookup, names the command's line.
+    register stores a command uncompiled (load, each of a script's), and
+    lookup, the one place a command is compiled, compiles a pending one
+    on its first use through compile_predicate's memo; define stores a
+    built automaton.  Each name is defined once, and a def or test may
+    name only the predicates before it, as when the script runs.  A
+    LogicError of a command, from register or lookup, names its line.
     """
 
     def __init__(self):
@@ -590,27 +590,25 @@ class PredicateEnv:
         p = self.preds[name] = StoredPred(dfa, dfa, ())
         return p
 
-    def load(self, text: str) -> list:
-        """Register a script's reg, def and eval commands uncompiled.
+    def register(self, cmd) -> None:
+        """Store a reg, def or eval command uncompiled; check a test's name."""
+        with _logic_errors(cmd.line):
+            if isinstance(cmd, TestCmd):
+                if cmd.name not in self.names():
+                    raise LogicError(f"unknown predicate {cmd.name!r}")
+                return
+            if cmd.name in self.names():
+                raise LogicError(f"name {cmd.name!r} is already defined")
+            if isinstance(cmd, DefCmd):
+                for callee in sorted(_called(parse_formula(cmd.source))):
+                    if callee not in self.names():
+                        raise LogicError(f"unknown predicate {callee!r}")
+            self.pending[cmd.name] = cmd
 
-        Returns parse_script's list of the script's commands.  A test
-        command only reports, so it is checked, not registered.
-        """
-        commands = parse_script(text)
-        for cmd in commands:
-            with _logic_errors(cmd.line):
-                if isinstance(cmd, TestCmd):
-                    if cmd.name not in self.names():
-                        raise LogicError(f"unknown predicate {cmd.name!r}")
-                    continue
-                if cmd.name in self.names():
-                    raise LogicError(f"name {cmd.name!r} is already defined")
-                if isinstance(cmd, DefCmd):
-                    for callee in sorted(_called(parse_formula(cmd.source))):
-                        if callee not in self.names():
-                            raise LogicError(f"unknown predicate {callee!r}")
-                self.pending[cmd.name] = cmd
-        return commands
+    def load(self, text: str) -> None:
+        """Register every command of a script, in order."""
+        for cmd in parse_script(text):
+            self.register(cmd)
 
     def lookup(self, name: str) -> StoredPred:
         p = self.preds.get(name)
@@ -980,14 +978,15 @@ class SessionReport(Record):
 def run_session(text: str, env: PredicateEnv | None = None) -> SessionReport:
     """Execute a script and report each command, in script order.
 
-    env.load registers the script and env.lookup compiles each command,
-    as it does any pending predicate; this only reads the stored
-    automata for the report.
+    Each command is registered and compiled (env.lookup) before the next
+    is registered, so the first faulty one is reported; this only reads
+    the stored automata for the report.
     """
     if env is None:
         env = PredicateEnv()
     entries = []
-    for cmd in env.load(text):
+    for cmd in parse_script(text):
+        env.register(cmd)
         pred = env.lookup(cmd.name)
         data = {"command": cmd.kind, "name": cmd.name}
         if isinstance(cmd, TestCmd):

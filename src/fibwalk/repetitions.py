@@ -7,6 +7,8 @@ For n >= 2 the indices split three ways:
   * B1: n = F_i - F_j - 1 with i >= 5 and 3 <= j <= i - 2;
   * B2: n = F_i - F_{2j+1} with i >= 5 and 1 <= j <= (i - 3) / 2.
 
+FAMILIES holds B1 and B2 and the witnesses of their lemmas.
+
 Everything here is double-checked: the compiled automata from the
 bundled script against the direct string oracle, and witness arithmetic
 against both.
@@ -56,16 +58,11 @@ def good_automaton() -> au.SyncDFA:
     return session_env().lookup("good").dfa
 
 
-@lru_cache(maxsize=1)
-def b1_set_automaton() -> au.SyncDFA:
-    b1 = session_env().lookup("b1").dfa  # tracks (n, x, y)
-    return au.project(au.project(b1, 2), 1)
-
-
-@lru_cache(maxsize=1)
-def b2_set_automaton() -> au.SyncDFA:
-    b2 = session_env().lookup("b2").dfa
-    return au.project(au.project(b2, 2), 1)
+@lru_cache(maxsize=2)
+def family_automaton(family: str) -> au.SyncDFA:
+    """One-track automaton of the n of family "b1" or "b2"."""
+    rel = session_env().lookup(family).dfa  # tracks (n, x, y)
+    return au.project(au.project(rel, 2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,38 +102,81 @@ def exponent_record(n: int) -> ExponentRecord:
 
 
 # ---------------------------------------------------------------------------
-# witnesses
+# the two witness families
+#
+# A witness of Lemma 1 or 2 is a pair (m, p): the last m letters of the
+# prefix of length n have period p.  Read as (numerator, denominator),
+# denominator positive and not reduced, the same pairs are the bounds of
+# the crossover analysis (fibwalk.identities).
+
+Pair = tuple[int, int]
 
 
-def b1_pairs(n_max: int) -> list[tuple[int, int, int]]:
-    """Every (n, i, j) with n = F_i - F_j - 1 <= n_max, i >= 5 and
-    3 <= j <= i - 2, by (n, i)."""
+def f_val(i: int, j: int) -> Pair:
+    """(F_j - 1)/F_{j-2}; the suffix-repetition lower bound family."""
+    if fib(j - 2) <= 0:
+        raise ValueError(f"f(i,{j}) needs F_{{j-2}} > 0 (j >= 3)")
+    return fib(j) - 1, fib(j - 2)
+
+
+def g_val(i: int, j: int) -> Pair:
+    """(F_i - F_j - 1)/F_{i-2}; the whole-prefix-period bound family."""
+    if fib(i - 2) <= 0:
+        raise ValueError(f"g({i},j) needs F_{{i-2}} > 0 (i >= 3)")
+    return fib(i) - fib(j) - 1, fib(i - 2)
+
+
+def r_val(i: int, j: int) -> Pair:
+    """F_{2j+1}/F_{2j-1} (independent of i; kept two-argument to match g)."""
+    if fib(2 * j - 1) <= 0:
+        raise ValueError(f"r(i,{j}) needs F_{{2j-1}} > 0 (j >= 0)")
+    return fib(2 * j + 1), fib(2 * j - 1)
+
+
+def s_val(i: int, j: int) -> Pair:
+    """(F_i - F_{2j+1})/F_{i-2}."""
+    if fib(i - 2) <= 0:
+        raise ValueError(f"s({i},j) needs F_{{i-2}} > 0")
+    return fib(i) - fib(2 * j + 1), fib(i - 2)
+
+
+# family -> the admissible j of each i, the crossover index j' of i, and
+# the witnesses of (i, j): the whole prefix, so n(i, j) is its m, and a
+# suffix
+FAMILIES = {
+    "b1": {"js": lambda i: range(3, i - 1), "j_prime": lambda i: -(-i // 2),
+           "prefix": g_val, "suffix": f_val},
+    "b2": {"js": lambda i: range(1, (i - 3) // 2 + 1),
+           "j_prime": lambda i: i // 6,
+           "prefix": s_val, "suffix": r_val},
+}
+
+
+def witness_pairs(family: str, n_max: int) -> list[tuple[int, int, int]]:
+    """Every (n, i, j) of the family with n <= n_max and i >= 5, by (n, i).
+
+    Both families subtract at most F_{i-2} from F_i, so every n of i is
+    at least F_{i-1} - 1, which ends the walk over i.
+    """
+    fam = FAMILIES[family]
     out = []
     i = 5
-    while fib(i - 1) - 1 <= n_max:  # the least n of i, at j = i - 2
-        for j in range(i - 2, 2, -1):  # n grows as j falls
-            n = fib(i) - fib(j) - 1
-            if n > n_max:
-                break
-            out.append((n, i, j))
+    while fib(i - 1) - 1 <= n_max:
+        out += [(n, i, j) for j in fam["js"](i)
+                if (n := fam["prefix"](i, j)[0]) <= n_max]
         i += 1
-    out.sort()
-    return out
+    return sorted(out)
 
 
-def b2_pairs(n_max: int) -> list[tuple[int, int, int]]:
-    """Every (n, i, j) with n = F_i - F_{2j+1} <= n_max, i >= 5 and
-    1 <= j <= (i - 3) / 2, by (n, i)."""
+def _witness_periods(family: str, n_max: int) -> list[tuple]:
+    """(n, i, j, whether the whole-prefix witness holds, whether the
+    suffix witness holds) for each witness pair up to n_max."""
+    word, fam = generate_prefix(n_max), FAMILIES[family]
     out = []
-    i = 5
-    while fib(i - 1) <= n_max:  # F_{2j+1} <= F_{i-2} gives n >= F_{i-1}
-        for j in range((i - 3) // 2, 0, -1):  # n grows as j falls
-            n = fib(i) - fib(2 * j + 1)
-            if n > n_max:
-                break
-            out.append((n, i, j))
-        i += 1
-    out.sort()
+    for n, i, j in witness_pairs(family, n_max):
+        (m, p), (k, q) = fam["prefix"](i, j), fam["suffix"](i, j)
+        out.append((n, i, j, has_period(word[n - m:n], p),
+                    has_period(word[n - k:n], q)))
     return out
 
 
@@ -150,10 +190,9 @@ def partition_report(n_max: int) -> dict:
     x, y = ensure_table(n_max)[1:].T
     ns = np.arange(2, n_max + 1, dtype=np.int64)
     g = au.accepts_batch(good_automaton(), ns)
-    b1 = au.accepts_batch(b1_set_automaton(), ns)
-    b2 = au.accepts_batch(b2_set_automaton(), ns)
-    with_b1 = np.isin(ns, [n for n, _, _ in b1_pairs(n_max)])
-    with_b2 = np.isin(ns, [n for n, _, _ in b2_pairs(n_max)])
+    b1, b2 = (au.accepts_batch(family_automaton(f), ns) for f in FAMILIES)
+    with_b1, with_b2 = (np.isin(ns, [n for n, _, _ in witness_pairs(f, n_max)])
+                        for f in FAMILIES)
     ok = ((g == exceeds_alpha_squared_mask(x, y))
           & (g != (b1 | b2))
           & ~(b1 & b2)
@@ -174,40 +213,25 @@ def lemma1_report(n_max: int) -> dict:
     F_j - 1 has period F_{j-2}; both sides are recorded when both hold.
     """
     _check_range("lemma1", n_max, 2)
-    prefix = generate_prefix(n_max)
-    pairs = b1_pairs(n_max)
-    failures = []
-    both = 0
-    for n, i, j in pairs:
-        w = prefix[:n]
-        first = has_period(w, fib(i - 2))
-        tail = w[n - (fib(j) - 1):] if fib(j) - 1 <= n else ""
-        second = bool(tail) and has_period(tail, fib(j - 2))
-        if first and second:
-            both += 1
-        if not (first or second):
-            failures.append([n, i, j])
+    checked = _witness_periods("b1", n_max)
+    failures = [[n, i, j] for n, i, j, whole, tail in checked
+                if not (whole or tail)]
     return {"claim": "lemma1", "range": [2, n_max], "verdict": not failures,
-            "witness_pairs": len(pairs), "both_alternatives": both,
+            "witness_pairs": len(checked),
+            "both_alternatives": sum(whole and tail
+                                     for _, _, _, whole, tail in checked),
             "failures": failures[:20]}
 
 
 def lemma2_report(n_max: int) -> dict:
-    """Period F_{i-2} for every B2 witness; the extra suffix claim for j >= 2."""
+    """Period F_{i-2} for every B2 witness; the extra suffix claim, period
+    F_{2j-1} on the suffix of length F_{2j+1}, for j >= 2."""
     _check_range("lemma2", n_max, 2)
-    prefix = generate_prefix(n_max)
-    pairs = b2_pairs(n_max)
-    failures = []
-    for n, i, j in pairs:
-        w = prefix[:n]
-        ok = has_period(w, fib(i - 2))
-        if ok and j >= 2:
-            tail = w[n - fib(2 * j + 1):]
-            ok = has_period(tail, fib(2 * j - 1))
-        if not ok:
-            failures.append([n, i, j])
+    checked = _witness_periods("b2", n_max)
+    failures = [[n, i, j] for n, i, j, whole, tail in checked
+                if not (whole and (tail or j < 2))]
     return {"claim": "lemma2", "range": [2, n_max], "verdict": not failures,
-            "witness_pairs": len(pairs), "failures": failures[:20]}
+            "witness_pairs": len(checked), "failures": failures[:20]}
 
 
 def verify_theorem(n_max: int) -> dict:

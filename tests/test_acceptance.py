@@ -47,8 +47,8 @@ def test_criterion_01_section2_script_good_has_12_states():
 
 def test_criterion_02_set_listings_match():
     good = rp.good_automaton()
-    b1 = rp.b1_set_automaton()
-    b2 = rp.b2_set_automaton()
+    b1 = rp.family_automaton("b1")
+    b2 = rp.family_automaton("b2")
     t0 = time.perf_counter()
     g_list = au.enumerate_accepted(good, 43)
     b1_list = au.enumerate_accepted(b1, 33)

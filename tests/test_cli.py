@@ -66,6 +66,42 @@ def test_bundled_session_output_is_pinned(capsys, name, as_json):
         SESSION_DIGESTS[name, as_json]
 
 
+# sha256 of verify's --json stdout at each target's default bound, and of
+# the CSV bytes of two crossover tables: the witness counts, the lemma
+# verdicts and every Fraction row show here
+VERIFY_DIGESTS = {
+    "partition":
+        "e62b0a931b1dafc7150e934ded01cfe9f3a5c12fac27cb6f040464ad331e7038",
+    "lemma1":
+        "da9c95fee11bb56a760a2ece94a6ca1fd6a09b09b93ae4707de725576e7f72e9",
+    "lemma2":
+        "9bfe82dc3cc7919af0c86059b8cb7257efd2815bdb5546d179b394826a64e92f",
+}
+CROSSOVER_DIGESTS = {
+    ("20", "b1"):
+        "891be3de5d2c124d614c728f83098b9f2f2521733b8e684807da60ee1af212b7",
+    ("30", "b2"):
+        "818bf842cccffd0b9d9e30c2644284ced24493ddc93b36ac0afcd68d9d46f340",
+}
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_DIGESTS))
+def test_verify_json_output_is_pinned(capsys, target):
+    code, out, err = run(capsys, "verify", target, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[target]
+
+
+@pytest.mark.parametrize("i, family", sorted(CROSSOVER_DIGESTS))
+def test_crossover_csv_is_pinned(tmp_path, capsys, i, family):
+    target = tmp_path / "c.csv"
+    code, out, err = run(capsys, "crossover", i, "--family", family,
+                         "--csv", str(target))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+        CROSSOVER_DIGESTS[i, family]
+
+
 # one failing command after a valid first line: (script, its failing line,
 # a piece of the message)
 SESSION_ERRORS = {
@@ -83,6 +119,10 @@ SESSION_ERRORS = {
     "bad reg pattern": ('reg r msd_fib "(0":', 2, "in reg r:"),
     "deep nesting": ('def a "?msd_fib ' + "+".join(["x"] * 3000) + '=0":', 2,
                      "formula nests too deeply"),
+    # the first faulty command is reported, though only its compile fails
+    "two faulty commands": ('def a "?msd_fib x*y=1":\n'
+                            'def b "?msd_fib x=":', 2,
+                            "multiplication needs a literal constant side"),
 }
 
 

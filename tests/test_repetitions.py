@@ -25,13 +25,14 @@ def test_good_automaton_states_and_listing():
 
 
 def test_family_set_listings():
-    assert au.enumerate_accepted(rp.b1_set_automaton(), 33) == B1_THROUGH_33
-    assert au.enumerate_accepted(rp.b2_set_automaton(), 87) == B2_THROUGH_87
+    b1, b2 = rp.family_automaton("b1"), rp.family_automaton("b2")
+    assert au.enumerate_accepted(b1, 33) == B1_THROUGH_33
+    assert au.enumerate_accepted(b2, 87) == B2_THROUGH_87
 
 
 def test_families_disjoint_and_cover():
-    b1 = set(au.enumerate_accepted(rp.b1_set_automaton(), 3000))
-    b2 = set(au.enumerate_accepted(rp.b2_set_automaton(), 3000))
+    b1 = set(au.enumerate_accepted(rp.family_automaton("b1"), 3000))
+    b2 = set(au.enumerate_accepted(rp.family_automaton("b2"), 3000))
     g = set(au.enumerate_accepted(rp.good_automaton(), 3000))
     assert not (b1 & b2)
     assert not (g & (b1 | b2))
@@ -41,10 +42,11 @@ def test_families_disjoint_and_cover():
 def test_witness_search():
     def at(pairs, n):
         return [(i, j) for m, i, j in pairs if m == n]
-    assert at(rp.b1_pairs(4), 4) == [(6, 4)]  # 4 = F_6 - F_4 - 1 = 8 - 3 - 1
-    assert at(rp.b2_pairs(16), 16) == [(8, 2)]  # 16 = F_8 - F_5 = 21 - 5
-    assert at(rp.b1_pairs(13), 13) == []
-    assert at(rp.b2_pairs(13), 13) == []
+    # 4 = F_6 - F_4 - 1 = 8 - 3 - 1 and 16 = F_8 - F_5 = 21 - 5
+    assert at(rp.witness_pairs("b1", 4), 4) == [(6, 4)]
+    assert at(rp.witness_pairs("b2", 16), 16) == [(8, 2)]
+    assert at(rp.witness_pairs("b1", 13), 13) == []
+    assert at(rp.witness_pairs("b2", 13), 13) == []
 
 
 def _scan_b1(n_max):
@@ -76,8 +78,8 @@ def _scan_b2(n_max):
 def test_pairs_match_the_per_n_scan(n_max):
     # 2 and 4 are the least B1 index of i = 5 and 6, 3 and 21 the least
     # B2 index of i = 5 and 8, so a loop bound off by one drops a pair
-    assert rp.b1_pairs(n_max) == _scan_b1(n_max)
-    assert rp.b2_pairs(n_max) == _scan_b2(n_max)
+    assert rp.witness_pairs("b1", n_max) == _scan_b1(n_max)
+    assert rp.witness_pairs("b2", n_max) == _scan_b2(n_max)
 
 
 def test_partition_goldens():
@@ -89,9 +91,10 @@ def test_partition_goldens():
         return [c for c in now if now[c] != before[c]]
     assert grown(13) == ["G"]
     assert rp.ensure_table(13)[12].tolist() == [8, 3]  # suffix exponent 8/3
-    assert grown(12) == ["B1"] and (12, 8, 6) in rp.b1_pairs(12)  # F_8 - F_6 - 1
-    assert grown(3) == ["B2"] and (3, 5, 1) in rp.b2_pairs(3)  # F_5 - F_3, j = 1
-    assert grown(2) == ["B1"] and (2, 5, 3) in rp.b1_pairs(2)
+    # 12 = F_8 - F_6 - 1, and 3 = F_5 - F_3 at j = 1
+    assert grown(12) == ["B1"] and (12, 8, 6) in rp.witness_pairs("b1", 12)
+    assert grown(3) == ["B2"] and (3, 5, 1) in rp.witness_pairs("b2", 3)
+    assert grown(2) == ["B1"] and (2, 5, 3) in rp.witness_pairs("b1", 2)
     with pytest.raises(ValueError):
         rp.partition_report(1)
 

@@ -904,6 +904,68 @@ def first_accepted_words(a: SyncDFA, k: int) -> list[list[int]]:
     return found[:k]
 
 
+def largest_accepted(a: SyncDFA) -> int | None:
+    """Largest value of the canonical words a 1-track automaton accepts,
+    or None when it accepts infinitely many of them or none.
+
+    Precondition: every word `a` accepts is a valid Zeckendorf string, as
+    in the canonical constructions here (`complement`, `linear`, a
+    compiled predicate).  Then a longer canonical word has a larger value,
+    and among words of one length the msd-first lexicographic order is
+    the numeric one.
+
+    A canonical word is empty (value 0) or starts with digit 1, so the
+    walk starts in the state after that digit and never sees the
+    initial state's leading zeros.  Two steps:
+
+      * a backward pass over the live states reachable from there, in
+        Kahn's order (a state is taken once each live successor edge is
+        done): a state left over lies on a cycle or leads to one, so
+        the words are infinitely many; otherwise the pass gives each
+        state's exact longest distance to acceptance;
+      * a greedy walk msd-first, taking digit 1 before 0 whenever the
+        remaining longest distance is still reachable after it.
+    """
+    if a.arity != 1:
+        raise ValueError(f"largest_accepted needs arity 1, got {a.arity}")
+    t = a.transitions.tolist()
+    live = live_states(a).tolist()
+    start = t[a.initial][1]
+    if not live[start]:
+        return 0 if a.final[a.initial] else None
+    succ: dict[int, list[int]] = {}  # live successors, per symbol
+    stack = [start]
+    while stack:
+        q = stack.pop()
+        if q not in succ:
+            succ[q] = [r for r in t[q] if live[r]]
+            stack += succ[q]
+    preds: dict[int, list[int]] = {q: [] for q in succ}
+    for q, rs in succ.items():
+        for r in rs:
+            preds[r].append(q)
+    pending = {q: len(rs) for q, rs in succ.items()}
+    ready = [q for q, n in pending.items() if not n]
+    longest: dict[int, int] = {}  # digits left to the farthest acceptance
+    while ready:
+        q = ready.pop()
+        longest[q] = max((1 + longest[r] for r in succ[q]), default=0)
+        for p in preds[q]:
+            pending[p] -= 1
+            if not pending[p]:
+                ready.append(p)
+    if len(longest) < len(succ):
+        return None
+    digits, q = "1", start
+    while longest[q]:
+        for d in (1, 0):
+            if longest.get(t[q][d]) == longest[q] - 1:
+                break
+        digits += str(d)
+        q = t[q][d]
+    return zeck_decode(digits)
+
+
 def word_to_values(word: list[int], arity: int) -> tuple[int, ...]:
     strings = word_to_track_strings(word, arity)
     return tuple(zeck_decode(s) for s in strings)

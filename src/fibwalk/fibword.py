@@ -139,6 +139,9 @@ def exponent_record_fast(n: int) -> ExponentRecord:
 
 
 _BLOCK = 1 << 16  # rows of the table per block
+# the largest n_max whose cross-multiplied ratios, at most n_max**2, stay
+# below 2**63: math.isqrt(2**63 - 1)
+TABLE_LIMIT = 3_037_000_499
 
 
 def _last_mismatches(f: np.ndarray, p: int, lo: int, hi: int,
@@ -200,8 +203,14 @@ def exponent_table(n_max: int) -> np.ndarray:
     is the table's 16 bytes per row plus O(`_BLOCK`) per pass.  Every
     call builds from n = 1.  To 10^4 it takes about 3 ms, and to 10^6
     about 0.4 s with the process peaking near 50 MB, on one core of a
-    shared 2-core x86-64 box.
+    shared 2-core x86-64 box.  An n_max above TABLE_LIMIT, where the
+    int64 comparison could overflow, is refused before anything is
+    allocated.
     """
+    if n_max > TABLE_LIMIT:
+        raise ValueError(f"the e(n) table reaches n = {TABLE_LIMIT:,} at "
+                         f"most (its int64 ratio comparisons need "
+                         f"n**2 < 2**63), got {n_max:,}")
     f = np.frombuffer(generate_prefix(n_max).encode("ascii"), dtype=np.uint8)
     periods = _fib_weights_upto(n_max - 1)  # 1, 2, 3, 5, ... < n_max
     last = [p - 1 for p in periods]  # no mismatch yet

@@ -27,8 +27,8 @@ from . import automata as au
 from . import logic
 from .exact import (exceeds_alpha_squared, exceeds_alpha_squared_mask,
                     theorem_margin_sign)
-from .fibword import (ExponentRecord, exponent_table, generate_prefix,
-                      has_period)
+from .fibword import (TABLE_LIMIT, ExponentRecord, exponent_table,
+                      generate_prefix, has_period)
 from .numeration import fib
 
 
@@ -45,9 +45,10 @@ def session_env() -> logic.PredicateEnv:
 
     good_partition.wal is registered uncompiled on the first call, and
     each predicate is compiled on its first lookup, through
-    compile_predicate's memo: largest_index_below compiles only
-    ffactoreq and suff, and a session that compiled them already in this
-    process makes that free.
+    compile_predicate's memo.  largest_index_below looks up only
+    ffactoreq and suff, free after a session in this process compiled
+    them, and compiles one formula, its M_{p/q}, against this env as it
+    is: nothing is copied or defined.
     """
     env = logic.PredicateEnv()
     env.load(script_text("good_partition.wal"))
@@ -84,12 +85,14 @@ def ensure_table(n_max: int) -> np.ndarray:
     A read-only view of a shared table.  When a caller asks for more
     rows than it holds, one whole build from n = 1 replaces it, with at
     least twice its rows, so growing requests cost a few builds, whose
-    rows sum to at most twice those of the last.
+    rows sum to at most twice those of the last.  The doubling stops at
+    TABLE_LIMIT, so only a request past it is refused.
     """
     global _TABLE
     _check_range("the e(n) table", n_max, 1)
     if n_max > len(_TABLE):
-        _TABLE = exponent_table(max(n_max, 2 * len(_TABLE)))
+        _TABLE = exponent_table(max(n_max, min(2 * len(_TABLE),
+                                               TABLE_LIMIT)))
         _TABLE.flags.writeable = False
     return _TABLE[:n_max]
 
@@ -299,9 +302,11 @@ _ORACLE_MARGIN = 2000  # indices past the answer that the oracle checks
 def largest_index_below(p: int, q: int) -> int:
     """The largest n with e(n) < p/q, for 1 <= p/q < alpha^2.
 
-    Computed from the automata; then the exponent oracle confirms
-    e(n) < p/q at the answer and e(m) >= p/q for the next
-    _ORACLE_MARGIN values of m.
+    The answer is the largest member of the complement of M_{p/q}, a
+    finite set below alpha^2, read off the one compiled formula by
+    `automata.largest_accepted`'s pass over its states; no second
+    formula is compiled.  Then the exponent oracle confirms e(n) < p/q
+    at the answer and e(m) >= p/q for the next _ORACLE_MARGIN values of m.
     """
     if q < 1:
         raise ValueError("denominator must be >= 1")
@@ -311,15 +316,10 @@ def largest_index_below(p: int, q: int) -> int:
     if exceeds_alpha_squared(p, q):
         raise ValueError(f"{p}/{q} >= alpha^2: indices below it never "
                          "run out, so no largest one exists")
-    env = session_env().copy()
-    env.define("hs", ratio_reach_automaton(p, q))
-    rel = logic.compile_predicate(
-        env, "?msd_fib (~$hs(n)) & Am (m>n) => $hs(m)")
-    words = au.first_accepted_words(rel.dfa, 2)
-    if len(words) != 1:
-        raise AssertionError(f"largest-index automaton for {p}/{q} accepts "
-                             f"{len(words)} values, expected exactly 1")
-    n_star = au.word_to_values(words[0], 1)[0]
+    n_star = au.largest_accepted(au.complement(ratio_reach_automaton(p, q)))
+    if n_star is None:
+        raise AssertionError(f"the complement of M_{{{p}/{q}}} has no "
+                             "largest member")
     xs, ys = ensure_table(n_star + _ORACLE_MARGIN)[n_star - 1:].T.tolist()
     # e = x/y < p/q, in integers since y and q are positive
     if not xs[0] * q < p * ys[0]:

@@ -412,6 +412,44 @@ def test_first_accepted_words_order():
     assert vals == [1, 2, 3, 5, 8]
 
 
+@pytest.mark.parametrize("rel", ["<=", "<", "="])
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 7, 10, 12, 20, 54, 88, 200])
+def test_largest_accepted_matches_enumeration(rel, c):
+    # 10 = 10010 is the largest of 8, 9, 10, the five-digit values <= 10,
+    # so a walk that tried digit 0 first would answer 8
+    a = au.linear((1,), rel, c)
+    members = au.enumerate_accepted(a, c + 30)
+    assert au.largest_accepted(a) == max(members, default=None)
+
+
+def test_largest_accepted_keeps_the_longest_word():
+    # {4, 8} = {101, 10000}: after 10, digit 1 reaches acceptance soonest
+    # but only digit 0 leads on to the longer word
+    a = au.product(au.linear((1,), "=", 4), au.linear((1,), "=", 8), "or")
+    assert au.largest_accepted(a) == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 300), max_size=6))
+def test_largest_accepted_of_a_finite_set(values):
+    a = au.linear((1,), "<", 0)  # nothing
+    for v in values:
+        a = au.product(a, au.linear((1,), "=", v), "or")
+    assert au.largest_accepted(a) == max(values, default=None)
+
+
+def test_largest_accepted_infinite_empty_and_arity():
+    isfib = au.product(au.compile_regex("0*10*", 1),
+                       au.validity_automaton(1), "and")
+    assert au.largest_accepted(isfib) is None
+    assert au.largest_accepted(au.validity_automaton(1)) is None
+    assert au.largest_accepted(au.linear((1,), ">=", 5)) is None
+    assert au.largest_accepted(au.linear((1,), "<", 0)) is None
+    assert au.largest_accepted(au.linear((1,), "=", 0)) == 0
+    with pytest.raises(ValueError, match="arity 1"):
+        au.largest_accepted(au.linear((1, 1), "=", 3))
+
+
 def test_regex_track_strings_and_values():
     word = au.columns_of((4, 2))
     assert au.word_to_values(word, 2) == (4, 2)

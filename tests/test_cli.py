@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from fibwalk import automata as au
 from fibwalk import cli, logic
 from fibwalk import repetitions as rp
 from fibwalk.cli import main
@@ -263,11 +264,40 @@ def test_ratio_commands_compile_suff_once(capsys, monkeypatch):
     compiled, compile_formula = [], logic.compile_formula
     monkeypatch.setattr(logic, "compile_formula", lambda f, env:
                         compiled.append(f) or compile_formula(f, env))
+    searched, first_accepted_words = [], au.first_accepted_words
+    monkeypatch.setattr(au, "first_accepted_words", lambda a, k:
+                        searched.append(a) or first_accepted_words(a, k))
     assert run(capsys, "session", script_path("largest_index.wal"),
                "--json")[0] == 0
-    for p, q in ((12, 5), (20, 8), (33, 13), (54, 21)):
-        assert run(capsys, "mgamma", str(p), str(q), "--largest-below")[0] == 0
     assert compiled.count(suff) == 1
+    searched.clear()  # the session's test witnesses
+    # each query compiles its M_{p/q} and nothing else, and reads the
+    # answer off it without a word search
+    for p, q in ((12, 5), (20, 8), (33, 13), (54, 21)):
+        compiled.clear()
+        assert run(capsys, "mgamma", str(p), str(q), "--largest-below")[0] == 0
+        assert compiled == [logic.parse_formula(
+            f"?msd_fib Ex,y $suff(n,x,y) & {q}*x>={p}*y")]
+    assert searched == []
+
+
+@pytest.mark.parametrize("argv", [["en", str(10 ** 23)],
+                                  ["verify", "theorem", "--max-n",
+                                   str(10 ** 10)]])
+def test_table_past_its_int64_bound_exits_2(argv):
+    # a fresh process under a 1 GB address-space cap: the request must be
+    # refused before the table is allocated, not die of memory
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from fibwalk.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    r = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == (f"fibwalk: the e(n) table reaches n = 3,037,000,499 "
+                        f"at most (its int64 ratio comparisons need "
+                        f"n**2 < 2**63), got {int(argv[-1]):,}\n")
 
 
 def test_verify_theorem_base_range(capsys):

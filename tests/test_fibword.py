@@ -211,6 +211,22 @@ def test_workload_growth_is_the_full_tail(monkeypatch):
                 full[:n_max].tolist(), n_max
 
 
+def test_table_refuses_past_its_int64_bound(monkeypatch):
+    # x * y products reach n_max**2, which must stay below 2**63
+    assert fibword.TABLE_LIMIT ** 2 < 2 ** 63 <= (fibword.TABLE_LIMIT + 1) ** 2
+    with pytest.raises(ValueError, match="3,037,000,499 at most"):
+        exponent_table(fibword.TABLE_LIMIT + 1)
+    # ensure_table's doubling stops at the bound: with a bound of 100, a
+    # 60-row table grows to 100 rows, not 120
+    built = []
+    monkeypatch.setattr(rp, "TABLE_LIMIT", 100)
+    monkeypatch.setattr(rp, "exponent_table",
+                        lambda n: built.append(n) or exponent_table(n))
+    monkeypatch.setattr(rp, "_TABLE", exponent_table(60))
+    assert rp.ensure_table(61).tolist() == _table(61).tolist()
+    assert built == [100]
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 1500))
 def test_exponent_table_record_is_e_of_n(n):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fibwalk import automata as au
+from fibwalk import logic
 from fibwalk import repetitions as rp
 from fibwalk.exact import exceeds_alpha_squared, theorem_margin_sign
 from fibwalk.fibword import e_of_n, exponent_record_fast, exponent_table
@@ -276,6 +277,33 @@ def test_m_gamma_rejects_bad_ratio():
 def test_m_gamma_low_ratio_warns():
     with pytest.warns(UserWarning):
         rp.m_gamma_automaton(1, 3)
+
+
+@pytest.mark.parametrize("k", range(6, 10))
+def test_largest_accepted_on_ratio_complements(k):
+    p, q = fib(k + 1) - 1, fib(k - 1)
+    below = au.complement(rp.ratio_reach_automaton(p, q))
+    want = max(au.enumerate_accepted(below, fib(2 * k - 1) + 2000))
+    assert au.largest_accepted(below) == want == fib(2 * k - 1) - fib(k) - 1
+
+
+def _largest_index_by_formula(p, q):
+    """The largest n with e(n) < p/q as its own formula: n is outside
+    M_{p/q} and every larger m is inside, read off by a word search."""
+    env = rp.session_env().copy()
+    env.define("hs", rp.ratio_reach_automaton(p, q))
+    rel = logic.compile_predicate(
+        env, "?msd_fib (~$hs(n)) & Am (m>n) => $hs(m)")
+    words = au.first_accepted_words(rel.dfa, 2)
+    assert len(words) == 1, (p, q, words)
+    return au.word_to_values(words[0], 1)[0]
+
+
+@pytest.mark.parametrize("p, q", [
+    *((fib(k + 1) - 1, fib(k - 1)) for k in range(6, 13)),
+    (5, 2), (27, 11), (123, 50), (2401, 1000), (251, 100), (2601, 1000)])
+def test_largest_index_below_agrees_with_the_formula_route(p, q):
+    assert rp.largest_index_below(p, q) == _largest_index_by_formula(p, q)
 
 
 def test_largest_index_below_goldens():

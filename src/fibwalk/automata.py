@@ -656,8 +656,11 @@ def compile_regex(pattern: str, arity: int) -> SyncDFA:
     epsilon closures, and minimization.
 
     The language is exactly the regex language over raw digit tuples;
-    canonicality is NOT imposed here (the shift relation needs raw
-    [1,1] columns), callers intersect with validity where meaningful.
+    canonicality is NOT imposed here.  PredicateEnv.lookup, the one
+    caller, intersects the result with validity_automaton before any
+    use, which drops non-canonical words such as those with shift's
+    [1,1] columns.  The raw automaton is kept only as the reg's stored
+    `dfa`: a session reports its live states, and the tests pin its digest.
     """
     if arity < 0:
         raise ValueError("arity must be >= 0")
@@ -868,8 +871,9 @@ def first_accepted_words(a: SyncDFA, k: int) -> list[list[int]]:
     """First k accepted canonical words in length-then-lex (numeric) order.
 
     A canonical word is empty or starts with a nonzero column.  Stops
-    early when no live state remains reachable, and after words of
-    _MAX_WORD_LEN columns.
+    early when no live state remains reachable.  Raises ValueError when
+    words of _MAX_WORD_LEN columns give fewer than k and a live state
+    lies beyond them.
     """
     if a.arity == 0:
         raise ValueError("needs arity >= 1")
@@ -901,6 +905,9 @@ def first_accepted_words(a: SyncDFA, k: int) -> list[list[int]]:
                     stack.append((nxt, depth + 1, word + [s]))
         frontier = {int(t[q, s]) for q in frontier for s in range(a.n_symbols)}
         length += 1
+    if len(found) < k and any(live[q] for q in frontier):
+        raise ValueError(f"found {len(found)} of {k} words within "
+                         f"{_MAX_WORD_LEN} columns, the search limit")
     return found[:k]
 
 

@@ -1,8 +1,9 @@
 """Batch front end: sessions, verification sweeps, enumerations, exports.
 
 Exit codes: 0 success, 1 a verification failed, 2 usage, parse, input or
-file error.  main turns every ValueError (LogicError among them) and
-OSError of a handler into one "fibwalk: ..." line on stderr and exit 2.
+file error.  main turns every ValueError (LogicError among them),
+OSError and MemoryError of a handler into one "fibwalk: ..." line on
+stderr and exit 2.
 Identical invocations print identical bytes.
 """
 
@@ -182,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except (ValueError, OSError) as e:  # LogicError is a ValueError
         print(f"fibwalk: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"fibwalk: {args.command}: out of memory", file=sys.stderr)
         return 2
 
 

@@ -188,40 +188,36 @@ class _Tok(Record):
         _set(self, "pos", pos)
 
 
+# a formula's next token after whitespace; the group that matched is its
+# kind, and "bad" is a character no token starts with.  Digits are ASCII:
+# \d takes digits of any script.
+_FORMULA_TOKEN = re.compile(r"""[ \t\r\n]*
+    (?: (?P<num>[0-9]+) | (?P<var>%s) | (?P<op>%s) | (?P<bad>.) | (?P<end>\Z) )
+""" % (_NAME.pattern, "|".join(map(re.escape, _MULTI_OPS))), re.VERBOSE)
+
+
 def _tokenize_formula(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if "0" <= c <= "9":  # ASCII only: str.isdigit takes any script
-            j = i
-            while j < n and "0" <= src[j] <= "9":
-                j += 1
-            toks.append(_Tok("num", src[i:j], i))
-            i = j
-            continue
-        name = _NAME.match(src, i)
-        if name:
+    i = 0
+    while True:
+        m = _FORMULA_TOKEN.match(src, i)
+        kind = m.lastgroup
+        text, pos, i = m[kind], m.start(kind), m.end()
+        if kind == "bad":
+            raise LogicError(
+                f"unexpected character {text!r} in formula at offset {pos}")
+        if kind == "op":
+            kind = text
+        elif kind == "var" and text[0].isupper():
             # a quantifier letter, except as a predicate name after '$'
-            if c in "EA" and not (toks and toks[-1].kind == "$"):
-                toks.append(_Tok(c, c, i))
-                i += 1
-                continue
-            toks.append(_Tok("seq" if c.isupper() else "var", name[0], i))
-            i = name.end()
-            continue
-        for op in _MULTI_OPS:
-            if src.startswith(op, i):
-                toks.append(_Tok(op, op, i))
-                i += len(op)
-                break
-        else:
-            raise LogicError(f"unexpected character {c!r} in formula at offset {i}")
-    toks.append(_Tok("end", "", n))
-    return toks
+            if text[0] in "EA" and not (toks and toks[-1].kind == "$"):
+                kind = text = text[0]
+                i = pos + 1
+            else:
+                kind = "seq"
+        toks.append(_Tok(kind, text, pos))
+        if kind == "end":
+            return toks
 
 
 class _Backtrack(Exception):
@@ -419,117 +415,81 @@ class TestCmd(Record):
         _set(self, "line", line)
 
 
-class _ScriptScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    def _line(self, pos: int) -> int:
-        return self.text.count("\n", 0, pos) + 1
-
-    def _col(self, pos: int) -> int:
-        nl = self.text.rfind("\n", 0, pos)
-        return pos - nl
-
-    def _skip(self) -> None:
-        while self.i < len(self.text):
-            c = self.text[self.i]
-            if c in " \t\r\n":
-                self.i += 1
-            elif c == "#":
-                nl = self.text.find("\n", self.i)
-                self.i = len(self.text) if nl < 0 else nl + 1
-            else:
-                return
-
-    def _error(self, message: str, pos: int):
-        raise LogicError(message, self._line(pos), self._col(pos))
-
-    def _word(self) -> tuple[str, int]:
-        self._skip()
-        start = self.i
-        if start >= len(self.text):
-            self._error("unexpected end of script", start)
-        name = _NAME.match(self.text, start)
-        if not name:
-            self._error(f"expected a name, found {self.text[start]!r}", start)
-        self.i = name.end()
-        return name[0], start
-
-    def _quoted(self) -> tuple[str, int]:
-        self._skip()
-        start = self.i
-        if start >= len(self.text) or self.text[start] != '"':
-            self._error('expected a double-quoted string', start)
-        end = self.text.find('"', start + 1)
-        if end < 0:
-            self._error("unterminated string", start)
-        self.i = end + 1
-        return self.text[start + 1:end], start + 1
-
-    def _colon(self) -> None:
-        self._skip()
-        if self.i >= len(self.text) or self.text[self.i] != ":":
-            self._error("expected ':' to end the command", self.i)
-        self.i += 1
-
-    def commands(self) -> list:
-        out = []
-        while True:
-            self._skip()
-            if self.i >= len(self.text):
-                return out
-            word, pos = self._word()
-            line = self._line(pos)
-            if word == "reg":
-                name, _ = self._word()
-                arity = 0  # one track per tag
-                while True:
-                    self._skip()
-                    c = self.text[self.i:self.i + 1]
-                    if c == '"':
-                        break
-                    if c == "{":
-                        end = self.text.find("}", self.i)
-                        if end < 0:
-                            self._error("unterminated alphabet tag", self.i)
-                        tag = "".join(self.text[self.i:end + 1].split())
-                        if tag != "{0,1}":
-                            self._error(f"unsupported alphabet {tag!r}", self.i)
-                        self.i = end + 1
-                    else:
-                        tag, tpos = self._word()
-                        if tag != "msd_fib":
-                            self._error(f"unsupported numeration tag {tag!r}", tpos)
-                    arity += 1
-                if not arity:
-                    self._error("reg needs at least one track tag", pos)
-                pattern, _ = self._quoted()
-                self._colon()
-                out.append(RegCmd(name, arity, pattern, line))
-            elif word in ("def", "eval"):
-                name, _ = self._word()
-                source, _ = self._quoted()
-                self._colon()
-                out.append(DefCmd(name, source, line, word))
-            elif word == "test":
-                name, _ = self._word()
-                self._skip()
-                start = self.i
-                while (self.i < len(self.text)
-                       and "0" <= self.text[self.i] <= "9"):
-                    self.i += 1
-                if self.i == start:
-                    self._error("test needs a count", start)
-                count = int(self.text[start:self.i])
-                self._colon()
-                out.append(TestCmd(name, count, line))
-            else:
-                self._error(f"unknown command {word!r}", pos)
+# a script's next token after whitespace and '#' comments; the group that
+# matched is its kind.  A lone '"' or '{' is a "char" of its own, so an
+# unterminated string or alphabet tag is reported where it starts.
+_SCRIPT_TOKEN = re.compile(r"""(?: [ \t\r\n] | \#[^\n]* )*
+    (?: (?P<name>%s) | (?P<string>"[^"]*") | (?P<tag>\{[^}]*\})
+      | (?P<count>[0-9]+) | (?P<char>.) | (?P<end>\Z) )
+""" % _NAME.pattern, re.VERBOSE)
 
 
 def parse_script(text: str) -> list:
-    return _ScriptScanner(text).commands()
+    """The commands of a script, in order."""
+    # (kind, text, offset), last token first, so that pop takes the next
+    toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+            for m in _SCRIPT_TOKEN.finditer(text)][::-1]
+
+    def where(pos: int) -> tuple[int, int]:
+        return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+    def error(message: str, pos: int):
+        raise LogicError(message, *where(pos))
+
+    def name() -> str:
+        kind, tok, pos = toks.pop()
+        if kind == "end":
+            error("unexpected end of script", pos)
+        if kind != "name":
+            error(f"expected a name, found {tok[0]!r}", pos)
+        return tok
+
+    def string() -> str:
+        kind, tok, pos = toks.pop()
+        if kind != "string":
+            error("unterminated string" if tok == '"'
+                  else "expected a double-quoted string", pos)
+        return tok[1:-1]
+
+    def colon() -> None:
+        _, tok, pos = toks.pop()
+        if tok != ":":
+            error("expected ':' to end the command", pos)
+
+    out = []
+    while toks[-1][0] != "end":
+        _, word, pos = toks[-1]
+        name()
+        line = where(pos)[0]
+        if word == "reg":
+            reg_name, arity = name(), 0  # one track per tag
+            while toks[-1][1][:1] != '"':
+                kind, tag, tpos = toks[-1]
+                if tag[:1] == "{":
+                    toks.pop()
+                    if kind != "tag":
+                        error("unterminated alphabet tag", tpos)
+                    tag = "".join(tag.split())
+                    if tag != "{0,1}":
+                        error(f"unsupported alphabet {tag!r}", tpos)
+                elif name() != "msd_fib":
+                    error(f"unsupported numeration tag {tag!r}", tpos)
+                arity += 1
+            if not arity:
+                error("reg needs at least one track tag", pos)
+            out.append(RegCmd(reg_name, arity, string(), line))
+        elif word in ("def", "eval"):
+            out.append(DefCmd(name(), string(), line, word))
+        elif word == "test":
+            test_name = name()
+            kind, count, cpos = toks.pop()
+            if kind != "count":
+                error("test needs a count", cpos)
+            out.append(TestCmd(test_name, int(count), line))
+        else:
+            error(f"unknown command {word!r}", pos)
+        colon()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -992,12 +952,16 @@ def run_session(text: str, env: PredicateEnv | None = None) -> SessionReport:
         if isinstance(cmd, TestCmd):
             if pred.arity == 0:
                 raise LogicError(f"test {cmd.name}: needs arity >= 1", cmd.line, 1)
+            try:
+                words = au.first_accepted_words(pred.validated(), cmd.count)
+            except ValueError as exc:
+                raise LogicError(f"test {cmd.name}: {exc}", cmd.line, 1) from None
             data["count"] = cmd.count
             data["witnesses"] = [
                 {"reps": [r or "0" for r in
                           au.word_to_track_strings(w, pred.arity)],
                  "values": list(au.word_to_values(w, pred.arity))}
-                for w in au.first_accepted_words(pred.validated(), cmd.count)]
+                for w in words]
         elif cmd.kind == "eval" and pred.arity == 0:
             data["verdict"] = au.decide_true(pred.dfa)
         else:

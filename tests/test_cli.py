@@ -212,6 +212,36 @@ def test_session_deep_reg_pattern_exits_2(tmp_path):
                         "deeply (line 1, column 1)\n")
 
 
+def test_session_test_past_the_search_limit_exits_2(tmp_path, capsys,
+                                                   monkeypatch):
+    # isfib has one word per length: six within 6 columns, more beyond
+    monkeypatch.setattr(au, "_MAX_WORD_LEN", 6)
+    src = tmp_path / "cap.wal"
+    src.write_text('reg isfib msd_fib "0*10*":\ntest isfib 5:\n')
+    code, out, err = run(capsys, "session", str(src))
+    assert (code, err) == (0, "")
+    assert out.endswith("(=1), 10 (=2), 100 (=3), 1000 (=5), 10000 (=8)\n")
+    src.write_text('reg isfib msd_fib "0*10*":\ntest isfib 10:\n')
+    code, out, err = run(capsys, "session", str(src))
+    assert (code, out) == (2, "")
+    assert err == (f"fibwalk: {src}: test isfib: found 6 of 10 words within "
+                   "6 columns, the search limit (line 2, column 1)\n")
+
+
+def test_out_of_memory_exits_2():
+    # a fresh process under its own address-space limit
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from fibwalk.cli import main\n"
+            "sys.exit(main(['en', '1000000000']))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "fibwalk: en: out of memory\n"
+
+
 def test_session_json(tmp_path, capsys):
     script = tmp_path / "tiny.wal"
     script.write_text('eval t "?msd_fib En n=3":')

@@ -305,13 +305,53 @@ def test_parse_script_commands():
     assert names[-1] == "test"
 
 
+# (script, its exact error message, line, column): every message of the
+# script reader, the formula tokenizer's, and two of registration
+SCRIPT_ERRORS = [
+    ('def', "unexpected end of script", 1, 4),
+    ('reg s msd_fib', "unexpected end of script", 1, 14),
+    ('def x "?msd_fib n=1":\n# last\ndef', "unexpected end of script", 3, 4),
+    ('def 1x "?msd_fib n=1":', "expected a name, found '1'", 1, 5),
+    ('\n  eval \x0c "?msd_fib n=1":', r"expected a name, found '\x0c'", 2, 8),
+    ('def x "y": :', "expected a name, found ':'", 1, 12),
+    ('def é "x":', "expected a name, found 'é'", 1, 5),
+    ('reg s msd_fib {0,1} 7 "x":', "expected a name, found '7'", 1, 21),
+    ('def x y:', "expected a double-quoted string", 1, 7),
+    ('def x', "expected a double-quoted string", 1, 6),
+    ('def x "?msd_fib n=1', "unterminated string", 1, 7),
+    ('reg s msd_fib "x', "unterminated string", 1, 15),
+    ('# note "\ndef x "?msd_fib n=1"\n', "expected ':' to end the command",
+     3, 1),
+    ('def x "?msd_fib n=1" def', "expected ':' to end the command", 1, 22),
+    ('reg s msd_fib "x"', "expected ':' to end the command", 1, 18),
+    ('test x 5abc:', "expected ':' to end the command", 1, 9),
+    ('reg s {0,1 "x":', "unterminated alphabet tag", 1, 7),
+    ('reg s {0,2} "x":', "unsupported alphabet '{0,2}'", 1, 7),
+    ('reg s {0, 1}\n  { 1 , 0 } "x":', "unsupported alphabet '{1,0}'", 2, 3),
+    ('reg s {0,2} "x', "unsupported alphabet '{0,2}'", 1, 7),  # tags first
+    ('reg s msd_2 "0":', "unsupported numeration tag 'msd_2'", 1, 7),
+    ('reg s "0*":', "reg needs at least one track tag", 1, 1),
+    ('test x:', "test needs a count", 1, 7),
+    ('test x', "test needs a count", 1, 7),
+    ('foo x:', "unknown command 'foo'", 1, 1),
+    ('\n\n   tset x 5:', "unknown command 'tset'", 3, 4),
+    ('reg s msd_fib "0":\neval t "?msd_fib x @ y":',
+     "unexpected character '@' in formula at offset 3", 2, 1),
+    ('def t "?msd_fib x=1 &\n é":',
+     "unexpected character 'é' in formula at offset 8", 1, 1),
+    ('def a "?msd_fib n=1":\ndef a "?msd_fib n=2":',
+     "name 'a' is already defined", 2, 1),
+    ('eval t "?msd_fib $nothere(n)":', "unknown predicate 'nothere'", 1, 1),
+]
+
+
 def test_script_errors():
-    with pytest.raises(LogicError):
-        parse_script('def x "?msd_fib n=1"')  # missing colon
-    with pytest.raises(LogicError):
-        run_session('def a "?msd_fib n=1":\ndef a "?msd_fib n=2":')
-    with pytest.raises(LogicError):
-        run_session('eval t "?msd_fib $nothere(n)":')
+    for script, message, line, col in SCRIPT_ERRORS:
+        with pytest.raises(LogicError) as info:
+            run_session(script)
+        assert str(info.value) == f"{message} (line {line}, column {col})", \
+            script
+        assert info.value.line == line, script
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +419,39 @@ def test_readme_connective_order_is_the_parsers():
                       readme).group(1)
     tokens = re.findall(r"`([^`]*)`", order.split(", where")[0])
     assert tokens[::-1] == list(logic._LEVELS)
+
+
+# each command form README's script grammar lists, with instances that
+# use every tag and every reg-pattern construct it names
+README_FORMS = {
+    'reg NAME TAG [TAG ...] "REGEX":': [
+        'reg isfib msd_fib "0*10*":',
+        'reg adj msd_fib msd_fib "([0,0]*[1,1])|[0,0]*[1,0][0,1][0,0]*":',
+        'reg sh { 0 , 1 } {0,1} "([0,0]|[0,1][1,1]*[1,0])*":',
+        'reg mixed msd_fib\n  {0, 1} "[0, 1] ( [1,0] | [0,0] )*":'],
+    'def NAME "?msd_fib FORMULA":': [
+        'def big "?msd_fib $isfib(n) &\n  n>1":'],
+    'eval NAME "?msd_fib FORMULA":': ['eval has8 "?msd_fib En $big(n) & n=8":'],
+    'test NAME K:': ['test big 3:'],
+    '# text': ['# a comment, "with a quote and a {'],
+}
+
+
+def test_readme_command_forms_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"each ending with a colon:\n\n```text\n(.*?)```",
+                      readme, re.S).group(1)
+    assert [re.split(r"\s{2,}", row)[0] for row in block.splitlines()] \
+        == list(README_FORMS)
+    text = "\n".join(row for rows in README_FORMS.values() for row in rows)
+    assert run_session(text).text == (
+        "reg isfib: arity 1, states 2\n"
+        "reg adj: arity 2, states 4\n"
+        "reg sh: arity 2, states 2\n"
+        "reg mixed: arity 2, states 2\n"
+        "def big: arity 1, states 3\n"
+        "eval has8: TRUE\n"
+        "test big 3: 10 (=2), 100 (=3), 1000 (=5)\n")
 
 
 def test_multi_term_atoms_match_brute_force():
@@ -879,6 +952,33 @@ def test_session_json_shape(script_report):
     data = json.loads(script_report("good_partition.wal").to_json())
     assert data[-1] == {"command": "eval", "name": "test", "verdict": True}
     assert data[5]["states"] == 75
+
+
+def test_phi2n_wythoff_script_proves_floor_alpha2():
+    # the script proves good_partition.wal's own phi2n
+    text = rp.script_text("phi2n_wythoff.wal")
+    for cmd in ("shift", "phi2n"):
+        line = re.search(rf"^(reg|def) {cmd} [^:]*:", text, re.M).group(0)
+        assert line in rp.script_text("good_partition.wal")
+    report = run_session(text)
+    data = {e.data["name"]: e.data for e in report.entries}
+    assert data["wa"]["states"] == 7 and data["wa"]["tracks"] == ["n", "v"]
+    assert [(n, d["verdict"]) for n, d in data.items() if "verdict" in d] \
+        == [("func", True), ("bincr", True), ("aincr", True),
+            ("compl", True), ("a1", True)]
+
+
+@pytest.mark.parametrize("new, fails", [
+    ("s=y+1", {"aincr", "a1"}),
+    ("s=y+3", {"compl", "a1"}),
+])
+def test_phi2n_wythoff_script_fails_when_broken(new, fails):
+    text = rp.script_text("phi2n_wythoff.wal")
+    assert text.count("s=y+2") == 1
+    report = run_session(text.replace("s=y+2", new))
+    verdicts = {e.data["name"]: e.data["verdict"] for e in report.entries
+                if "verdict" in e.data}
+    assert {n for n, v in verdicts.items() if not v} == fails
 
 
 def test_session_parses_each_formula_once(monkeypatch):

@@ -15,10 +15,10 @@ Symbols are integers: the digit of track t occupies bit t, so a column
 `minimize`, `product`, `complement`, `project`, `constrain` (with
 `linear` and its instances `adder`, `const_add` and `const_multiple`)
 and `compile_regex` return minimal automata in canonical numbering, so
-equal languages give equal objects.  `project` has two modes: it erases
-a track existentially, or universally with every=True, in one subset
-construction either way; `compile_regex` determinizes its Thompson NFA
-through the same construction (`_subsets`).
+equal languages give equal objects.  `project` erases a track
+existentially by one subset construction; universal quantification is
+its dual through `complement`, and `compile_regex` determinizes its
+Thompson NFA through the same construction (`_subsets`).
 `expand_insert` and `remap_tracks` do not: they prepare operands for the
 one minimizing `product` or `constrain` of a formula node.
 `expand_insert` also makes the inserted tracks canonical; the compiler
@@ -408,25 +408,17 @@ def expand_insert(a: SyncDFA, new_arity: int, positions: tuple[int, ...]) -> Syn
     return _walk((wide, valid), np.logical_and.reduce)
 
 
-def project(a: SyncDFA, track: int, every: bool = False) -> SyncDFA:
-    """Erase one track: existential (E) quantification, or universal (A)
-    with every=True; keep leading-zero closure.
+def project(a: SyncDFA, track: int) -> SyncDFA:
+    """Erase one track: existential (E) quantification; keep leading-zero
+    closure.  A is its dual, complement(project(complement(a), track)).
 
     The NFA start set is everything reachable from the initial state by
     columns that are zero outside the erased track, which is exactly the
     closure needed so shorter representations of the remaining tracks
-    stay accepted when the witness needs more digits.  Subsets are int
-    bitmasks, and for each new symbol a member's successors are one mask,
-    so a subset's successor is the OR of its members' masks.
-
-    Existentially the members are the states q of `a`, bit q, and a
-    subset accepts when some member accepts.  Universally they are the
-    pairs (q, last digit d of the erased track), bit 2q + d; a witness
-    that would read 11 on the erased track is dropped, and a subset
-    accepts when every member accepts.  So the result accepts a tuple
-    when `a` accepts it with every natural on the erased track, which is
-    complement(project(complement(a), track)) when `a` is canonical on
-    every track.
+    stay accepted when the witness needs more digits.  Subsets of the
+    states of `a` are int bitmasks, and for each new symbol a member's
+    successors are one mask, so a subset's successor is the OR of its
+    members' masks; a subset accepts when some member accepts.
     """
     if not 0 <= track < a.arity:
         raise ValueError("track out of range")
@@ -436,25 +428,13 @@ def project(a: SyncDFA, track: int, every: bool = False) -> SyncDFA:
     low_mask = (1 << track) - 1
     base = [s & low_mask | (s >> track) << (track + 1)
             for s in range(1 << new_arity)]
-    # cols[s_new][member]: the successors of a member on the two old
-    # symbols that erase to s_new, as a bitmask; s_new = 0 gives the
-    # closure steps
+    # cols[s_new][q]: q's successors on the two old symbols that erase to
+    # s_new, as a bitmask; s_new = 0 gives the closure steps
     table = a.transitions.tolist()
-    final = a.final.tolist()
-    if every:
-        cols = [[m for row in table
-                 for m in (1 << 2 * row[s] | 2 << 2 * row[s | 1 << track],
-                           1 << 2 * row[s])]
-                for s in base]
-        initial = 2 * a.initial
-        mask = sum(3 << 2 * q for q, f in enumerate(final) if not f)
-    else:
-        cols = [[1 << row[s] | 1 << row[s | 1 << track] for row in table]
-                for s in base]
-        initial = a.initial
-        mask = sum(1 << q for q, f in enumerate(final) if f)
-    return _subsets(new_arity, cols, _reach(cols[0], 1 << initial), mask,
-                    every)
+    cols = [[1 << row[s] | 1 << row[s | 1 << track] for row in table]
+            for s in base]
+    mask = sum(1 << q for q, f in enumerate(a.final.tolist()) if f)
+    return _subsets(new_arity, cols, _reach(cols[0], 1 << a.initial), mask)
 
 
 def _reach(step: list[int], mask: int) -> int:
@@ -468,13 +448,13 @@ def _reach(step: list[int], mask: int) -> int:
     return mask
 
 
-def _subsets(arity: int, cols: list[list[int]], start: int, mask: int,
-             every: bool) -> SyncDFA:
+def _subsets(arity: int, cols: list[list[int]], start: int,
+             mask: int) -> SyncDFA:
     """Minimal DFA of the subset construction from the bitmask start.
 
     cols[s][q] is the bitmask of member q's successors on symbol s, so a
     subset's successor is the OR of its members' masks.  A subset accepts
-    when it meets mask, or, with every, when it misses it.
+    when it meets mask.
     """
     index = {start: 0}
     sets = [start]
@@ -492,8 +472,7 @@ def _subsets(arity: int, cols: list[list[int]], start: int, mask: int,
                 sets.append(nxt)
             row.append(j)
         rows.append(row)
-    accept = [not m & mask if every else bool(m & mask) for m in sets]
-    return minimize(_dfa(arity, rows, 0, accept))
+    return minimize(_dfa(arity, rows, 0, [bool(m & mask) for m in sets]))
 
 
 def _members(mask: int) -> list[int]:
@@ -565,7 +544,7 @@ class _RegexParser:
         cols = [[0] * len(self.eps) for _ in range(1 << self.arity)]
         for q, sym, target in self.edges:
             cols[sym][q] = closed[target]
-        return _subsets(self.arity, cols, closed[start], 1 << end, False)
+        return _subsets(self.arity, cols, closed[start], 1 << end)
 
     def _alt(self) -> tuple[int, int]:
         first = self._concat()
@@ -877,33 +856,33 @@ def first_accepted_words(a: SyncDFA, k: int) -> list[list[int]]:
     """
     if a.arity == 0:
         raise ValueError("needs arity >= 1")
-    t, mask = a.transitions, a.final
-    found: list[list[int]] = []
-    if mask[a.initial]:
-        found.append([])
-    live = live_states(a)
-    exact = [mask]  # exact[r][q]: accepting reachable in exactly r steps
-    frontier = {int(t[a.initial, s]) for s in range(1, a.n_symbols)}
+    t, final = a.transitions.tolist(), a.final.tolist()
+    found: list[list[int]] = [[]] if final[a.initial] else []
+    live = live_states(a).tolist()
+    exact = [final]  # exact[r][q]: accepting reachable in exactly r steps
+    frontier = {t[a.initial][s] for s in range(1, a.n_symbols)}
+    down = range(a.n_symbols - 1, -1, -1)
     length = 1
     while len(found) < k and length <= _MAX_WORD_LEN:
-        exact.append(exact[-1][t].any(axis=1))
+        prev = exact[-1]
+        exact.append([any(prev[r] for r in row) for row in t])
         if not any(live[q] for q in frontier):
             break
-        # lexicographic DFS, first column nonzero
-        stack = [(a.initial, 0, [])]
+        # lexicographic DFS, first column nonzero: a stack entry is
+        # (depth, symbol, state after it), and word is the prefix so far
+        word: list[int] = []
+        row, reach = t[a.initial], exact[length - 1]
+        stack = [(0, s, row[s]) for s in down[:-1] if reach[row[s]]]
         while stack and len(found) < k:
-            state, depth, word = stack.pop()
-            if depth == length:
-                if mask[state]:
-                    found.append(word)
+            depth, s, state = stack.pop()
+            del word[depth:]
+            word.append(s)
+            if depth + 1 == length:
+                found.append(word[:])
                 continue
-            first = 1 if depth == 0 else 0
-            remaining = length - depth - 1
-            for s in range(a.n_symbols - 1, first - 1, -1):
-                nxt = int(t[state, s])
-                if exact[remaining][nxt]:
-                    stack.append((nxt, depth + 1, word + [s]))
-        frontier = {int(t[q, s]) for q in frontier for s in range(a.n_symbols)}
+            row, reach = t[state], exact[length - depth - 2]
+            stack += [(depth + 1, s, row[s]) for s in down if reach[row[s]]]
+        frontier = {r for q in frontier for r in t[q]}
         length += 1
     if len(found) < k and any(live[q] for q in frontier):
         raise ValueError(f"found {len(found)} of {k} words within "

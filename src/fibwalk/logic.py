@@ -469,7 +469,7 @@ def parse_script(text: str) -> list:
                     toks.pop()
                     if kind != "tag":
                         error("unterminated alphabet tag", tpos)
-                    tag = "".join(tag.split())
+                    tag = re.sub(r"[ \t\r\n]", "", tag)
                     if tag != "{0,1}":
                         error(f"unsupported alphabet {tag!r}", tpos)
                 elif name() != "msd_fib":
@@ -626,13 +626,13 @@ def _boolean(a: Rel, b: Rel, mode: str) -> Rel:
     return Rel(au.product(wa, wb, mode), names)
 
 
-def _project_name(a: Rel, name: str, every: bool = False) -> Rel:
-    """E name (A name with every=True) over a; a itself if name is not free."""
+def _project_name(a: Rel, name: str) -> Rel:
+    """E name over a; a itself if name is not free."""
     if name not in a.names:
         return a
     t = a.names.index(name)
     rest = a.names[:t] + a.names[t + 1:]
-    return Rel(au.project(a.dfa, t, every), rest)
+    return Rel(au.project(a.dfa, t), rest)
 
 
 def _combine(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int],
@@ -719,6 +719,16 @@ def _tie_choices(equations: list):
                            if c or v not in other[0]}, const), True
 
 
+def _negate(f):
+    """~f with its ~ moved inside, or None when no rule applies:
+    ~~h is h, and ~(a => b) is a & ~b."""
+    if isinstance(f, Not):
+        return f.body
+    if isinstance(f, Conn) and f.op == "imp":
+        return Conn("and", f.left, Not(f.right))
+    return None
+
+
 def _conjuncts(f) -> list:
     """The operands of an & chain, left to right."""
     if isinstance(f, Conn) and f.op == "and":
@@ -755,8 +765,11 @@ class _Compiler:
     states, where tying each argument as it is took 246.  The order reads
     only the formula and the tracks, and the result does not depend on it.
 
-    E projects each of its variables existentially, and A universally
-    (automata.project with every=True), with no complement around it.
+    E projects each of its variables existentially, and A v g compiles
+    as ~E v ~g.  A ~ first moves inside by _negate's two rules, and only
+    what they leave is complemented.  So At (t<n) => g is ~Et (t<n & ~g),
+    an & chain whose comparison constrains ~g, and the ~~ of a negated
+    body cancels.
     """
 
     def __init__(self, env: PredicateEnv):
@@ -764,6 +777,9 @@ class _Compiler:
 
     def compile(self, f) -> Rel:
         if isinstance(f, Not):
+            g = _negate(f.body)
+            if g is not None:
+                return self.compile(g)
             rel = self.compile(f.body)
             return Rel(au.complement(rel.dfa), rel.names)
         if isinstance(f, Conn) and f.op != "and":
@@ -785,9 +801,11 @@ class _Compiler:
                         acc = _conjoin_linear(acc, guard, ">=")
             return acc
         if isinstance(f, Quant):
+            if f.every:
+                return self.compile(Not(Quant(False, f.names, Not(f.body))))
             rel = self.compile(f.body)
             for v in f.names:
-                rel = _project_name(rel, v, f.every)
+                rel = _project_name(rel, v)
             return rel
         if isinstance(f, (Call, SeqEq)):
             return self._atom(f)

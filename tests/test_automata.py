@@ -412,6 +412,20 @@ def test_first_accepted_words_order():
     assert vals == [1, 2, 3, 5, 8]
 
 
+@pytest.mark.parametrize("name, limit", [("phi2n", 60), ("ffactoreq", 20),
+                                         ("suff", 20)])
+def test_first_accepted_words_match_enumeration(env, name, limit):
+    # every canonical word of at most `short` columns has its values
+    # <= limit, so enumeration lists all of them, in length-then-lex order
+    a = env.lookup(name).validated()
+    short = len(zeck_encode(limit + 1)) - 1
+    words = sorted((cols for cols in map(au.columns_of,
+                                         au.enumerate_accepted(a, limit))
+                    if len(cols) <= short), key=lambda w: (len(w), w))
+    assert len(words) >= 10
+    assert au.first_accepted_words(a, len(words)) == words
+
+
 @pytest.mark.parametrize("rel", ["<=", "<", "="])
 @pytest.mark.parametrize("c", [0, 1, 2, 3, 7, 10, 12, 20, 54, 88, 200])
 def test_largest_accepted_matches_enumeration(rel, c):
@@ -966,26 +980,3 @@ def test_constrain_and_project_match_references_on_a_seeded_sample(
         assert (raw(monkeypatch, au.project, a, track)
                 == reference_project(a, track))
 
-
-def test_universal_project_matches_the_complement_route(env):
-    # canonical automata drawn as in the test above: bundled predicates,
-    # constrain results on them, and the complements of both, for which
-    # A is seldom empty
-    rng = random.Random(1404)
-    preds = [env.lookup(n).validated() for n in env.names()]
-    nonempty = 0
-    for _ in range(40):
-        a = rng.choice(preds)
-        if a.arity == 0:
-            continue
-        if rng.random() < 0.5:
-            coeffs = tuple(rng.randint(-13, 13) for _ in range(a.arity))
-            a = au.constrain(a, coeffs, rng.choice(sorted(RELATIONS)),
-                             rng.randint(-20, 20))
-        if rng.random() < 0.5:
-            a = au.complement(a)
-        track = rng.randrange(a.arity)
-        got = au.project(a, track, every=True)
-        assert got == au.complement(au.project(au.complement(a), track))
-        nonempty += bool(got.final.any())
-    assert nonempty >= 10

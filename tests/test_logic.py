@@ -329,6 +329,9 @@ SCRIPT_ERRORS = [
     ('reg s {0,2} "x":', "unsupported alphabet '{0,2}'", 1, 7),
     ('reg s {0, 1}\n  { 1 , 0 } "x":', "unsupported alphabet '{1,0}'", 2, 3),
     ('reg s {0,2} "x', "unsupported alphabet '{0,2}'", 1, 7),  # tags first
+    # inside a tag, as between tokens, only space, tab, CR and LF are space
+    ('reg s {0,\x0c1} "[0,0]":', r"unsupported alphabet '{0,\x0c1}'", 1, 7),
+    ('reg s\n {0,\xa01} "[0,0]":', r"unsupported alphabet '{0,\xa01}'", 2, 2),
     ('reg s msd_2 "0":', "unsupported numeration tag 'msd_2'", 1, 7),
     ('reg s "0*":', "reg needs at least one track tag", 1, 1),
     ('test x:', "test needs a count", 1, 7),
@@ -394,15 +397,57 @@ def test_quantifier_duality_small():
     assert au.minimize(a.dfa) == au.minimize(b.dfa)
 
 
-def agrees_with_brute_force(src, limit):
+def agrees_with_brute_force(src, limit, bound=None):
     """The compiled relation and BruteForce agree on every tuple <= limit;
-    calls go to call_env's automata and to base_semantics' callables."""
+    calls go to call_env's automata and to base_semantics' callables.
+    BruteForce's quantifiers range over 0..bound (default limit).
+    Returns the compiled relation."""
     f = parse_formula(src)
     rel = compile_predicate(call_env(), src)
-    bf = BruteForce(base_semantics(), limit)
+    bf = BruteForce(base_semantics(), bound or limit)
     for vals in itertools.product(range(limit + 1), repeat=len(rel.names)):
         want = bf.eval(f, dict(zip(rel.names, vals)))
         assert au.accepts(rel.dfa, vals) == want, (src, vals)
+    return rel
+
+
+# the shapes logic._negate rewrites: (formula, tuple limit, BruteForce
+# bound, sha256 of its automaton as it was built before A and ~ went
+# through _negate).  The bound covers every value a quantifier must take
+# at a tuple within the limit: x = n + y in the last shape.
+NEGATE_SHAPES = [
+    ("?msd_fib ~~($isfib(x) & x<y)", 14, 14,
+     "438d0e8bc8c1bafb93a0935a75ed320687223631a65c5d2d8a242ae028d6bcee"),
+    ("?msd_fib ~($isfib(x) => x<y)", 14, 14,
+     "605b37a7b3feecb847b69e592edb01075e78a723405b525b65c1e987d0a76407"),
+    ("?msd_fib ~(x<y => ~$isfib(y))", 14, 14,
+     "12254a2981bafb2a17b17a61e485d7207953462210def60b039457ecc2860fc1"),
+    ("?msd_fib Ax (x<n) => ~$adjfib(n,x)", 40, 40,
+     "81a79c8a135a2e968e457737c034e433f059084ab84c312c5b13efd69f77f2e3"),
+    ("?msd_fib Ax,y (x+y=n) => ($isfib(x) | $isfib(y))", 30, 30,
+     "7d53e5ea65659e26da5a1f8c6f00a923e9a635e5968ce063b73b5912d5d5238f"),
+    ("?msd_fib Ax $isfib(n)", 30, 30,
+     "e9714b450d94e750a4e1a388802d539bda127d3f770f468d943c1c99e1bc4b0c"),
+    ("?msd_fib Ax (x-y=n) => $isfib(x)", 12, 24,
+     "5ece46315a8de1621f2c9db571547d2fb14a8d86c652d46c6fc49857171044c9"),
+]
+
+
+def test_negate_has_two_rules():
+    a, b = parse_formula("?msd_fib x<y"), parse_formula("?msd_fib $isfib(y)")
+    assert logic._negate(Not(a)) == a
+    assert logic._negate(Conn("imp", a, b)) == Conn("and", a, Not(b))
+    for op in ("and", "or", "iff"):
+        assert logic._negate(Conn(op, a, b)) is None
+    for f in (a, b, parse_formula("?msd_fib Ex x<y"),
+              parse_formula("?msd_fib Ax x<y")):
+        assert logic._negate(f) is None
+
+
+@pytest.mark.parametrize("src, limit, bound, want", NEGATE_SHAPES)
+def test_negate_shapes_match_brute_force_and_digest(src, limit, bound, want):
+    rel = agrees_with_brute_force(src, limit, bound)
+    assert digest(rel.dfa) == want, src
 
 
 def test_readme_comparison_operators_compile():
@@ -641,8 +686,8 @@ def test_repeated_compile_is_memoized(env, recorded, monkeypatch):
     ops, product, project = [], au.product, au.project
     monkeypatch.setattr(au, "product", lambda a, b, mode:
                         ops.append(mode) or product(a, b, mode))
-    monkeypatch.setattr(au, "project", lambda a, track, every=False:
-                        ops.append(track) or project(a, track, every))
+    monkeypatch.setattr(au, "project", lambda a, track:
+                        ops.append(track) or project(a, track))
     src = "?msd_fib Ex,y $suff(n,x,y) & $isfib(y) & 21*x>=54*y"
     first = compile_predicate(env, src)
     assert constrained and "and" in ops  # the first compile ran in full
@@ -928,15 +973,25 @@ def test_suff_ties_its_arguments_through_each_other(env, monkeypatch):
     assert rel.dfa == suff
 
 
-def test_forall_builds_no_complement(env, monkeypatch):
-    calls = []
-    complement = au.complement
-    monkeypatch.setattr(au, "complement",
-                        lambda a: calls.append(a) or complement(a))
+def test_forall_compiles_as_negated_exists(env, monkeypatch):
+    # At (t<n) => g is ~Et (t<n & ~g): the word atom and the E are
+    # complemented, once each, and no imp product is built
+    want = env.lookup("ffactoreq").dfa
+    complemented, modes, projected = [], [], []
+    complement, product, project = au.complement, au.product, au.project
+    monkeypatch.setattr(au, "complement", lambda a:
+                        complemented.append(a.arity) or complement(a))
+    monkeypatch.setattr(au, "product", lambda a, b, mode:
+                        modes.append(mode) or product(a, b, mode))
+    monkeypatch.setattr(au, "project", lambda *args:
+                        projected.append(len(args)) or project(*args))
     rel = logic.compile_formula(
         parse_formula("?msd_fib At (t<n) => F[i+t]=F[j+t]"), PredicateEnv())
-    assert calls == []
-    assert rel.dfa == env.lookup("ffactoreq").dfa
+    assert rel.names == ("i", "j", "n")
+    assert rel.dfa == want
+    assert complemented == [3, 3]
+    assert "imp" not in modes
+    assert projected and set(projected) == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -945,6 +1000,15 @@ def test_forall_builds_no_complement(env, monkeypatch):
 
 def test_session_golden_text(script_report):
     assert script_report("good_partition.wal").text == SEC2_GOLDEN
+
+
+def test_session_test_lists_the_first_fibonacci_numbers():
+    report = run_session('reg isfib msd_fib "0*10*":\ntest isfib 1000:')
+    witnesses = report.entries[-1].data["witnesses"]
+    assert [w["values"] for w in witnesses] == [[fib(k)]
+                                                for k in range(2, 1002)]
+    assert [w["reps"] for w in witnesses] == [["1" + "0" * k]
+                                              for k in range(1000)]
 
 
 def test_session_json_shape(script_report):

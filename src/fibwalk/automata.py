@@ -635,11 +635,12 @@ def compile_regex(pattern: str, arity: int) -> SyncDFA:
     epsilon closures, and minimization.
 
     The language is exactly the regex language over raw digit tuples;
-    canonicality is NOT imposed here.  PredicateEnv.lookup, the one
-    caller, intersects the result with validity_automaton before any
-    use, which drops non-canonical words such as those with shift's
-    [1,1] columns.  The raw automaton is kept only as the reg's stored
-    `dfa`: a session reports its live states, and the tests pin its digest.
+    canonicality is NOT imposed here.  Its callers, PredicateEnv.lookup
+    and logic.sequence_atom_automaton, intersect the result with
+    validity_automaton before any use, which drops non-canonical words
+    such as those with shift's [1,1] columns.  The raw automaton is kept
+    only as a reg's stored `dfa`: a session reports its live states, and
+    the tests pin its digest.
     """
     if arity < 0:
         raise ValueError("arity must be >= 0")

@@ -134,7 +134,7 @@ def _cmd_mgamma(args) -> int:
         return 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        dfa = rp.m_gamma_automaton(args.p, args.q)
+        dfa = rp.ratio_reach_automaton(args.p, args.q)
     for warning in caught:
         print(f"fibwalk: warning: {warning.message}", file=sys.stderr)
     first = [au.word_to_values(w, 1)[0]

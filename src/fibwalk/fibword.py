@@ -1,8 +1,8 @@
 """The Fibonacci word and the string-algorithm oracle for suffix exponents.
 
 Everything in this module works directly on symbols, independent of the
-automaton machinery, so it can serve as the ground truth the compiled
-automata are tested against.
+automaton machinery (it imports neither `automata` nor `logic`), so it
+can serve as the ground truth the compiled automata are tested against.
 """
 
 from __future__ import annotations
@@ -36,19 +36,6 @@ def generate_prefix(n: int) -> str:
 def symbol_at(n: int) -> int:
     """f[n] as 0/1: the last Zeckendorf digit of n (0 for n = 0)."""
     return 1 if zeck_encode(n).endswith("1") else 0
-
-
-def fib_word_dfao() -> dict:
-    """Two-state automaton with output computing f[n] from the msd-fib digits.
-
-    Reading the representation msd-first, the state simply tracks the last
-    digit read, and the output of a state is that digit.
-    """
-    return {
-        "initial": 0,
-        "transition": ((0, 1), (0, 1)),  # [state][digit] -> digit
-        "output": (0, 1),
-    }
 
 
 def failure_function(w: str) -> list[int]:

@@ -30,7 +30,6 @@ from functools import lru_cache
 
 from . import automata as au
 from .automata import SyncDFA
-from .fibword import fib_word_dfao
 from .record import Record, _set
 
 
@@ -603,11 +602,14 @@ class PredicateEnv:
 
 @lru_cache(maxsize=1)
 def sequence_atom_automaton() -> SyncDFA:
-    """Two-track relation {(s, t): word symbol at s equals symbol at t}."""
-    dfao = fib_word_dfao()
-    word = au._dfa(1, dfao["transition"], dfao["initial"], dfao["output"])
-    return au.product(au.remap_tracks(word, 2, (0,)),
-                      au.remap_tracks(word, 2, (1,)), "iff")
+    """Two-track relation {(s, t): F[s] = F[t]}, built as a reg is.
+
+    F[n] is the last Zeckendorf digit of n (fibword.symbol_at), so the
+    padded tracks either are empty or end in a column of equal digits.
+    """
+    return au.product(au.compile_regex(
+        "(([0,0]|[0,1]|[1,0]|[1,1])*([0,0]|[1,1]))*", 2),
+        au.validity_automaton(2), "and")
 
 
 def _boolean(a: Rel, b: Rel, mode: str) -> Rel:

@@ -272,7 +272,8 @@ def verify_theorem(n_max: int) -> dict:
 
 
 def ratio_reach_automaton(p: int, q: int) -> au.SyncDFA:
-    """One-track automaton for {n : e(n) >= p/q}, as the compiled formula.
+    """One-track automaton for M_{p/q} = {n : e(n) >= p/q}, as the
+    compiled formula; it warns for p < q, where M_{p/q} is every n >= 1.
 
     In Ex,y $suff(n,x,y) & q*x>=p*y the comparison mentions only tracks
     of the suffix predicate, so it constrains that conjunct and is only
@@ -280,12 +281,6 @@ def ratio_reach_automaton(p: int, q: int) -> au.SyncDFA:
     with p and q (186,779 states for 232/89).  Ex,y erases x before y,
     which keeps the subset construction small; Ey,x blows it up.
     """
-    src = f"?msd_fib Ex,y $suff(n,x,y) & {q}*x>={p}*y"
-    return logic.compile_predicate(session_env(), src).dfa
-
-
-def m_gamma_automaton(p: int, q: int) -> au.SyncDFA:
-    """Automaton for M_{p/q} = {n : e(n) >= p/q}."""
     if q < 1:
         raise ValueError("denominator must be >= 1")
     if p < 0:
@@ -293,7 +288,8 @@ def m_gamma_automaton(p: int, q: int) -> au.SyncDFA:
     if p < q:
         warnings.warn(f"{p}/{q} < 1: every n >= 1 is accepted",
                       stacklevel=2)
-    return ratio_reach_automaton(p, q)
+    src = f"?msd_fib Ex,y $suff(n,x,y) & {q}*x>={p}*y"
+    return logic.compile_predicate(session_env(), src).dfa
 
 
 _ORACLE_MARGIN = 2000  # indices past the answer that the oracle checks

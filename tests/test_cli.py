@@ -47,6 +47,10 @@ SESSION_DIGESTS = {
         "012412608dc51b5cd1674b03e25ee7e3a0930bd222460c81cdef1bc0cbf56c49",
     ("largest_index.wal", True):
         "50925117f279ccfc77f913863739515a860bdb357b3a23fb38cac4df40cd4739",
+    ("max_repetition.wal", False):
+        "db3146ac9561c8bf847db4d89e53f5ec0ded8925e7a1dd4d580afcb1b4c1721b",
+    ("max_repetition.wal", True):
+        "48f5ec950df1c69d7950113f72709b50718a7fad9ac526e75143e4f6ce0bd497",
     ("lemma_checks.wal", False):
         "ffbe153fd4bd932a18657661ece7f43b293902375b3e3c9195b1e4f1a6e79391",
     ("lemma_checks.wal", True):
@@ -55,7 +59,19 @@ SESSION_DIGESTS = {
         "10d3844cb87b295deffb0a56fdafc6aab98b96650b0626127559273f92b7f127",
     ("fib_periods.wal", True):
         "ae961aac6c4caa917d611a4bfb4a5b9af11f7703cb6f0b36a806574b2044f3de",
+    ("phi2n_wythoff.wal", False):
+        "12a212723a69523e88e32b7eb3c2e2b9d8b13df53b5325e79cabd9c04294531e",
+    ("phi2n_wythoff.wal", True):
+        "9a4caeef4f214c767fb2a5049a9e32ff3f57ef8075cfbf495aa63efc8f25a6ac",
 }
+
+
+def test_every_bundled_script_is_pinned():
+    scripts = os.listdir(os.path.dirname(script_path("x")))
+    pinned = {name for name, _ in SESSION_DIGESTS}
+    assert pinned == {f for f in scripts if f.endswith(".wal")}
+    assert set(SESSION_DIGESTS) == {(f, j) for f in pinned
+                                    for j in (False, True)}
 
 
 @pytest.mark.parametrize("name, as_json", sorted(SESSION_DIGESTS))

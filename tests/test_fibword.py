@@ -1,5 +1,6 @@
 """The infinite word, periods, and maximal suffix exponents."""
 
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibwalk import automata as au
 from fibwalk import fibword, logic
 from fibwalk import repetitions as rp
+from fibwalk.exact import sign_sqrt5
 from fibwalk.fibword import (ExponentRecord, e_of_n, exponent_record_fast,
-                             exponent_table, failure_function, fib_word_dfao,
+                             exponent_table, failure_function,
                              generate_prefix, has_period, least_period,
                              periods_found, symbol_at)
-from fibwalk.numeration import fib, floor_alpha
+from fibwalk.numeration import fib, fib_index, floor_alpha
 
 
 def test_prefix_golden():
@@ -272,12 +275,67 @@ def test_fib_periods_script_fails_when_broken(old, new, claim):
     assert verdicts[claim] is False
 
 
-def test_dfao_outputs_match_word():
-    dfao = fib_word_dfao()
-    trans, out = dfao["transition"], dfao["output"]
-    from fibwalk.numeration import zeck_encode
-    for n in range(400):
-        q = dfao["initial"]
-        for d in zeck_encode(n):
-            q = trans[q][int(d)]
-        assert out[q] == symbol_at(n)
+def test_max_repetition_script_proves_the_bound():
+    # the script reuses good_partition.wal's adjfib and fib_periods.wal's per
+    text = rp.script_text("max_repetition.wal")
+    for cmd, script in (("adjfib", "good_partition.wal"),
+                        ("per", "fib_periods.wal")):
+        line = re.search(rf"^(reg|def) {cmd} [^:]*:", text, re.M).group(0)
+        assert line in rp.script_text(script)
+    report = logic.run_session(text)
+    data = {e.data["name"]: e.data for e in report.entries}
+    assert data["adjfib"]["states"] == 4 and data["per"]["states"] == 42
+    assert [(n, d["verdict"]) for n, d in data.items() if "verdict" in d] \
+        == [("maxlen", True), ("attained", True)]
+
+
+@pytest.mark.parametrize("old, new, claim", [
+    ("m+2<=q+2*p", "m+3<=q+2*p", "maxlen"),
+    ("q+2*p-2", "q+2*p-1", "attained"),
+])
+def test_max_repetition_script_fails_when_broken(old, new, claim):
+    text = rp.script_text("max_repetition.wal")
+    assert text.count(old) == 1
+    report = logic.run_session(text.replace(old, new))
+    verdicts = {e.data["name"]: e.data["verdict"] for e in report.entries
+                if "verdict" in e.data}
+    assert {n for n, v in verdicts.items() if not v} == {claim}
+
+
+def test_longest_factor_of_each_period_by_string_sweep():
+    # max_repetition.wal's two evals on a prefix: the longest factor with
+    # period F_k has length F_{k+2} + F_k - 2 and first starts at F_{k+1}
+    w = np.frombuffer(generate_prefix(20000).encode(), dtype=np.uint8)
+    for k in range(2, 19):
+        p = fib(k)
+        # the runs of w[i] = w[i+p]; a run of r starts a factor of r + p
+        eq = np.concatenate(([False], w[p:] == w[:-p], [False]))
+        edges = np.flatnonzero(np.diff(eq.astype(np.int8)))
+        starts, ends = edges[::2], edges[1::2]
+        best = int(np.argmax(ends - starts))
+        assert ends[best] - starts[best] + p == fib(k + 2) + fib(k) - 2, k
+        assert starts[best] == fib(k + 1), k
+
+
+def test_exponent_table_respects_the_period_bound():
+    xs, ys = rp.ensure_table(20000).T
+    # y = F_k bounds x by F_{k+2} + F_k - 2
+    bound = {y: fib(fib_index(y) + 2) + y - 2 for y in set(ys.tolist())}
+    assert np.all(xs <= np.array([bound[y] for y in ys.tolist()]))
+
+
+def test_period_bound_is_below_two_plus_alpha():
+    # (F_{k+2} + F_k - 2)/F_k < 2 + alpha = (5 + sqrt5)/2, cleared of
+    # denominators: 3 F_k - 2 F_{k+2} + 4 + F_k sqrt5 > 0
+    for k in range(2, 200):
+        assert sign_sqrt5(3 * fib(k) - 2 * fib(k + 2) + 4, fib(k)) > 0, k
+
+
+def test_word_atom_matches_word():
+    # every pair (s, t) below 400, (n, 0) among them: F[n]=F[0] holds
+    # exactly where the word has a 0 at n
+    word = np.array([symbol_at(n) for n in range(400)])
+    s, t = np.divmod(np.arange(400 * 400), 400)
+    accepted = au.accepts_batch(logic.sequence_atom_automaton(),
+                                np.column_stack([s, t]))
+    assert np.array_equal(accepted, word[s] == word[t])

@@ -588,6 +588,7 @@ BUILT_DIGESTS = {
     "adder": "e7c0b27a890ca4bfdfa836953602c87a9c74f010c7a891be514e9ff6db8da424",
     "const_multiple(13)": "f7788e1a24dd55b7d87e87a11dc8a9da6d1a1c941568d113780be1953f311dee",
     "ratio_reach_automaton(54, 21)": "228daddb4a6362f966878d5efb14b3f50fc0eb3e3a29f9586effbce0b1ae859d",
+    "sequence_atom_automaton()": "4ff5cec1cbd2877de822edd984810b14394a4fc27a1d2eb04d7dacc4d0081504",
 }
 
 
@@ -606,7 +607,8 @@ def test_stored_automata_match_golden_digests(script_run, script):
 
 def test_built_automata_match_golden_digests():
     built = {"adder": au.adder(), "const_multiple(13)": au.const_multiple(13),
-             "ratio_reach_automaton(54, 21)": rp.ratio_reach_automaton(54, 21)}
+             "ratio_reach_automaton(54, 21)": rp.ratio_reach_automaton(54, 21),
+             "sequence_atom_automaton()": logic.sequence_atom_automaton()}
     assert {k: digest(a) for k, a in built.items()} == BUILT_DIGESTS
 
 

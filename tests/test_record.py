@@ -124,16 +124,29 @@ def test_sync_dfa_checks_its_arrays():
     assert not d.transitions.flags.writeable and not d.final.flags.writeable
 
 
-def test_import_cli_loads_no_test_only_or_unused_modules():
+def loaded_after_import(module, names):
+    """Those of names that a fresh `import module` puts in sys.modules."""
     # -S skips site-packages' .pth files, one of which may preload
     # importlib.resources; numpy's directory is appended by hand
     site_dir = os.path.dirname(os.path.dirname(np.__file__))
-    unwanted = ["dataclasses", "fractions", "decimal", "importlib.resources",
-                "fibwalk.identities", "fibwalk.brute"]
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
-            f"sys.path.append({site_dir!r}); import fibwalk.cli; "
-            f"print([m for m in {unwanted!r} if m in sys.modules])")
+            f"sys.path.append({site_dir!r}); import {module}; "
+            f"print([m for m in {names!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_cli_loads_no_test_only_or_unused_modules():
+    unwanted = ["dataclasses", "fractions", "decimal", "importlib.resources",
+                "fibwalk.identities", "fibwalk.brute"]
+    assert loaded_after_import("fibwalk.cli", unwanted) == "[]"
     assert "BruteForce" not in vars(logic)
+
+
+def test_compiler_and_word_oracle_do_not_import_each_other():
+    # the word atom is a pattern, so the compiler never reads the word;
+    # the string oracle builds no automaton
+    assert loaded_after_import("fibwalk.logic", ["fibwalk.fibword"]) == "[]"
+    assert loaded_after_import(
+        "fibwalk.fibword", ["fibwalk.automata", "fibwalk.logic"]) == "[]"

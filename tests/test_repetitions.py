@@ -250,33 +250,33 @@ def test_sweeps_reject_empty_ranges():
     assert rp.partition_report(2)["range"] == [2, 2]
 
 
-def test_m_gamma_oracle_agreement():
+def test_ratio_reach_oracle_agreement():
     rp.ensure_table(1500)
     for p, q in [(2, 1), (5, 2), (3, 1)]:
-        dfa = rp.m_gamma_automaton(p, q)
+        dfa = rp.ratio_reach_automaton(p, q)
         for n in range(1, 1501):
             rec = rp.exponent_record(n)
             want = rec.exponent >= Fraction(p, q)
             assert au.accepts(dfa, (n,)) == want, (p, q, n)
 
 
-def test_m_gamma_first_members():
-    dfa = rp.m_gamma_automaton(3, 1)
+def test_ratio_reach_first_members():
+    dfa = rp.ratio_reach_automaton(3, 1)
     words = au.first_accepted_words(dfa, 3)
     vals = [au.word_to_values(w, 1)[0] for w in words]
     assert vals == [14, 23, 24]
 
 
-def test_m_gamma_rejects_bad_ratio():
+def test_ratio_reach_rejects_bad_ratio():
     with pytest.raises(ValueError, match="numerator must be >= 0"):
-        rp.m_gamma_automaton(-3, 1)
+        rp.ratio_reach_automaton(-3, 1)
     with pytest.raises(ValueError, match="denominator must be >= 1"):
-        rp.m_gamma_automaton(3, 0)
+        rp.ratio_reach_automaton(3, 0)
 
 
-def test_m_gamma_low_ratio_warns():
+def test_ratio_reach_low_ratio_warns():
     with pytest.warns(UserWarning):
-        rp.m_gamma_automaton(1, 3)
+        rp.ratio_reach_automaton(1, 3)
 
 
 @pytest.mark.parametrize("k", range(6, 10))
